@@ -14,6 +14,14 @@ inside a step are missed or reported late), so both schemes carry a positive
 mean bias that shrinks with ``delta``; the bridge correction removes the
 dominant part of it.  Paths that never cross before the horizon return an
 infinite, non-finite draw.
+
+The recursion is written twice, once per path and once per batch.  One
+per-path walk serves :func:`euler_fpt`, :func:`improved_euler_fpt` and
+:func:`coupled_euler_pair`; it draws each path from its own generator, which
+gives :func:`grid_batch` its per-index substreams and is the test reference
+for the batch kernel.  :func:`coupled_grid_times` runs whole chunks of paths
+as arrays, for sample sizes (around 10^6 paths) where a Python loop per path
+is too slow.
 """
 
 from __future__ import annotations
@@ -93,6 +101,57 @@ def _step_count(delta: float, horizon: float) -> int:
     return int(math.ceil(horizon / delta - 1e-12))
 
 
+def _walk(
+    sde: UnitDiffusionSDE,
+    th: Threshold,
+    g: GridScheme,
+    rng: np.random.Generator,
+    *,
+    plain: bool = True,
+    bridge: bool = True,
+) -> tuple[float, float]:
+    """(plain, improved) passage times along one Euler path.
+
+    The plain detector fires at the first grid time (from 0) with the path at
+    or past the threshold.  The improved detector fires there too or, earlier,
+    at the midpoint of a step whose bridge crosses, testing one uniform per
+    step until it fires.  Without ``bridge`` it draws no uniforms and equals
+    the plain time.  With ``plain`` unset the walk stops at the improved
+    time, so a plain time not reached by then reads ``inf``.  A detector that
+    does not fire before the horizon reports ``inf``.
+    """
+    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
+    alpha = sde.alpha
+    beta = th.beta
+    delta = g.delta
+    gap = sign * (beta(0.0) - sde.x0)
+    if gap <= 0.0:
+        return 0.0, 0.0
+    sqrt_dt = math.sqrt(delta)
+    normal = _block_stream(rng.standard_normal)
+    uniform = _block_stream(rng.random) if bridge else None
+
+    x = sde.x0
+    improved = math.inf
+    for i in range(1, _step_count(delta, g.horizon) + 1):
+        x = x + alpha(x) * delta + sqrt_dt * normal()
+        t = i * delta
+        gap_new = sign * (beta(t) - x)
+        if gap_new <= 0.0:
+            return t, min(improved, t)
+        if bridge and uniform() < math.exp(-2.0 * gap * gap_new / delta):
+            improved = t - 0.5 * delta
+            if not plain:
+                break
+            bridge = False  # the improved detector has fired
+        gap = gap_new
+    return math.inf, improved
+
+
+def _draw(time: float) -> FptDraw:
+    return FptDraw(time=time, finite=time < math.inf)
+
+
 def euler_fpt(
     sde: UnitDiffusionSDE,
     th: Threshold,
@@ -105,22 +164,7 @@ def euler_fpt(
     threshold returns time 0).  No crossing before the horizon returns an
     infinite, non-finite draw.
     """
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
-    alpha = sde.alpha
-    beta = th.beta
-    delta = g.delta
-    if sign * (beta(0.0) - sde.x0) <= 0.0:
-        return FptDraw(time=0.0, finite=True)
-    sqrt_dt = math.sqrt(delta)
-    normal = _block_stream(rng.standard_normal)
-
-    x = sde.x0
-    for i in range(1, _step_count(delta, g.horizon) + 1):
-        x = x + alpha(x) * delta + sqrt_dt * normal()
-        t = i * delta
-        if sign * (beta(t) - x) <= 0.0:
-            return FptDraw(time=t, finite=True)
-    return FptDraw(time=math.inf, finite=False)
+    return _draw(_walk(sde, th, g, rng, bridge=False)[0])
 
 
 def improved_euler_fpt(
@@ -135,28 +179,7 @@ def improved_euler_fpt(
     crossing is declared with probability ``exp(-2*d1*d2/delta)`` and
     reported at the step midpoint.
     """
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
-    alpha = sde.alpha
-    beta = th.beta
-    delta = g.delta
-    gap = sign * (beta(0.0) - sde.x0)
-    if gap <= 0.0:
-        return FptDraw(time=0.0, finite=True)
-    sqrt_dt = math.sqrt(delta)
-    normal = _block_stream(rng.standard_normal)
-    uniform = _block_stream(rng.random)
-
-    x = sde.x0
-    for i in range(1, _step_count(delta, g.horizon) + 1):
-        x = x + alpha(x) * delta + sqrt_dt * normal()
-        t = i * delta
-        gap_new = sign * (beta(t) - x)
-        if gap_new <= 0.0:
-            return FptDraw(time=t, finite=True)
-        if uniform() < math.exp(-2.0 * gap * gap_new / delta):
-            return FptDraw(time=t - 0.5 * delta, finite=True)
-        gap = gap_new
-    return FptDraw(time=math.inf, finite=False)
+    return _draw(_walk(sde, th, g, rng, plain=False)[1])
 
 
 def coupled_euler_pair(
@@ -171,37 +194,8 @@ def coupled_euler_pair(
     the plain time: a bridge detection fires strictly inside a step while the
     plain detector can only fire at a later grid point.
     """
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
-    alpha = sde.alpha
-    beta = th.beta
-    delta = g.delta
-    gap = sign * (beta(0.0) - sde.x0)
-    if gap <= 0.0:
-        zero = FptDraw(time=0.0, finite=True)
-        return zero, zero
-    sqrt_dt = math.sqrt(delta)
-    normal = _block_stream(rng.standard_normal)
-    uniform = _block_stream(rng.random)
-
-    x = sde.x0
-    plain = math.inf
-    improved = math.inf
-    for i in range(1, _step_count(delta, g.horizon) + 1):
-        x = x + alpha(x) * delta + sqrt_dt * normal()
-        t = i * delta
-        gap_new = sign * (beta(t) - x)
-        if gap_new <= 0.0:
-            plain = t
-            if improved == math.inf:
-                improved = t
-            break
-        if improved == math.inf and uniform() < math.exp(-2.0 * gap * gap_new / delta):
-            improved = t - 0.5 * delta
-        gap = gap_new
-    return (
-        FptDraw(time=plain, finite=plain < math.inf),
-        FptDraw(time=improved, finite=improved < math.inf),
-    )
+    plain, improved = _walk(sde, th, g, rng)
+    return _draw(plain), _draw(improved)
 
 
 def grid_batch(

@@ -273,8 +273,8 @@ def resolve_config(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**cfg_kwargs)
 
 
-def parse_config(text: bytes) -> ExperimentConfig:
-    """Parse a UTF-8 JSON config document into a validated config."""
+def _decode_config(text: bytes) -> dict:
+    """Decode a UTF-8 JSON config document into its top-level object."""
     try:
         decoded = text.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -283,7 +283,13 @@ def parse_config(text: bytes) -> ExperimentConfig:
         mapping = json.loads(decoded)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    return resolve_config(mapping)
+    _require(isinstance(mapping, dict), "config must be a JSON object")
+    return mapping
+
+
+def parse_config(text: bytes) -> ExperimentConfig:
+    """Parse a UTF-8 JSON config document into a validated config."""
+    return resolve_config(_decode_config(text))
 
 
 # --------------------------------------------------------------------------
@@ -542,11 +548,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raw_bytes = args.config.read_bytes()
             except OSError as exc:
                 raise ConfigurationError(f"cannot read config: {exc}") from exc
-            try:
-                mapping = json.loads(raw_bytes.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ConfigurationError(f"config is not valid UTF-8 JSON: {exc}") from exc
-            _require(isinstance(mapping, dict), "config must be a JSON object")
+            mapping = _decode_config(raw_bytes)
         else:
             mapping = {}
         if "experiment" in mapping and mapping["experiment"] != args.experiment:

@@ -50,20 +50,14 @@ from typing import Callable
 import numpy as np
 
 from .bm_fpt import CurvyParams, FptDraw, _linear_time, sample_fpt_curvy
-from .errors import (
-    AssumptionViolation,
-    ConfigurationError,
-    DomainError,
-    NonTerminationError,
-    ParameterError,
-)
+from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
-    GAMMA_NEGATIVE_TOLERANCE,
-    GAMMA_UPPER_SLACK,
     GammaPair,
     Orientation,
     Threshold,
     UnitDiffusionSDE,
+    _guard_rate,
+    _rate_ceiling,
     linear_threshold,
     make_gamma_pair,
 )
@@ -115,12 +109,10 @@ def _bridge_coeffs(tau_w: float, e0: float, e1: float) -> tuple[float, float]:
 
     Given the bridge value at ``e0`` and the pin at ``tau_w``, the value at
     ``e1`` is ``c1 * l + c2 * G`` with a standard normal 3-vector ``G``.
+    Needs ``e0 <= e1 <= tau_w`` and ``e0 < tau_w``, which :func:`bridge_step`
+    checks for outside callers.
     """
-    if not e0 <= e1 <= tau_w:
-        raise ParameterError(f"need E0 <= E1 <= tau_w, got {e0}, {e1}, {tau_w}")
     denom = tau_w - e0
-    if denom <= 0.0:
-        raise ParameterError(f"tau_w must exceed E0, got tau_w={tau_w}, E0={e0}")
     c1 = (tau_w - e1) / denom
     c2 = math.sqrt((tau_w - e1) * (e1 - e0) / denom)
     return c1, c2
@@ -131,6 +123,10 @@ def bridge_step(state: BridgeState, tau_w: float, G: np.ndarray) -> BridgeState:
     G = np.asarray(G, dtype=float)
     if G.shape != (3,):
         raise ParameterError(f"G must be a 3-vector, got shape {G.shape}")
+    if not (state.E1 <= tau_w and state.E0 < tau_w):
+        raise ParameterError(
+            f"need E0 <= E1 <= tau_w and E0 < tau_w, got {state.E0}, {state.E1}, {tau_w}"
+        )
     c1, c2 = _bridge_coeffs(tau_w, state.E0, state.E1)
     return replace(state, l=c1 * state.l + c2 * G)
 
@@ -274,7 +270,7 @@ def _sample_oriented(
     kappa = gp.kappa
     assert kappa is not None
     scale = 1.0 / kappa
-    upper = kappa + GAMMA_UPPER_SLACK * max(1.0, kappa)
+    ceiling = _rate_ceiling(kappa)
     beta = problem.threshold.beta
     gamma1 = gp.gamma1
     gamma2 = gp.gamma2
@@ -286,6 +282,8 @@ def _sample_oriented(
     exponential = rng.exponential
     standard_normal = rng.standard_normal
     uniform = rng.random
+    bridge_coeffs = _bridge_coeffs
+    guard_rate = _guard_rate
 
     total_events = 0
     for attempt in range(1, problem.max_proposals + 1):
@@ -302,9 +300,7 @@ def _sample_oriented(
             z0, z1, z2 = standard_normal(3)
             e = exponential(scale)
             u = uniform()
-            # pinned-bridge update; same recursion as bridge_step
-            c1 = (tau - e1) / (tau - e0)
-            c2 = math.sqrt((tau - e1) * (e1 - e0) / (tau - e0))
+            c1, c2 = bridge_coeffs(tau, e0, e1)
             l1 = c1 * l1 + c2 * z0
             l2 = c1 * l2 + c2 * z1
             l3 = c1 * l3 + c2 * z2
@@ -316,20 +312,7 @@ def _sample_oriented(
             t_fwd = tau - e1
             m = (e1 / tau) * delta + l1
             x_rec = beta(t_fwd) - sign * math.sqrt(m * m + l2 * l2 + l3 * l3)
-            # rate guard; same semantics as GammaPair.evaluate
-            v = gamma1(t_fwd) - s1 + gamma2(x_rec) - s2
-            if not math.isfinite(v):
-                raise DomainError(f"gamma sum at (t={e1}, x={x_rec}) is {v}")
-            if v < 0.0:
-                if v < -GAMMA_NEGATIVE_TOLERANCE:
-                    raise AssumptionViolation(
-                        f"gamma1+gamma2 = {v} < 0 at (t={e1}, x={x_rec})"
-                    )
-                v = 0.0
-            elif v > upper:
-                raise AssumptionViolation(
-                    f"gamma1+gamma2 = {v} exceeds kappa = {kappa} at (t={e1}, x={x_rec})"
-                )
+            v = guard_rate(gamma1(t_fwd) - s1 + gamma2(x_rec) - s2, ceiling, t_fwd, x_rec)
             if kappa * u <= v:
                 rejected = True
                 break
@@ -487,14 +470,12 @@ def run_thinning_trial(
     if not horizon >= 0.0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     scale = 1.0 / kappa
-    upper = kappa + GAMMA_UPPER_SLACK * max(1.0, kappa)
+    ceiling = _rate_ceiling(kappa)
     below = 0
     t = rng.exponential(scale)
     while t <= horizon:
         u = rng.random()
-        v = intensity(t)
-        if v < -GAMMA_NEGATIVE_TOLERANCE or v > upper:
-            raise AssumptionViolation(f"intensity({t}) = {v} outside [0, {kappa}]")
+        v = _guard_rate(intensity(t), ceiling, t)
         if kappa * u <= v:
             below += 1
         t += rng.exponential(scale)

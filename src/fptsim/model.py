@@ -26,6 +26,7 @@ the pair, applies constant shifts, and estimates ``kappa`` on a grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -164,6 +165,39 @@ def constant_threshold(level: float, orientation: Orientation) -> Threshold:
     return linear_threshold(0.0, level, orientation)
 
 
+def _rate_ceiling(kappa: float | None) -> float:
+    """Largest rate accepted under the bound ``kappa``, round-off slack included.
+
+    Without a bound (``kappa`` is ``None``) it is the largest finite float.
+    """
+    if kappa is None:
+        return sys.float_info.max
+    return kappa + GAMMA_UPPER_SLACK * max(1.0, kappa)
+
+
+def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None) -> float:
+    """Check a rejection rate ``v`` evaluated at time ``t`` (and state ``x``).
+
+    A non-finite ``v`` raises :class:`DomainError`.  Values in
+    ``[-GAMMA_NEGATIVE_TOLERANCE, 0)`` are round-off and are clamped to zero;
+    values below that, or above ``ceiling`` (finite, see :func:`_rate_ceiling`),
+    raise :class:`AssumptionViolation` because they would silently bias the
+    sampler.
+    """
+    if 0.0 <= v <= ceiling:  # false for NaN and, as the ceiling is finite, for inf
+        return v
+    where = f"(t={t})" if x is None else f"(t={t}, x={x})"
+    if not math.isfinite(v):
+        raise DomainError(f"rate at {where} is {v}")
+    if v < -GAMMA_NEGATIVE_TOLERANCE:
+        raise AssumptionViolation(
+            f"rate {v} < 0 at {where}; the rate functions are invalid for this problem"
+        )
+    if v < 0.0:
+        return 0.0
+    raise AssumptionViolation(f"rate {v} exceeds its ceiling {ceiling} at {where}")
+
+
 @dataclass(frozen=True)
 class GammaPair:
     """Rejection-rate pair with shift metadata and optional upper bound.
@@ -192,30 +226,9 @@ class GammaPair:
         return self.gamma2(x) - self.shift2
 
     def evaluate(self, t: float, x: float) -> float:
-        """Effective rate ``gamma1_at(t) + gamma2_at(x)`` with runtime guards.
-
-        Values in ``[-GAMMA_NEGATIVE_TOLERANCE, 0)`` are clamped to zero;
-        values below that, or above ``kappa`` beyond round-off slack, abort
-        with :class:`AssumptionViolation` because they would silently bias
-        the sampler.
-        """
-        v = self.gamma1_at(t) + self.gamma2_at(x)
-        if not math.isfinite(v):
-            raise DomainError(f"gamma sum at (t={t}, x={x}) is {v}")
-        if v < 0.0:
-            if v < -GAMMA_NEGATIVE_TOLERANCE:
-                raise AssumptionViolation(
-                    f"gamma1+gamma2 = {v} < 0 at (t={t}, x={x}); "
-                    "the rate functions are invalid for this problem"
-                )
-            v = 0.0
-        if self.kappa is not None:
-            slack = GAMMA_UPPER_SLACK * max(1.0, self.kappa)
-            if v > self.kappa + slack:
-                raise AssumptionViolation(
-                    f"gamma1+gamma2 = {v} exceeds kappa = {self.kappa} at (t={t}, x={x})"
-                )
-        return v
+        """Effective rate ``gamma1_at(t) + gamma2_at(x)``, checked by
+        :func:`_guard_rate` against ``kappa`` (when set) plus round-off slack."""
+        return _guard_rate(self.gamma1_at(t) + self.gamma2_at(x), _rate_ceiling(self.kappa), t, x)
 
     def with_kappa(self, kappa: float) -> "GammaPair":
         if not math.isfinite(kappa) or kappa <= 0.0:

@@ -1,8 +1,12 @@
 """Quadratic leaky integrate-and-fire neuron with an adaptive threshold.
 
-The membrane voltage follows ``dV = (V/tau_m + I + V_r/tau_m??...`` -- in the
-transformed coordinates used here (``X = -(1/sigma) ln V``) the voltage SDE
-becomes a unit-diffusion process with drift
+The membrane voltage follows
+
+    dV = V * (I + (V_r - V)/tau_m) dt + sigma * V dB.
+
+By Ito's formula, ``X = -(1/sigma) ln V`` solves
+``dX = (sigma/2 - (I + (V_r - V)/tau_m)/sigma) dt - dB`` with ``V = exp(-sigma*X)``,
+a unit-diffusion process (``-B`` is a Brownian motion) with drift
 
     alpha(x) = c + d * exp(-sigma*x),
     c = sigma/2 - I/sigma - V_r/(tau_m*sigma),     d = 1/(tau_m*sigma),

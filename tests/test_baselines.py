@@ -90,6 +90,24 @@ def test_coupled_pair_improved_never_later():
     assert strictly_earlier > 0
 
 
+@pytest.mark.parametrize(
+    "th,horizon",
+    [
+        (linear_threshold(-0.5, 1.0, Orientation.ABOVE_START), 16.0),
+        (linear_threshold(1.0, 0.0, Orientation.BELOW_START), 2.0),
+        (constant_threshold(50.0, Orientation.ABOVE_START), 1.0),
+    ],
+    ids=["falling_line", "start_on_threshold", "censored"],
+)
+def test_improved_euler_is_the_improved_half_of_the_coupled_pair(th, horizon):
+    sde = _brownian()
+    g = GridScheme(delta=2.0**-4, horizon=horizon, scheme="improved_euler")
+    for seed in range(20, 30):
+        alone = improved_euler_fpt(sde, th, g, np.random.default_rng(seed))
+        _, paired = coupled_euler_pair(sde, th, g, np.random.default_rng(seed))
+        assert alone == paired
+
+
 def test_censoring_marks_draw_non_finite():
     sde = _brownian()
     th = constant_threshold(50.0, Orientation.ABOVE_START)

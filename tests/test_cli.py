@@ -228,6 +228,10 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["example1", "--config", str(bad)]) == 2
     capsys.readouterr()
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"n": 3, "out": "caf\xe9"}')
+    assert main(["example1", "--config", str(not_utf8)]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigurationError"
     assert main(["example1", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 

@@ -11,6 +11,7 @@ from fptsim.bm_fpt import inverse_gaussian_cdf
 from fptsim.errors import (
     AssumptionViolation,
     ConfigurationError,
+    DomainError,
     NonTerminationError,
     ParameterError,
 )
@@ -113,11 +114,19 @@ def test_thinning_reproduces_void_probability(intensity, horizon, integral):
     assert abs(zeros / n - p) < 3.0 * se
 
 
-def test_thinning_rejects_intensity_above_kappa():
+@pytest.mark.parametrize(
+    "intensity,error",
+    [
+        (lambda t: 2.0, AssumptionViolation),
+        (lambda t: float("nan"), DomainError),
+    ],
+    ids=["above_kappa", "nan"],
+)
+def test_thinning_rejects_intensity_above_kappa(intensity, error):
     rng = np.random.default_rng(33)
-    with pytest.raises(AssumptionViolation):
+    with pytest.raises(error):
         for _ in range(200):
-            run_thinning_trial(lambda t: 2.0, 1.0, 1.0, rng)
+            run_thinning_trial(intensity, 1.0, 1.0, rng)
 
 
 # --- end-to-end closed-form laws --------------------------------------------
