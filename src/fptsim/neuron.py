@@ -35,9 +35,15 @@ keep each interval draw both correct and affordable:
   for all stage times ``t``, where ``q(u) = alpha' + alpha^2`` written in
   ``u = exp(-sigma*x)`` and ``u(t)`` is the threshold in those units.  The
   constraint is concave-quadratic in ``g``, so each time point contributes an
-  interval of admissible drifts; the builder intersects them on a grid and
-  picks the smallest admissible ``g``, which minimizes the expected number
-  of proposals (their cost exponent is increasing in ``g``).
+  interval of admissible drifts.  Within a stage ``theta`` is monotone in
+  time, and so are ``beta'``, ``u(t)`` and ``alpha(beta(t))``; the builder
+  cuts the stage into equal pieces, bounds each term on a piece by its
+  values at the piece ends, and intersects the root intervals of those
+  bounds.  The result holds at every stage time, not only at sampled ones
+  (a rigorous bound, not a grid estimate).  It picks the smallest
+  admissible ``g``, which minimizes the expected number of proposals (their
+  cost exponent is increasing in ``g``), and bounds the time rate, and so
+  ``kappa``, the same way.
 * **Stage splitting.**  After several spikes the threshold sits far from the
   reset point in ``u = exp(-sigma*x)`` units, and single-shot acceptance
   degrades exponentially in that distance.  The interval passage is therefore
@@ -65,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bm_fpt import CurvyParams
+from .bm_fpt import CurvyParams, FptDraw
 from .errors import (
     AssumptionViolation,
     DomainError,
@@ -99,10 +105,10 @@ CURVY_EPSILON = 2.0**-4
 PROPOSAL_SLACK = 5.0
 #: Margin between the tangent slope and the steepest admissible slope.
 TANGENT_MARGIN = 0.1
-#: Grid size for the numeric rate bounds along the stage time axis.
-_RATE_GRID = 4097
-#: Multiplicative cushion on the numeric time-rate supremum.
-_GAMMA1_MARGIN = 1.02
+#: Number of equal stage-time pieces the rate bounds are taken over.
+_RATE_PIECES = 64
+#: Piece ends as fractions of the stage horizon.
+_PIECE_ENDS = np.arange(_RATE_PIECES + 1) / _RATE_PIECES
 _KAPPA_FLOOR = 1e-9
 
 
@@ -193,12 +199,19 @@ def apply_spike(
 
 @dataclass(frozen=True)
 class SpikeTrain:
-    """Spike times of one trial, all strictly inside ``[0, horizon)``."""
+    """Spike times of one trial, all strictly inside ``[0, horizon)``.
+
+    ``stages``, ``proposals`` and ``clock_events`` sum the exact stage draws
+    that produced the train (see :class:`~fptsim.bm_fpt.FptDraw`).
+    """
 
     times: tuple[float, ...]
     horizon: float
     params: NeuronParams
     trial_seed: int = 0
+    stages: int = 0
+    proposals: int = 0
+    clock_events: int = 0
 
     def __post_init__(self) -> None:
         prev = 0.0
@@ -212,6 +225,16 @@ class SpikeTrain:
     @property
     def count(self) -> int:
         return len(self.times)
+
+
+def _box_max(a_lo, a_hi, b_lo, b_hi):
+    """Upper bound of ``a*b`` over ``[a_lo, a_hi] x [b_lo, b_hi]``, elementwise.
+
+    The product is bilinear, so its maximum over a box sits at a corner.
+    """
+    return np.maximum(
+        np.maximum(a_lo * b_lo, a_lo * b_hi), np.maximum(a_hi * b_lo, a_hi * b_hi)
+    )
 
 
 def _stage_problem(
@@ -230,8 +253,11 @@ def _stage_problem(
     time ``w``, where ``beta`` is the transformed interval threshold; the
     stage starts at ``x_start`` above it.  The builder picks the stage
     reference drift, bounds both rates (the space rate by its exact
-    quadratic-in-``u`` form, the time rate on a grid) and attaches the
-    curvy proposal.
+    quadratic-in-``u`` form, the time rate by piecewise-monotone bounds:
+    over each of ``_RATE_PIECES`` equal pieces of stage time, ``theta`` and
+    with it ``beta'``, ``u`` and ``alpha`` lie between their piece-end
+    values) and attaches the curvy proposal.  Both the drift constraint and
+    ``kappa`` are rigorous at every stage time, not only at the piece ends.
     """
     sigma = params.sigma
     tau1 = params.tau1
@@ -259,57 +285,61 @@ def _stage_problem(
     inf_slope = min(0.0, slope_at_peak)
     sup_slope = max(0.0, slope_at_peak)
 
-    scale = math.exp(-sigma * offset)
-    u_ends = (theta_loc(0.0) * scale, theta_loc(prop_horizon) * scale)
-    u_cap = max(u_ends)
-
     def q(u):
         return d * d * u * u + (2.0 * c * d - sigma * d) * u + c * c
 
-    w_grid = np.linspace(0.0, prop_horizon, _RATE_GRID)
-    theta_grid = th0 + (thp - th0) * np.exp(-(time_shift + w_grid) / tau1)
-    u_grid = theta_grid * scale
-    bp_grid = (theta_grid - th0) / (tau1 * sigma * theta_grid)
-    alpha_grid = c + d * u_grid
+    # theta is monotone in stage time, so on each of _RATE_PIECES equal pieces
+    # it lies between its end values, and so do beta' (increasing in theta
+    # for theta0 > 0) and alpha = c + d*u (linear in u = theta*scale)
+    w_ends = prop_horizon * _PIECE_ENDS
+    theta_ends = th0 + (thp - th0) * np.exp(-(time_shift + w_ends) / tau1)
+    scale = math.exp(-sigma * offset)
+    u_cap = float(max(theta_ends[0], theta_ends[-1])) * scale
+    bp_ends = (theta_ends - th0) / (tau1 * sigma * theta_ends)
+    alpha_ends = c + d * theta_ends * scale
+    bp_lo = np.minimum(bp_ends[:-1], bp_ends[1:])
+    bp_hi = np.maximum(bp_ends[:-1], bp_ends[1:])
+    alpha_lo = np.minimum(alpha_ends[:-1], alpha_ends[1:])
+    alpha_hi = np.maximum(alpha_ends[:-1], alpha_ends[1:])
     # infimum of q over the state range (0, u(t)]: q is convex, with its
-    # limit c^2 at u -> 0+, so the infimum sits at the vertex when reachable
+    # limit c^2 at u -> 0+, so the infimum sits at the vertex when reachable;
+    # it does not increase with u(t), so a piece's value at its largest u
+    # bounds it from below
     if d != 0.0:
         u_vertex = (sigma - 2.0 * c) / (2.0 * d)
     else:
         u_vertex = -1.0
     if u_vertex > 0.0:
-        q_inf_grid = q(np.minimum(u_grid, u_vertex))
+        u_hi = np.maximum(theta_ends[:-1], theta_ends[1:]) * scale
+        q_low = q(np.minimum(u_hi, u_vertex))
     else:
-        q_inf_grid = np.full_like(u_grid, c * c)
+        q_low = c * c
+    ab_max = _box_max(alpha_lo, alpha_hi, bp_lo, bp_hi)
 
     # admissible reference drifts solve, for every stage time,
-    #   (g - alpha)*beta' + (inf q - g^2)/2 >= slack,
-    # a concave quadratic in g; intersect the per-time root intervals.  The
-    # slack covers between-grid dips: solve once with a nominal slack, bound
-    # the piecewise-linear interpolation error of the constraint by its grid
-    # second differences, then re-solve with that margin.
-    def solve_drift(slack: float) -> tuple[float, float]:
-        disc = bp_grid * bp_grid + q_inf_grid - 2.0 * alpha_grid * bp_grid - 2.0 * slack
+    #   (g - alpha)*beta' + (inf q - g^2)/2 >= slack.
+    # On a piece the left side is at least g*B - g^2/2 + q_low/2 - ab_max for
+    # B = bp_lo or bp_hi (it is linear in beta'), a concave quadratic in g;
+    # the intersection of the 2*_RATE_PIECES root intervals is admissible at
+    # every stage time, not only at the piece ends.
+    slack = 1e-12
+    lo, hi = -math.inf, math.inf
+    for bp in (bp_lo, bp_hi):
+        disc = bp * bp + q_low - 2.0 * ab_max - 2.0 * slack
         if float(disc.min()) < 0.0:
             raise AssumptionViolation(
                 "no constant reference drift keeps the combined rate non-negative "
                 f"over this stage (worst margin {float(disc.min())})"
             )
         root = np.sqrt(disc)
-        lo = float((bp_grid - root).max())
-        hi = float((bp_grid + root).min())
-        if lo > hi:
-            raise AssumptionViolation(
-                "no constant reference drift keeps the combined rate non-negative "
-                f"at all stage times (need g in [{lo}, {hi}])"
-            )
-        return lo, hi
-
-    g0, _ = solve_drift(1e-12)
-    h_grid = (g0 - alpha_grid) * bp_grid + 0.5 * (q_inf_grid - g0 * g0)
-    curvature = float(np.abs(np.diff(h_grid, 2)).max()) if h_grid.size > 2 else 0.0
-    curvature += float(np.abs(np.diff(bp_grid, 2)).max()) * (1.0 + abs(g0))
-    g, _ = solve_drift(1e-12 + 0.5 * curvature)
+        lo = max(lo, float((bp - root).max()))
+        hi = min(hi, float((bp + root).min()))
+    if lo > hi:
+        raise AssumptionViolation(
+            "no constant reference drift keeps the combined rate non-negative "
+            f"at all stage times (need g in [{lo}, {hi}])"
+        )
+    g = lo
 
     sde = UnitDiffusionSDE(
         alpha=lambda x: c + d * np.exp(-sigma * x),
@@ -340,10 +370,10 @@ def _stage_problem(
 
     # clock rate: positive-part suprema of each rate bound their sum; the
     # space rate is an exact endpoint value of a convex quadratic, the time
-    # rate a grid supremum with a multiplicative cushion
+    # rate (g - alpha)*beta' is bounded piece by piece
     sup2 = max(0.0, 0.5 * (max(c * c, q(u_cap)) - g * g))
-    sup1 = max(0.0, float(((g - alpha_grid) * bp_grid).max()))
-    kappa = max(_GAMMA1_MARGIN * sup1 + sup2, _KAPPA_FLOOR)
+    sup1 = max(0.0, float(_box_max(g - alpha_hi, g - alpha_lo, bp_lo, bp_hi).max()))
+    kappa = max(sup1 + sup2, _KAPPA_FLOOR)
 
     gammas = replace(base, gamma2=gamma2, kappa=kappa)
     r = (g - sup_slope) - TANGENT_MARGIN
@@ -401,8 +431,9 @@ def _draw_interval(
     remaining: float,
     rng: np.random.Generator,
     max_proposals: int,
-) -> float | None:
-    """One inter-spike passage time (interval-local), or None past the horizon.
+) -> tuple[float | None, list[FptDraw]]:
+    """One inter-spike passage time (interval-local), or None past the horizon,
+    with the stage draws it took.
 
     The passage is chained through intermediate thresholds placed uniformly
     in ``u = exp(-sigma*x)`` between the start voltage and the peak threshold
@@ -420,9 +451,10 @@ def _draw_interval(
 
     s = 0.0
     x_cur = -math.log(v) / sigma
+    draws: list[FptDraw] = []
     for i in range(1, k + 1):
         if s >= remaining:
-            return None
+            return None, draws
         u_i = v + span * (i / k)
         offset = math.log(theta_plus / u_i) / sigma
         stage_horizon = (remaining - s) + PROPOSAL_SLACK
@@ -436,11 +468,12 @@ def _draw_interval(
             max_proposals=max_proposals,
         )
         draw = sample_exact_below(problem, rng)
+        draws.append(draw)
         if draw.time >= stage_horizon - 1e-12:
-            return None
+            return None, draws
         x_cur = problem.threshold.beta(draw.time)
         s += draw.time
-    return s if s < remaining else None
+    return (s if s < remaining else None), draws
 
 
 def simulate_spike_train(
@@ -458,6 +491,7 @@ def simulate_spike_train(
     state = initial_state(params)
     voltage = params.v0
     times: list[float] = []
+    stages = proposals = clock_events = 0
     while True:
         if len(times) >= max_spikes:
             raise NonTerminationError(
@@ -467,9 +501,12 @@ def simulate_spike_train(
         remaining = horizon - state.last_spike
         if remaining <= 0.0:
             break
-        t_local = _draw_interval(
+        t_local, draws = _draw_interval(
             params, state.theta_plus, voltage, remaining, rng, max_proposals
         )
+        stages += len(draws)
+        proposals += sum(d.proposals for d in draws)
+        clock_events += sum(d.clock_events for d in draws)
         if t_local is None:
             break
         t_spike = state.last_spike + t_local
@@ -479,7 +516,13 @@ def simulate_spike_train(
         state = apply_spike(state, params, t_spike)
         voltage = params.v_reset
     return SpikeTrain(
-        times=tuple(times), horizon=horizon, params=params, trial_seed=trial_seed
+        times=tuple(times),
+        horizon=horizon,
+        params=params,
+        trial_seed=trial_seed,
+        stages=stages,
+        proposals=proposals,
+        clock_events=clock_events,
     )
 
 
@@ -523,7 +566,8 @@ def pooled_isi_cv(trains: Sequence[SpikeTrain]) -> float:
 
 
 def summarize_trains(trains: Sequence[SpikeTrain]) -> dict:
-    """Spike-count and dispersion summary of a batch of trials."""
+    """Spike-count and dispersion summary of a batch of trials, with the
+    stage, proposal and clock-event totals of their exact draws."""
     counts = np.array([t.count for t in trains], dtype=float)
     return {
         "n_trials": len(trains),
@@ -532,6 +576,9 @@ def summarize_trains(trains: Sequence[SpikeTrain]) -> dict:
         "std_count": float(counts.std(ddof=1)) if counts.size > 1 else 0.0,
         "total_spikes": int(counts.sum()) if counts.size else 0,
         "cv_isi": pooled_isi_cv(trains),
+        "stages": sum(t.stages for t in trains),
+        "proposals": sum(t.proposals for t in trains),
+        "clock_events": sum(t.clock_events for t in trains),
     }
 
 

@@ -149,6 +149,9 @@ def test_neuron_run_writes_spike_trains(tmp_path):
     assert len(rows) > 1
     assert summary["counts"] == _read_summary(tmp_path)["counts"]
     assert len(summary["counts"]) == 3
+    trains = _read_summary(tmp_path)["trains"]
+    assert trains["stages"] >= trains["total_spikes"] == sum(summary["counts"])
+    assert trains["proposals"] >= trains["stages"]
 
 
 def test_benchmark_run_writes_comparison(tmp_path):

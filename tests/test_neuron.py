@@ -106,6 +106,63 @@ def test_stage_rate_sum_is_admissible_on_a_dense_grid(current):
             assert v >= 0.0
 
 
+# Later-stage geometries: the threshold peak after several spikes, a stage
+# offset and a time shift into the interval, both signs of tau_m.
+_OFFSET, _SHIFT, _HORIZON = 0.3, 0.8, 7.0
+_LATER_STAGES = [
+    pytest.param(theta_plus, current, tau_m, id=f"thp{theta_plus:g}-I{current:g}-tau{tau_m:+g}")
+    for theta_plus in (2.0, 5.0, 8.0)
+    for current, tau_m in ((0.0, -1.0), (20.0, -1.0), (20.0, 1.0))
+]
+
+
+def _later_stage(theta_plus, current, tau_m):
+    p = NeuronParams(I=current, tau_m=tau_m)
+    theta_start = p.theta0 + (theta_plus - p.theta0) * math.exp(-_SHIFT / p.tau1)
+    prob = _stage_problem(
+        p, theta_plus, x_start=-math.log(theta_start) / p.sigma + _OFFSET + 1.0,
+        offset=_OFFSET, time_shift=_SHIFT, prop_horizon=_HORIZON, max_proposals=10**6,
+    )
+    return p, prob
+
+
+@pytest.mark.parametrize("theta_plus, current, tau_m", _LATER_STAGES)
+def test_later_stage_rate_sum_is_admissible_between_pieces(theta_plus, current, tau_m):
+    _, prob = _later_stage(theta_plus, current, tau_m)
+    # a uniform mesh plus midpoints of a 4097-point grid, off every piece end
+    ts = np.concatenate(
+        [np.linspace(0.0, _HORIZON, 150), (np.arange(0, 4096, 41) + 0.5) * _HORIZON / 4096]
+    )
+    for t in ts:
+        lo = prob.threshold.beta(float(t))
+        for x in np.linspace(lo, lo + 3.0, 25):
+            assert prob.gammas.evaluate(float(t), float(x)) >= 0.0  # raises outside [0, kappa]
+
+
+@pytest.mark.parametrize("theta_plus, current, tau_m", _LATER_STAGES)
+def test_later_stage_drift_and_kappa_are_tight(theta_plus, current, tau_m):
+    p, prob = _later_stage(theta_plus, current, tau_m)
+    g, kappa = prob.gammas.reference_drift, prob.gammas.kappa
+    c, d = p.drift_coefficients()
+    sigma = p.sigma
+
+    def q(u):
+        return d * d * u * u + (2.0 * c * d - sigma * d) * u + c * c
+
+    w = np.linspace(0.0, _HORIZON, 10**5)
+    theta = p.theta0 + (theta_plus - p.theta0) * np.exp(-(_SHIFT + w) / p.tau1)
+    u = theta * math.exp(-sigma * _OFFSET)
+    bp = (theta - p.theta0) / (p.tau1 * sigma * theta)
+    alpha = c + d * u
+    u_vertex = (sigma - 2.0 * c) / (2.0 * d)
+    q_inf = q(np.minimum(u, u_vertex)) if u_vertex > 0.0 else np.full_like(u, c * c)
+    lo = float((bp - np.sqrt(bp * bp + q_inf - 2.0 * alpha * bp)).max())
+    assert lo <= g <= lo + 0.05
+    sup2 = max(0.0, 0.5 * (max(c * c, q(float(u.max()))) - g * g))
+    rate_max = max(0.0, float(((g - alpha) * bp).max())) + sup2
+    assert rate_max <= kappa <= 1.02 * rate_max
+
+
 def test_stage_acceptance_identity_at_strong_current():
     p = NeuronParams(I=20.0)
     prob = _stage_problem(
@@ -142,6 +199,18 @@ def test_simulated_trains_are_well_formed_and_deterministic():
     for train in trains:
         assert all(b > a for a, b in zip(train.times, train.times[1:]))
         assert all(0.0 <= t < 2.0 for t in train.times)
+
+
+def test_trains_count_their_stage_draws():
+    trains = simulate_trials(NeuronParams(I=20.0), 2.0, 4, 75)
+    for train in trains:
+        assert train.stages >= train.count
+        assert train.proposals >= train.stages
+        assert train.clock_events >= 0
+    s = summarize_trains(trains)
+    assert s["stages"] == sum(t.stages for t in trains) >= s["total_spikes"]
+    assert s["proposals"] == sum(t.proposals for t in trains) >= s["stages"]
+    assert s["clock_events"] == sum(t.clock_events for t in trains)
 
 
 def test_simulate_trials_worker_invariance():
