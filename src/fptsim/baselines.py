@@ -21,7 +21,9 @@ per-path walk serves :func:`euler_fpt`, :func:`improved_euler_fpt` and
 gives :func:`grid_batch` its per-index substreams and is the test reference
 for the batch kernel.  :func:`coupled_grid_times` runs whole chunks of paths
 as arrays, for sample sizes (around 10^6 paths) where a Python loop per path
-is too slow.
+is too slow.  The per-path walk takes its normals and bridge uniforms in
+blocks of 512 from :func:`fptsim.rng.block_stream`, the buffered scalar
+stream it shares with the exact sampler.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .bm_fpt import FptDraw
 from .errors import ParameterError
 from .model import Orientation, Threshold, UnitDiffusionSDE
-from .rng import sample_many, substream
+from .rng import block_stream, sample_many, substream
 
 __all__ = [
     "GridScheme",
@@ -80,23 +82,6 @@ def bridge_crossing_probability(d1: float, d2: float, delta: float) -> float:
     return math.exp(-2.0 * d1 * d2 / delta)
 
 
-def _block_stream(draw_block, size: int = _BLOCK):
-    """Scalar draws served from buffered blocks (fast, same draw order)."""
-    buf = draw_block(size)
-    idx = 0
-
-    def nxt() -> float:
-        nonlocal buf, idx
-        if idx == size:
-            buf = draw_block(size)
-            idx = 0
-        v = buf[idx]
-        idx += 1
-        return v
-
-    return nxt
-
-
 def _step_count(delta: float, horizon: float) -> int:
     return int(math.ceil(horizon / delta - 1e-12))
 
@@ -128,8 +113,8 @@ def _walk(
     if gap <= 0.0:
         return 0.0, 0.0
     sqrt_dt = math.sqrt(delta)
-    normal = _block_stream(rng.standard_normal)
-    uniform = _block_stream(rng.random) if bridge else None
+    normal = block_stream(rng.standard_normal, _BLOCK)
+    uniform = block_stream(rng.random, _BLOCK) if bridge else None
 
     x = sde.x0
     improved = math.inf

@@ -35,6 +35,13 @@ conditioned gap of the reference motion is exactly a Bessel(3) bridge; for
 curvy thresholds it shares the epsilon-level approximation of the proposal
 iteration.
 
+Each call draws its randomness in blocks from its own generator: the
+exponential clock gaps, the bridge normals and the event marks come from
+per-call streams of 16 values (:func:`fptsim.rng.block_stream`), and so do
+the Wald draws of linear proposals.  Curved proposals take their line draws
+from the generator directly.  Nothing is carried from one call to the next,
+so a draw is a function of the generator it is handed.
+
 For distant linear thresholds, :func:`sample_exact_split` chains ``k``
 intermediate sub-problems (strong Markov property), turning a cost that is
 exponential in the gap into ``k`` times a bounded per-stage cost; see
@@ -45,11 +52,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, _linear_time, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, sample_fpt_curvy
 from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
@@ -61,7 +69,7 @@ from .model import (
     linear_threshold,
     make_gamma_pair,
 )
-from .rng import sample_many
+from .rng import block_stream, sample_many
 
 __all__ = [
     "BridgeState",
@@ -78,6 +86,9 @@ __all__ = [
     "run_thinning_trial",
     "default_proposal",
 ]
+
+#: Values per block of the per-call random streams of the sampler.
+_EVENT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -204,15 +215,23 @@ def expected_proposals(problem: ExactProblem) -> float:
 
 
 def _proposal_drawer(
-    problem: ExactProblem, sign: float
-) -> Callable[[np.random.Generator], float]:
+    problem: ExactProblem,
+    sign: float,
+    rng: np.random.Generator,
+    normal: Callable[[], float],
+    uniform: Callable[[], float],
+) -> Callable[[], float]:
     """Build a closure drawing reference passage times in the above frame.
 
     The reference motion is Brownian with drift ``g``; translating the start
     to 0 and reflecting below-start problems, proposals are passage times of
     standard Brownian motion to ``phi(t) = sign * (beta(t) - g*t - x0)``.
     Returns ``inf`` for non-hitting or horizon-censored draws (the caller
-    treats both as automatic rejections).
+    treats both as automatic rejections).  Linear proposals have the law of
+    :func:`fptsim.bm_fpt.sample_fpt_linear`: flat lines draw from ``normal``,
+    rising lines draw their hit test from ``uniform``, and Wald hit times come
+    from a block stream with the line's fixed parameters.  Curved proposals
+    call :func:`sample_fpt_curvy` on ``rng``.
     """
     th = problem.threshold
     g = problem.gammas.reference_drift
@@ -227,7 +246,24 @@ def _proposal_drawer(
             raise ConfigurationError(
                 f"translated proposal intercept {intercept} must be positive"
             )
-        return lambda rng: _linear_time(slope, intercept, rng)
+        if slope == 0.0:
+
+            def level_time() -> float:
+                z = normal()
+                while z == 0.0:
+                    z = normal()
+                return (intercept / z) ** 2
+
+            return level_time
+        # Wald parameters of the hit time; the generator's transform can
+        # round to a small negative double, clamped to 0 as in ``_wald``
+        wald = block_stream(
+            partial(rng.wald, abs(intercept / slope), intercept * intercept), _EVENT_BLOCK
+        )
+        if slope < 0.0:
+            return lambda: max(0.0, wald())
+        hit = math.exp(-2.0 * slope * intercept)
+        return lambda: max(0.0, wald()) if uniform() < hit else math.inf
 
     params = problem.proposal.curvy
     assert params is not None
@@ -254,7 +290,7 @@ def _proposal_drawer(
         sup_slope=sup_slope,
     )
 
-    def draw(rng: np.random.Generator) -> float:
+    def draw() -> float:
         d = sample_fpt_curvy(phi_threshold, params, rng)
         if d.time >= params.horizon:
             return math.inf
@@ -278,32 +314,28 @@ def _sample_oriented(
     s2 = gp.shift2
     x0 = problem.sde.x0
     delta = sign * (beta(0.0) - x0)
-    draw_proposal = _proposal_drawer(problem, sign)
-    exponential = rng.exponential
-    standard_normal = rng.standard_normal
-    uniform = rng.random
+    normal = block_stream(rng.standard_normal, _EVENT_BLOCK)
+    uniform = block_stream(rng.random, _EVENT_BLOCK)
+    clock_gap = block_stream(partial(rng.exponential, scale), _EVENT_BLOCK)
+    draw_proposal = _proposal_drawer(problem, sign, rng, normal, uniform)
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
 
     total_events = 0
     for attempt in range(1, problem.max_proposals + 1):
-        tau = draw_proposal(rng)
+        tau = draw_proposal()
         if tau == math.inf:
             continue
         if tau <= 0.0:
             return FptDraw(time=0.0, finite=True, proposals=attempt, clock_events=total_events)
         e0 = 0.0
-        e1 = exponential(scale)
+        e1 = clock_gap()
         l1 = l2 = l3 = 0.0
-        rejected = False
         while e1 <= tau:
-            z0, z1, z2 = standard_normal(3)
-            e = exponential(scale)
-            u = uniform()
             c1, c2 = bridge_coeffs(tau, e0, e1)
-            l1 = c1 * l1 + c2 * z0
-            l2 = c1 * l2 + c2 * z1
-            l3 = c1 * l3 + c2 * z2
+            l1 = c1 * l1 + c2 * normal()
+            l2 = c1 * l2 + c2 * normal()
+            l3 = c1 * l3 + c2 * normal()
             total_events += 1
             # The bridge clock runs backwards along the path: its value at e1
             # is the path-to-threshold gap at forward time tau - e1, so the
@@ -313,12 +345,11 @@ def _sample_oriented(
             m = (e1 / tau) * delta + l1
             x_rec = beta(t_fwd) - sign * math.sqrt(m * m + l2 * l2 + l3 * l3)
             v = guard_rate(gamma1(t_fwd) - s1 + gamma2(x_rec) - s2, ceiling, t_fwd, x_rec)
-            if kappa * u <= v:
-                rejected = True
+            if kappa * uniform() <= v:
                 break
             e0 = e1
-            e1 += e
-        if not rejected:
+            e1 += clock_gap()
+        else:
             return FptDraw(
                 time=tau, finite=True, proposals=attempt, clock_events=total_events
             )
@@ -411,7 +442,10 @@ def sample_batch(
     """Draw ``n`` exact passage times on per-index substreams.
 
     Sample ``i`` uses the generator ``substream(master_seed, *key_prefix, i)``,
-    so the output is independent of ``workers``.
+    so the output is independent of ``workers``.  Each draw takes its
+    randomness in blocks from that generator alone (see the module
+    docstring), so sample ``i`` does not depend on which indices were drawn
+    before it.
     """
     if split is not None:
         draw = lambda rng: sample_exact_split(problem, split, rng)

@@ -43,15 +43,24 @@ __all__ = [
 
 
 def sinusoidal_sde(K: float = 1.6, x0: float = 0.0) -> UnitDiffusionSDE:
-    """Unit-diffusion SDE with drift ``K + sin(x)`` started at ``x0``."""
+    """Unit-diffusion SDE with drift ``K + sin(x)`` started at ``x0``.
+
+    The callables evaluate numpy arrays elementwise and anything else with
+    :mod:`math`, so the scalar samplers stay on plain floats.
+    """
     if not math.isfinite(K):
         raise ParameterError(f"K must be finite, got {K}")
-    return UnitDiffusionSDE(
-        alpha=lambda x: K + np.sin(x),
-        alpha_prime=np.cos,
-        A=lambda x: K * x - np.cos(x),
-        x0=x0,
-    )
+
+    def alpha(x):
+        return K + (np.sin(x) if isinstance(x, np.ndarray) else math.sin(x))
+
+    def alpha_prime(x):
+        return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+    def A(x):
+        return K * x - (np.cos(x) if isinstance(x, np.ndarray) else math.cos(x))
+
+    return UnitDiffusionSDE(alpha=alpha, alpha_prime=alpha_prime, A=A, x0=x0)
 
 
 def example1_kappa(K: float = 1.6, a: float = -1.0) -> float:
@@ -92,13 +101,24 @@ def example1_problem(
 def exponential_threshold(
     a: float = 1.0, b: float = 1.0, orientation: Orientation = Orientation.ABOVE_START
 ) -> Threshold:
-    """Threshold ``beta(t) = a * exp(-b*t)`` with exact slope bounds."""
+    """Threshold ``beta(t) = a * exp(-b*t)`` with exact slope bounds.
+
+    Like the drift of :func:`sinusoidal_sde`, ``beta`` and ``beta'`` evaluate
+    numpy arrays elementwise and anything else with :mod:`math`.
+    """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ParameterError(f"a and b must be finite, got a={a}, b={b}")
     rate = a * b
+
+    def beta(t):
+        return a * (np.exp(-b * t) if isinstance(t, np.ndarray) else math.exp(-b * t))
+
+    def beta_prime(t):
+        return -rate * (np.exp(-b * t) if isinstance(t, np.ndarray) else math.exp(-b * t))
+
     return Threshold(
-        beta=lambda t: a * math.exp(-b * t),
-        beta_prime=lambda t: -rate * math.exp(-b * t),
+        beta=beta,
+        beta_prime=beta_prime,
         orientation=orientation,
         inf_slope=min(-rate, 0.0),
         sup_slope=max(-rate, 0.0),

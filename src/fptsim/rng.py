@@ -6,18 +6,24 @@ function (splitmix64).  Sample ``i`` therefore consumes exactly the same
 random numbers no matter how many workers run the batch or in which order the
 indices are processed, which makes batch output a pure function of
 ``(master_seed, n)``.
+
+Scalar samplers that need many draws of one law take them from a
+:func:`block_stream`, which serves a block from one numpy call as plain
+Python floats: a numpy call per value costs about a microsecond, and the
+``np.float64`` scalars it returns slow down all arithmetic after them.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+from itertools import chain, repeat
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["derive_seed", "substream", "sample_many", "sample_many_indexed"]
+__all__ = ["derive_seed", "substream", "block_stream", "sample_many", "sample_many_indexed"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,6 +55,20 @@ def derive_seed(master_seed: int, *key: int) -> int:
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the generator for the substream identified by ``key``."""
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *key)))
+
+
+def block_stream(
+    draw_block: Callable[[int], np.ndarray], size: int
+) -> Callable[[], float]:
+    """Return a function serving ``draw_block(size)`` values one at a time.
+
+    Each call returns the next value as a plain Python ``float``.  A new
+    block is drawn when the last one is used up (the first on the first
+    call), so the values come in the generator's own block order.  Values
+    left in the last block are dropped with the stream.
+    """
+    blocks = map(lambda k: draw_block(k).tolist(), repeat(size))
+    return chain.from_iterable(blocks).__next__
 
 
 def sample_many_indexed(

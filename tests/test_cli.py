@@ -131,6 +131,27 @@ def test_example1_run_writes_artifacts(tmp_path):
     assert 0.0 < stats["mean"] < 2.0
 
 
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"experiment": "example1", "n": 30},
+        {"experiment": "example1", "n": 20, "split": 2},
+        {"experiment": "example2", "n": 20},
+        {"experiment": "example1", "n": 20, "method": "euler", "delta": 0.05},
+    ],
+    ids=["example1", "split", "example2", "euler"],
+)
+def test_samples_csv_holds_plain_float_text(tmp_path, mapping):
+    # numpy 2 reprs a numpy scalar as ``np.float64(...)``; one leaking into
+    # a draw would corrupt the CSV
+    run_experiment(resolve_config(dict(mapping, seed=12, out=str(tmp_path))))
+    text = (tmp_path / "samples.csv").read_text()
+    assert "np." not in text
+    with open(tmp_path / "samples.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert all(float(r[1]) >= 0.0 for r in rows)
+
+
 def test_neuron_run_writes_spike_trains(tmp_path):
     cfg = resolve_config(
         {

@@ -36,7 +36,8 @@ from fptsim.model import (
     linear_threshold,
     make_gamma_pair,
 )
-from fptsim.problems import example1_problem
+from fptsim.problems import example1_problem, example2_problem
+from fptsim.rng import substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -216,6 +217,45 @@ def test_sample_batch_key_prefix_decorrelates():
     a = sample_batch(prob, 10, 47)
     b = sample_batch(prob, 10, 47, key_prefix=(9,))
     assert a != b
+
+
+def _plain_float_problems():
+    return {
+        "constant": _problem(0.0, 0.0, 1.0, Orientation.ABOVE_START, 1.0),
+        "falling_line": example1_problem(),
+        # hits with probability exp(-1): most draws redraw a non-hitting line
+        "rising_line": _problem(0.0, 1.0, 0.5, Orientation.ABOVE_START, 1.0),
+        "below_start": _problem(-1.0, 0.5, -0.5, Orientation.BELOW_START, 1.5),
+        "curved": example2_problem(epsilon=2.0**-8),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["constant", "falling_line", "rising_line", "below_start", "curved"]
+)
+def test_draws_are_plain_floats(name):
+    prob = _plain_float_problems()[name]
+    draws = sample_batch(prob, 30, 51)
+    assert all(type(d.time) is float for d in draws)
+    assert all(d.finite and d.time > 0.0 for d in draws)
+    if name == "rising_line":
+        # every hitting proposal is accepted (zero rates), so any extra
+        # proposal was a non-hitting one
+        assert any(d.proposals > 1 for d in draws)
+
+
+@pytest.mark.parametrize("name", ["falling_line", "curved"])
+def test_draws_do_not_depend_on_earlier_calls(name):
+    prob = _plain_float_problems()[name]
+    alone = [sample_exact(prob, substream(52, i)) for i in (4, 1)]
+    in_order = [sample_exact(prob, substream(52, i)) for i in range(6)]
+    assert alone == [in_order[4], in_order[1]]
+    assert sample_batch(prob, 6, 52) == in_order
+    # consecutive calls on one generator, as the neuron stages make
+    rng = substream(52, 0)
+    first, second = sample_exact(prob, rng), sample_exact(prob, rng)
+    assert first == in_order[0]
+    assert second.time != first.time
 
 
 # --- space splitting ---------------------------------------------------------

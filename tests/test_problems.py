@@ -131,3 +131,21 @@ def test_exponential_threshold_slope_bounds():
     assert th.inf_slope == pytest.approx(-1.0, rel=1e-15)
     assert th.sup_slope == pytest.approx(0.0, abs=1e-15)
     assert th.beta(2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, fn, xs",
+    [
+        ("alpha", sinusoidal_sde(1.6).alpha, np.linspace(-20.0, 20.0, 1001)),
+        ("alpha_prime", sinusoidal_sde(1.6).alpha_prime, np.linspace(-20.0, 20.0, 1001)),
+        ("A", sinusoidal_sde(1.6).A, np.linspace(-20.0, 20.0, 1001)),
+        ("beta", exponential_threshold(1.3, 0.7).beta, np.linspace(0.0, 50.0, 1001)),
+        ("beta_prime", exponential_threshold(1.3, 0.7).beta_prime, np.linspace(0.0, 50.0, 1001)),
+    ],
+)
+def test_problem_callables_are_scalar_floats_and_numpy_polymorphic(name, fn, xs):
+    scalar = [fn(x) for x in xs.tolist()]
+    assert all(type(v) is float for v in scalar), name
+    array = fn(xs)
+    assert isinstance(array, np.ndarray) and array.shape == xs.shape
+    np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=0.0)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fptsim.rng import derive_seed, sample_many, sample_many_indexed, substream
+from fptsim.rng import (
+    block_stream,
+    derive_seed,
+    sample_many,
+    sample_many_indexed,
+    substream,
+)
 
 
 def test_derive_seed_deterministic_and_keyed():
@@ -61,3 +67,25 @@ def test_sample_many_indexed_passes_indices_and_is_worker_invariant():
 def test_per_index_substreams_do_not_depend_on_n():
     draw = lambda rng: rng.random()
     assert sample_many(draw, 5, 7) == sample_many(draw, 9, 7)[:5]
+
+
+def test_block_stream_serves_generator_blocks_as_plain_floats():
+    rng = np.random.default_rng(3)
+    calls = []
+
+    def draw_block(k):
+        calls.append(k)
+        return rng.standard_normal(k)
+
+    nxt = block_stream(draw_block, 3)
+    values = [nxt() for _ in range(3)]
+    assert calls == [3]
+    values.append(nxt())  # the fourth value refills
+    assert calls == [3, 3]
+    values += [nxt() for _ in range(3)]
+    assert calls == [3, 3, 3]
+
+    ref = np.random.default_rng(3)
+    expected = np.concatenate([ref.standard_normal(3) for _ in range(3)])
+    assert values == expected[:7].tolist()
+    assert all(type(v) is float for v in values)
