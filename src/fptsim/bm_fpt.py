@@ -21,6 +21,15 @@ shapes are covered:
   returned time under-approximates and converges as ``epsilon -> 0``.
   Thresholds the process approaches from above are handled by reflection.
 
+The line draws of this module go through one core, :func:`_linear_time`,
+which takes its randomness from two scalar streams (zero-argument callables
+returning plain floats, such as :func:`fptsim.rng.block_stream`): a standard
+normal stream and a uniform stream.  Its Wald draws use the Michael-Schucany-Haas
+transform, the algorithm of numpy's ``Generator.wald``: one normal, then one
+uniform.  The curvy iteration carries ``beta(T)`` from one step to the next,
+so each line draw evaluates the threshold once and makes no numpy call; a
+caller that already holds streams (the exact sampler) hands them in.
+
 Returned times of ``sample_fpt_curvy`` equal the horizon when the iteration
 was censored; callers that need to distinguish censoring compare against the
 horizon they passed in.
@@ -30,13 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .errors import ParameterError
 from .model import Orientation, Threshold
+from .rng import block_stream
 
 __all__ = [
     "FptDraw",
@@ -50,6 +60,9 @@ __all__ = [
     "linear_hit_probability",
 ]
 
+#: Values per block of the streams the curvy iteration builds for itself.
+_LINE_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class FptDraw:
@@ -57,15 +70,18 @@ class FptDraw:
 
     ``finite`` is true exactly when ``time < inf``; censored draws from
     horizon-capped samplers are finite with ``time`` equal to the horizon.
-    ``proposals`` counts proposal attempts consumed (for rejection samplers),
-    ``clock_events`` counts inner loop steps (thinning clock events, or curvy
-    iterations).
+    ``proposals`` counts proposal attempts consumed (for rejection samplers).
+    ``clock_events`` counts inner loop steps: the thinning clock events of an
+    exact draw, or the line draws of one curvy iteration.  ``line_draws``
+    counts, for an exact draw, the line draws its curved proposals made (the
+    sum of their ``clock_events``); it stays 0 for linear proposals.
     """
 
     time: float
     finite: bool
     proposals: int = 1
     clock_events: int = 0
+    line_draws: int = 0
 
     def __post_init__(self) -> None:
         if self.finite != (self.time < math.inf):
@@ -74,7 +90,7 @@ class FptDraw:
             )
         if self.finite and not (self.time >= 0.0):
             raise ParameterError(f"time must be >= 0, got {self.time}")
-        if self.proposals < 0 or self.clock_events < 0:
+        if self.proposals < 0 or self.clock_events < 0 or self.line_draws < 0:
             raise ParameterError("counters must be non-negative")
 
 
@@ -107,7 +123,7 @@ def sample_inverse_gaussian(mu: float, lam: float, rng: np.random.Generator) -> 
         raise ParameterError(f"mu must be positive and finite, got {mu}")
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ParameterError(f"lam must be positive and finite, got {lam}")
-    return _wald(mu, lam, rng)
+    return _wald(mu, lam, rng.standard_normal, rng.random)
 
 
 def inverse_gaussian_cdf(t, mu: float, lam: float):
@@ -162,27 +178,44 @@ def sample_fpt_constant(level: float, rng: np.random.Generator) -> FptDraw:
     return FptDraw(time=(level / g) ** 2, finite=True)
 
 
-def _wald(mu: float, lam: float, rng: np.random.Generator) -> float:
-    """Wald draw clamped into the law's support; the generator's transform
-    can round to a small negative double when ``lam/mu`` is extreme."""
-    return max(0.0, float(rng.wald(mu, lam)))
+def _wald(
+    mu: float, lam: float, normal: Callable[[], float], uniform: Callable[[], float]
+) -> float:
+    """Inverse Gaussian ``IG(mu, lam)`` draw by the Michael-Schucany-Haas
+    transform: one normal, then one uniform.
 
-
-def _linear_time(a: float, b: float, rng: np.random.Generator) -> float:
-    """Core line-FPT draw; returns ``inf`` for non-hitting paths.
-
-    For ``a > 0`` the hit indicator is drawn before the conditional time, so
-    the stream consumption order is (uniform, then wald-if-hit).
+    The smaller root ``x`` of the transform is computed as
+    ``2 lam mu / (2 lam + y + sqrt(y (y + 4 lam)))`` with ``y = mu z^2``,
+    which equals ``mu + mu/(2 lam) (y - sqrt(y^2 + 4 lam y))`` but has no
+    cancellation, so it never rounds below zero; the draw is ``x`` with
+    probability ``mu / (mu + x)`` and ``mu^2 / x`` otherwise.
     """
-    if a == 0.0:
-        g = rng.standard_normal()
-        while g == 0.0:
-            g = rng.standard_normal()
-        return (b / g) ** 2
+    z = normal()
+    y = mu * z * z
+    two_lam = lam + lam
+    x = two_lam * mu / (two_lam + y + math.sqrt(y * (y + two_lam + two_lam)))
+    if uniform() <= mu / (mu + x):
+        return x
+    return mu * mu / x
+
+
+def _linear_time(
+    a: float, b: float, normal: Callable[[], float], uniform: Callable[[], float]
+) -> float:
+    """Passage time of Brownian motion from 0 to the line ``a t + b``, ``b > 0``.
+
+    Returns ``inf`` for a non-hitting path.  A flat line draws normals until
+    one is nonzero; a rising line draws its hit uniform before the Wald time.
+    """
     if a < 0.0:
-        return _wald(-b / a, b * b, rng)
-    if rng.random() < math.exp(-2.0 * a * b):
-        return _wald(b / a, b * b, rng)
+        return _wald(-b / a, b * b, normal, uniform)
+    if a == 0.0:
+        z = normal()
+        while z == 0.0:
+            z = normal()
+        return (b / z) ** 2
+    if uniform() < math.exp(-2.0 * a * b):
+        return _wald(b / a, b * b, normal, uniform)
     return math.inf
 
 
@@ -192,30 +225,10 @@ def sample_fpt_linear(a: float, b: float, rng: np.random.Generator) -> FptDraw:
         raise ParameterError(f"intercept b must be positive and finite, got {b}")
     if not math.isfinite(a):
         raise ParameterError(f"slope a must be finite, got {a}")
-    t = _linear_time(a, b, rng)
+    t = _linear_time(a, b, rng.standard_normal, rng.random)
     if t == math.inf:
         return FptDraw(time=math.inf, finite=False)
     return FptDraw(time=t, finite=True)
-
-
-def _curvy_iterates(
-    beta, r: float, rng: np.random.Generator
-) -> Iterator[tuple[float, float]]:
-    """Yield ``(T, H)`` after each tilted-line iteration (above-start frame).
-
-    ``H = inf`` signals a non-hitting line draw; the iterator then stops.
-    """
-    T = 0.0
-    H = beta(0.0)
-    while True:
-        g = _linear_time(r, H, rng)
-        if g == math.inf:
-            yield (math.inf, math.inf)
-            return
-        T_next = T + g
-        H = beta(T_next) - beta(T) - r * g
-        T = T_next
-        yield (T, H)
 
 
 def _reflected(threshold: Threshold) -> Threshold:
@@ -231,7 +244,12 @@ def _reflected(threshold: Threshold) -> Threshold:
 
 
 def sample_fpt_curvy(
-    threshold: Threshold, params: CurvyParams, rng: np.random.Generator
+    threshold: Threshold,
+    params: CurvyParams,
+    rng: np.random.Generator,
+    *,
+    normal: Callable[[], float] | None = None,
+    uniform: Callable[[], float] | None = None,
 ) -> FptDraw:
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
@@ -241,29 +259,47 @@ def sample_fpt_curvy(
     running frame.  The returned time is ``min(T, horizon)`` with
     ``clock_events`` equal to the number of line draws consumed; a returned
     time equal to the horizon means the run was censored.
+
+    The line draws take their normals and uniforms from the scalar streams
+    ``normal`` and ``uniform`` when both are given (``rng`` is then unused),
+    and otherwise from block streams of 16 values built on ``rng``.
     """
+    if (normal is None) != (uniform is None):
+        raise ParameterError("pass both the normal and the uniform stream, or neither")
     if threshold.orientation is Orientation.BELOW_START:
         threshold = _reflected(threshold)
-    b0 = threshold.beta(0.0)
+    beta = threshold.beta
+    b0 = beta(0.0)
     if not (b0 > 0.0 and math.isfinite(b0)):
         raise ParameterError(
             f"threshold must start strictly away from the process, got gap {b0}"
         )
-    if threshold.inf_slope is not None and params.r > threshold.inf_slope + 1e-12:
+    r = params.r
+    if threshold.inf_slope is not None and r > threshold.inf_slope + 1e-12:
         raise ParameterError(
-            f"line slope r={params.r} exceeds the threshold slope infimum "
+            f"line slope r={r} exceeds the threshold slope infimum "
             f"{threshold.inf_slope}; the iteration would overshoot"
         )
-    if b0 <= params.epsilon:
+    epsilon = params.epsilon
+    horizon = params.horizon
+    if b0 <= epsilon:
         return FptDraw(time=0.0, finite=True, clock_events=0)
-    iterations = 0
-    for T, H in _curvy_iterates(threshold.beta, params.r, rng):
-        iterations += 1
-        if H == math.inf:
-            return FptDraw(
-                time=params.horizon, finite=True, clock_events=iterations
-            )
-        if H <= params.epsilon or T >= params.horizon:
-            return FptDraw(
-                time=min(T, params.horizon), finite=True, clock_events=iterations
-            )
+    if normal is None:
+        normal = block_stream(rng.standard_normal, _LINE_BLOCK)
+        uniform = block_stream(rng.random, _LINE_BLOCK)
+    linear_time = _linear_time
+    T = 0.0
+    beta_T = b0
+    H = b0
+    draws = 0
+    while True:
+        g = linear_time(r, H, normal, uniform)
+        draws += 1
+        if g == math.inf:
+            return FptDraw(time=horizon, finite=True, clock_events=draws)
+        T += g
+        beta_next = beta(T)
+        H = beta_next - beta_T - r * g
+        beta_T = beta_next
+        if H <= epsilon or T >= horizon:
+            return FptDraw(time=min(T, horizon), finite=True, clock_events=draws)

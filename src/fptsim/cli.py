@@ -335,6 +335,7 @@ def _sample_summary(draws: Sequence[FptDraw], problem: ExactProblem | None) -> d
     total_events = sum(d.clock_events for d in draws)
     body["total_proposals"] = total_proposals
     body["total_clock_events"] = total_events
+    body["total_line_draws"] = sum(d.line_draws for d in draws)
     if problem is not None and total_proposals > 0:
         body["mean_proposals"] = total_proposals / len(draws)
         body["acceptance_rate"] = len(draws) / total_proposals

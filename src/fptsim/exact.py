@@ -38,9 +38,10 @@ iteration.
 Each call draws its randomness in blocks from its own generator: the
 exponential clock gaps, the bridge normals and the event marks come from
 per-call streams of 16 values (:func:`fptsim.rng.block_stream`), and so do
-the Wald draws of linear proposals.  Curved proposals take their line draws
-from the generator directly.  Nothing is carried from one call to the next,
-so a draw is a function of the generator it is handed.
+the Wald draws of linear proposals.  Curved proposals take the normals and
+uniforms of their line draws from the draw's own normal and uniform streams,
+so a line draw makes no numpy call.  Nothing is carried from one call to the
+next, so a draw is a function of the generator it is handed.
 
 For distant linear thresholds, :func:`sample_exact_split` chains ``k``
 intermediate sub-problems (strong Markov property), turning a cost that is
@@ -220,6 +221,7 @@ def _proposal_drawer(
     rng: np.random.Generator,
     normal: Callable[[], float],
     uniform: Callable[[], float],
+    line_draws: list[int],
 ) -> Callable[[], float]:
     """Build a closure drawing reference passage times in the above frame.
 
@@ -231,7 +233,8 @@ def _proposal_drawer(
     :func:`fptsim.bm_fpt.sample_fpt_linear`: flat lines draw from ``normal``,
     rising lines draw their hit test from ``uniform``, and Wald hit times come
     from a block stream with the line's fixed parameters.  Curved proposals
-    call :func:`sample_fpt_curvy` on ``rng``.
+    call :func:`sample_fpt_curvy` on the ``normal`` and ``uniform`` streams
+    and add its line draws to ``line_draws[0]``.
     """
     th = problem.threshold
     g = problem.gammas.reference_drift
@@ -291,7 +294,8 @@ def _proposal_drawer(
     )
 
     def draw() -> float:
-        d = sample_fpt_curvy(phi_threshold, params, rng)
+        d = sample_fpt_curvy(phi_threshold, params, rng, normal=normal, uniform=uniform)
+        line_draws[0] += d.clock_events
         if d.time >= params.horizon:
             return math.inf
         return d.time
@@ -317,7 +321,8 @@ def _sample_oriented(
     normal = block_stream(rng.standard_normal, _EVENT_BLOCK)
     uniform = block_stream(rng.random, _EVENT_BLOCK)
     clock_gap = block_stream(partial(rng.exponential, scale), _EVENT_BLOCK)
-    draw_proposal = _proposal_drawer(problem, sign, rng, normal, uniform)
+    line_draws = [0]
+    draw_proposal = _proposal_drawer(problem, sign, rng, normal, uniform, line_draws)
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
 
@@ -327,7 +332,13 @@ def _sample_oriented(
         if tau == math.inf:
             continue
         if tau <= 0.0:
-            return FptDraw(time=0.0, finite=True, proposals=attempt, clock_events=total_events)
+            return FptDraw(
+                time=0.0,
+                finite=True,
+                proposals=attempt,
+                clock_events=total_events,
+                line_draws=line_draws[0],
+            )
         e0 = 0.0
         e1 = clock_gap()
         l1 = l2 = l3 = 0.0
@@ -351,7 +362,11 @@ def _sample_oriented(
             e1 += clock_gap()
         else:
             return FptDraw(
-                time=tau, finite=True, proposals=attempt, clock_events=total_events
+                time=tau,
+                finite=True,
+                proposals=attempt,
+                clock_events=total_events,
+                line_draws=line_draws[0],
             )
     raise NonTerminationError(
         f"no acceptance within {problem.max_proposals} proposals; "

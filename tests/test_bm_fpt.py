@@ -9,8 +9,11 @@ import pytest
 from scipy import stats as sps
 
 from fptsim.bm_fpt import (
+    _LINE_BLOCK,
     CurvyParams,
     FptDraw,
+    _linear_time,
+    _wald,
     constant_level_cdf,
     inverse_gaussian_cdf,
     linear_hit_probability,
@@ -21,6 +24,7 @@ from fptsim.bm_fpt import (
 )
 from fptsim.errors import ConfigurationError, ParameterError
 from fptsim.model import Orientation, Threshold
+from fptsim.rng import block_stream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -135,6 +139,68 @@ def test_linear_sampler_rejects_nonpositive_intercept():
     rng = np.random.default_rng(9)
     with pytest.raises(ParameterError):
         sample_fpt_linear(-1.0, 0.0, rng)
+
+
+# --- line-FPT core on scalar streams ----------------------------------------
+
+
+def _streams(seed: int):
+    rng = np.random.default_rng(seed)
+    return block_stream(rng.standard_normal, _LINE_BLOCK), block_stream(rng.random, _LINE_BLOCK)
+
+
+def test_stream_core_falling_line_is_inverse_gaussian():
+    normal, uniform = _streams(20)
+    a, b = -1.0, 0.5
+    x = np.array([_linear_time(a, b, normal, uniform) for _ in range(30000)])
+    assert np.all(np.isfinite(x))
+    d, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, -b / a, b * b))
+    assert p > 0.01
+
+
+def test_stream_core_flat_line_matches_constant_law():
+    normal, uniform = _streams(21)
+    b = 0.8
+    x = np.array([_linear_time(0.0, b, normal, uniform) for _ in range(20000)])
+    d, p = ks_one_sample(x, lambda t: constant_level_cdf(t, b))
+    assert p > 0.01
+
+
+def test_stream_core_rising_line_hit_frequency():
+    normal, uniform = _streams(22)
+    a, b = 0.6, 0.9
+    x = np.array([_linear_time(a, b, normal, uniform) for _ in range(30000)])
+    hit = np.isfinite(x)
+    p_hit = linear_hit_probability(a, b)
+    se = math.sqrt(p_hit * (1.0 - p_hit) / x.size)
+    assert abs(hit.mean() - p_hit) < 3.0 * se
+    assert np.all(x[hit] >= 0.0)
+
+
+def test_stream_core_tiny_intercept_is_never_negative():
+    normal, uniform = _streams(23)
+    x = np.array([_linear_time(-1.0, 1e-9, normal, uniform) for _ in range(5000)])
+    assert np.all(x >= 0.0)
+    assert np.quantile(x, 0.99) < 1e-6
+
+
+def test_stream_wald_matches_numpy_wald():
+    normal, uniform = _streams(24)
+    mu, lam = 0.7, 2.3
+    ours = np.array([_wald(mu, lam, normal, uniform) for _ in range(20000)])
+    ref = np.random.default_rng(25).wald(mu, lam, 20000)
+    d, p = ks_two_sample(ours, ref)
+    assert p > 0.01
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0], ids=["falling", "flat", "rising"])
+def test_stream_core_values_are_plain_floats(a):
+    normal, uniform = _streams(26)
+    assert all(type(_linear_time(a, 0.5, normal, uniform)) is float for _ in range(200))
+    assert all(type(sample_fpt_linear(a, 0.5, np.random.default_rng(k)).time) is float
+               for k in range(50))
+    rng = np.random.default_rng(27)
+    assert all(type(sample_inverse_gaussian(0.5, 1.5, rng)) is float for _ in range(50))
 
 
 # --- curvy iteration ---------------------------------------------------------
@@ -263,3 +329,79 @@ def test_curvy_params_validation():
         CurvyParams(epsilon=0.0, r=-1.0)
     with pytest.raises(ParameterError):
         CurvyParams(epsilon=0.1, r=-1.0, horizon=0.0)
+
+
+def _receding_line() -> Threshold:
+    return Threshold(
+        beta=lambda t: 1.0 + 0.2 * t,
+        beta_prime=lambda t: 0.2,
+        orientation=Orientation.ABOVE_START,
+        inf_slope=0.2,
+        sup_slope=0.2,
+    )
+
+
+@pytest.mark.parametrize(
+    "threshold, params",
+    [
+        (_exp_threshold(+1.0), CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)),
+        (_exp_threshold(-1.0), CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)),
+        (_receding_line(), CurvyParams(epsilon=2.0**-4, r=0.1, horizon=5.0)),
+    ],
+    ids=["above", "below", "rising"],
+)
+def test_curvy_given_streams_equal_its_own_streams(threshold, params):
+    for seed in range(100):
+        own = sample_fpt_curvy(threshold, params, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        normal = block_stream(rng.standard_normal, _LINE_BLOCK)
+        uniform = block_stream(rng.random, _LINE_BLOCK)
+        unused = np.random.default_rng(10**6 + seed)
+        given = sample_fpt_curvy(threshold, params, unused, normal=normal, uniform=uniform)
+        assert given == own
+        assert type(given.time) is float
+
+
+def test_curvy_matches_reference_iteration_with_one_threshold_call_per_line():
+    # the reference re-evaluates both ends of every step; the sampler carries
+    # beta(T) over, so it must give the same times from the same streams
+    calls = []
+
+    def beta(t):
+        calls.append(t)
+        return math.exp(-t)
+
+    th = Threshold(
+        beta=beta,
+        beta_prime=lambda t: -math.exp(-t),
+        orientation=Orientation.ABOVE_START,
+        inf_slope=-1.0,
+        sup_slope=0.0,
+    )
+    params = CurvyParams(epsilon=2.0**-12, r=-1.0, horizon=50.0)
+    for seed in range(50):
+        calls.clear()
+        d = sample_fpt_curvy(th, params, np.random.default_rng(seed))
+        assert len(calls) == d.clock_events + 1
+        rng = np.random.default_rng(seed)
+        normal = block_stream(rng.standard_normal, _LINE_BLOCK)
+        uniform = block_stream(rng.random, _LINE_BLOCK)
+        T, H, lines = 0.0, 1.0, 0
+        while H > params.epsilon and T < params.horizon:
+            g = _linear_time(-1.0, H, normal, uniform)
+            H = math.exp(-(T + g)) - math.exp(-T) + g
+            T += g
+            lines += 1
+        assert (d.time, d.clock_events) == (min(T, params.horizon), lines)
+
+
+def test_curvy_needs_both_streams_or_neither():
+    th = _exp_threshold()
+    params = CurvyParams(epsilon=2.0**-4, r=-1.0, horizon=50.0)
+    rng = np.random.default_rng(14)
+    normal = block_stream(rng.standard_normal, _LINE_BLOCK)
+    uniform = block_stream(rng.random, _LINE_BLOCK)
+    with pytest.raises(ParameterError):
+        sample_fpt_curvy(th, params, rng, normal=normal)
+    with pytest.raises(ParameterError):
+        sample_fpt_curvy(th, params, rng, uniform=uniform)

@@ -9,6 +9,7 @@ import pytest
 
 from fptsim.cli import (
     DEFAULT_DELTAS,
+    _build_passage_problem,
     ExperimentConfig,
     main,
     parse_config,
@@ -16,6 +17,7 @@ from fptsim.cli import (
     run_experiment,
 )
 from fptsim.errors import ConfigurationError
+from fptsim.exact import sample_batch
 
 
 # --- config resolution ----------------------------------------------------------
@@ -125,6 +127,7 @@ def test_example1_run_writes_artifacts(tmp_path):
     assert summary["config"]["seed"] == 3
     assert "workers" not in summary["config"]
     assert "expected_mean_proposals" in summary
+    assert summary["total_line_draws"] == 0
     assert summary["files"] == ["samples.csv"]
     stats = summary["summary_stats"]
     assert stats["n"] == 40
@@ -150,6 +153,19 @@ def test_samples_csv_holds_plain_float_text(tmp_path, mapping):
     with open(tmp_path / "samples.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert all(float(r[1]) >= 0.0 for r in rows)
+
+
+def test_example2_summary_reports_line_draws(tmp_path):
+    cfg = resolve_config({"experiment": "example2", "n": 20, "seed": 13, "out": str(tmp_path)})
+    draws = sample_batch(_build_passage_problem(cfg), cfg.n, cfg.seed)
+    run_experiment(cfg)
+    with open(tmp_path / "samples.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == ["index", "time", "finite", "proposals", "clock_events"]
+    summary = _read_summary(tmp_path)
+    assert summary["total_line_draws"] == sum(d.line_draws for d in draws)
+    assert summary["total_line_draws"] >= summary["total_proposals"]
+    assert summary["total_clock_events"] == sum(d.clock_events for d in draws)
 
 
 def test_neuron_run_writes_spike_trains(tmp_path):

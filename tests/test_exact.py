@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fptsim.exact as exact_module
 from fptsim.bm_fpt import inverse_gaussian_cdf
 from fptsim.errors import (
     AssumptionViolation,
@@ -256,6 +258,38 @@ def test_draws_do_not_depend_on_earlier_calls(name):
     first, second = sample_exact(prob, rng), sample_exact(prob, rng)
     assert first == in_order[0]
     assert second.time != first.time
+
+
+@pytest.mark.parametrize("name", ["curved", "falling_line"])
+def test_line_draws_count_the_curved_proposals_line_draws(monkeypatch, name):
+    # count the way the benchmark tracer does: wrap the module's name
+    calls = []
+    original = exact_module.sample_fpt_curvy
+
+    def counting(*args, **kwargs):
+        d = original(*args, **kwargs)
+        calls.append(d.clock_events)
+        return d
+
+    monkeypatch.setattr(exact_module, "sample_fpt_curvy", counting)
+    # every thinning event evaluates gamma1 once, and nothing else does
+    events = []
+    prob = _plain_float_problems()[name]
+    gamma1 = prob.gammas.gamma1
+    prob = replace(
+        prob, gammas=replace(prob.gammas, gamma1=lambda t: events.append(t) or gamma1(t))
+    )
+    for i in range(20):
+        calls.clear()
+        events.clear()
+        d = sample_exact(prob, substream(53, i))
+        assert d.line_draws == sum(calls)
+        assert d.clock_events == len(events)
+        if name == "curved":
+            assert len(calls) == d.proposals
+            assert d.line_draws >= d.proposals
+        else:
+            assert calls == [] and d.line_draws == 0
 
 
 # --- space splitting ---------------------------------------------------------
