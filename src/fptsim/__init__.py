@@ -17,7 +17,7 @@ without any time-discretization error:
 * :mod:`fptsim.neuron` — application: spike trains of a stochastic
   integrate-and-fire neuron with an adaptive threshold;
 * :mod:`fptsim.stats`, :mod:`fptsim.rng` — summary statistics and
-  reproducible worker-invariant stream derivation;
+  reproducible per-index stream derivation;
 * :mod:`fptsim.cli` — the ``fpt`` console entry point.
 """
 

@@ -190,7 +190,6 @@ def grid_batch(
     n: int,
     master_seed: int,
     *,
-    workers: int = 1,
     key_prefix: tuple[int, ...] = (),
 ) -> list[FptDraw]:
     """Draw ``n`` grid-scheme passage times on per-index substreams."""
@@ -199,7 +198,7 @@ def grid_batch(
     def draw(rng: np.random.Generator) -> FptDraw:
         return fpt(sde, th, g, rng)
 
-    return sample_many(draw, n, master_seed, workers=workers, key_prefix=key_prefix)
+    return sample_many(draw, n, master_seed, key_prefix=key_prefix)
 
 
 def coupled_grid_times(

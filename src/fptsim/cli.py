@@ -24,9 +24,11 @@ assumptions (negative rate, rate above its stated bound, log-domain
 failures); 4 iteration-budget exhaustion.  Failures print a machine-readable
 JSON object on standard error.
 
-Sampling parallelizes across sample indices on per-index substreams, so
-results are byte-identical for any ``--workers`` value.  Wall-clock fields
-are the only non-deterministic output; set ``"timing": false`` in the config
+Sample ``i`` is drawn on its own substream of ``(seed, i)``, so a run is a
+function of its config.  ``--workers`` (config key ``workers``) is accepted
+and checked (an integer >= 1) but has no effect: sampling is serial, and
+the key is left out of the echoed config.  Wall-clock fields are the only
+non-deterministic output; set ``"timing": false`` in the config
 to zero them when byte-stable artifacts are required.
 """
 
@@ -118,9 +120,9 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         """Provenance echo: every field that can affect the written data.
 
-        The output directory and worker count are invocation details with no
-        influence on results (workers must not change results by contract),
-        so they are omitted to keep artifacts byte-identical across them.
+        The output directory and the worker count (accepted, with no effect)
+        do not influence results, so they are omitted to keep artifacts
+        byte-identical across them.
         """
         d = asdict(self)
         del d["out"], d["workers"]
@@ -252,6 +254,16 @@ def resolve_config(mapping: dict) -> ExperimentConfig:
             _check_number(f"deltas[{i}]", d, positive=True) for i, d in enumerate(deltas)
         )
 
+    _require(
+        experiment != "benchmark" or method == "exact",
+        "the benchmark experiment always compares the exact sampler with both "
+        f"grid schemes; method must be 'exact', got {method!r}",
+    )
+    _require(
+        cfg_kwargs.get("split") is None or method == "exact",
+        f"split applies to the exact sampler only; method {method!r} cannot use it",
+    )
+
     if method != "exact" and experiment in ("example1", "example2", "sample"):
         _require(
             cfg_kwargs.get("delta") is not None,
@@ -379,9 +391,7 @@ def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
     problem = _build_passage_problem(cfg)
     t0 = time.perf_counter()
     if cfg.method == "exact":
-        draws = sample_batch(
-            problem, cfg.n, cfg.seed, workers=cfg.workers, split=cfg.split
-        )
+        draws = sample_batch(problem, cfg.n, cfg.seed, split=cfg.split)
         ref: ExactProblem | None = problem
     else:
         scheme = GridScheme(
@@ -389,9 +399,7 @@ def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
             horizon=cfg.horizon if cfg.horizon is not None else DEFAULT_GRID_HORIZON,
             scheme=cfg.method,
         )
-        draws = grid_batch(
-            problem.sde, problem.threshold, scheme, cfg.n, cfg.seed, workers=cfg.workers
-        )
+        draws = grid_batch(problem.sde, problem.threshold, scheme, cfg.n, cfg.seed)
         ref = None
     wall = time.perf_counter() - t0
     _write_samples_csv(out / "samples.csv", draws)
@@ -417,7 +425,7 @@ def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
     )
     horizon = cfg.horizon if cfg.horizon is not None else 2.0
     t0 = time.perf_counter()
-    trains = simulate_trials(params, horizon, cfg.n, cfg.seed, workers=cfg.workers)
+    trains = simulate_trials(params, horizon, cfg.n, cfg.seed)
     wall = time.perf_counter() - t0
     write_spike_trains_csv(trains, out / "spikes.csv")
     body = {
@@ -433,7 +441,7 @@ def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
     problem = _build_passage_problem(cfg)
     t0 = time.perf_counter()
-    exact_draws = sample_batch(problem, cfg.n, cfg.seed, workers=cfg.workers)
+    exact_draws = sample_batch(problem, cfg.n, cfg.seed)
     exact_wall = time.perf_counter() - t0
     exact_times = np.array([d.time for d in exact_draws])
     _write_samples_csv(out / "samples.csv", exact_draws)
@@ -450,7 +458,6 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
                 scheme,
                 cfg.n,
                 cfg.seed,
-                workers=cfg.workers,
                 key_prefix=(1 + method_index,),
             )
             cell_wall = time.perf_counter() - t1
@@ -537,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="sample count (trials for neuron)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", type=str, help="output directory")
-    parser.add_argument("--workers", type=int, help="worker threads (result-invariant)")
+    parser.add_argument("--workers", type=int, help="accepted, no effect (sampling is serial)")
     return parser
 
 

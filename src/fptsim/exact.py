@@ -145,13 +145,18 @@ def bridge_step(state: BridgeState, tau_w: float, G: np.ndarray) -> BridgeState:
 
 @dataclass(frozen=True)
 class Proposal:
-    """Proposal-sampler selection: ``constant``, ``linear`` or ``curvy``."""
+    """Proposal-sampler selection: ``linear`` or ``curvy``.
+
+    ``linear`` draws the reference passage time to a line (flat lines
+    included, with or without a reference drift) in closed form; ``curvy``
+    runs the line iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy`.
+    """
 
     kind: str
     curvy: CurvyParams | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "linear", "curvy"):
+        if self.kind not in ("linear", "curvy"):
             raise ConfigurationError(f"unknown proposal kind {self.kind!r}")
         if self.kind == "curvy" and self.curvy is None:
             raise ConfigurationError("curvy proposals need CurvyParams")
@@ -162,8 +167,7 @@ def default_proposal(
 ) -> Proposal:
     """Pick the natural proposal for a threshold shape."""
     if threshold.linear is not None:
-        a, _ = threshold.linear
-        return Proposal("constant" if a == 0.0 else "linear")
+        return Proposal("linear")
     return Proposal("curvy", curvy)
 
 
@@ -189,16 +193,8 @@ class ExactProblem:
         if self.max_proposals < 1:
             raise ParameterError(f"max_proposals must be >= 1, got {self.max_proposals}")
         self.threshold.validate_start(self.sde.x0)
-        if self.proposal.kind in ("constant", "linear") and self.threshold.linear is None:
-            raise ConfigurationError(
-                f"{self.proposal.kind!r} proposals require a linear threshold"
-            )
-        if self.proposal.kind == "constant":
-            a, _ = self.threshold.linear  # type: ignore[misc]
-            if a != 0.0 or self.gammas.reference_drift != 0.0:
-                raise ConfigurationError(
-                    "constant proposals require a flat threshold and zero reference drift"
-                )
+        if self.proposal.kind == "linear" and self.threshold.linear is None:
+            raise ConfigurationError("linear proposals require a linear threshold")
 
 
 def expected_proposals(problem: ExactProblem) -> float:
@@ -239,9 +235,8 @@ def _proposal_drawer(
     th = problem.threshold
     g = problem.gammas.reference_drift
     x0 = problem.sde.x0
-    kind = problem.proposal.kind
 
-    if kind in ("constant", "linear"):
+    if problem.proposal.kind == "linear":
         a, b = th.linear  # type: ignore[misc]
         slope = sign * (a - g)
         intercept = sign * (b - x0)
@@ -259,7 +254,7 @@ def _proposal_drawer(
 
             return level_time
         # Wald parameters of the hit time; the generator's transform can
-        # round to a small negative double, clamped to 0 as in ``_wald``
+        # round to a small negative double, so it is clamped to 0
         wald = block_stream(
             partial(rng.wald, abs(intercept / slope), intercept * intercept), _EVENT_BLOCK
         )
@@ -432,7 +427,7 @@ def sample_exact_split(
             sde=stage_sde,
             threshold=stage_threshold,
             gammas=stage_gammas,
-            proposal=Proposal("linear" if a != 0.0 or gp.reference_drift != 0.0 else "constant"),
+            proposal=Proposal("linear"),
             max_proposals=problem.max_proposals,
         )
         d = _sample_oriented(stage_problem, rng, +1.0)
@@ -450,17 +445,15 @@ def sample_batch(
     n: int,
     master_seed: int,
     *,
-    workers: int = 1,
     split: int | None = None,
     key_prefix: tuple[int, ...] = (),
 ) -> list[FptDraw]:
     """Draw ``n`` exact passage times on per-index substreams.
 
-    Sample ``i`` uses the generator ``substream(master_seed, *key_prefix, i)``,
-    so the output is independent of ``workers``.  Each draw takes its
-    randomness in blocks from that generator alone (see the module
-    docstring), so sample ``i`` does not depend on which indices were drawn
-    before it.
+    Sample ``i`` uses the generator ``substream(master_seed, *key_prefix, i)``
+    and takes its randomness in blocks from that generator alone (see the
+    module docstring), so it does not depend on the batch size or on which
+    indices were drawn before it.
     """
     if split is not None:
         draw = lambda rng: sample_exact_split(problem, split, rng)
@@ -468,7 +461,7 @@ def sample_batch(
         draw = lambda rng: sample_exact(problem, rng)
     else:
         draw = lambda rng: sample_exact_below(problem, rng)
-    return sample_many(draw, n, master_seed, workers=workers, key_prefix=key_prefix)
+    return sample_many(draw, n, master_seed, key_prefix=key_prefix)
 
 
 def iteration_bound_linear(a: float, b: float, kappa: float) -> float:

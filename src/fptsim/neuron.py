@@ -532,19 +532,20 @@ def simulate_trials(
     n_trials: int,
     master_seed: int,
     *,
-    workers: int = 1,
     key_prefix: Sequence[int] = (),
 ) -> list[SpikeTrain]:
-    """Independent spike trains on per-trial substreams (worker-invariant)."""
+    """Independent spike trains on per-trial substreams.
+
+    Trial ``i`` is ``simulate_spike_train`` on ``substream(master_seed,
+    *key_prefix, i)`` with ``trial_seed=derive_seed(master_seed, *key_prefix, i)``.
+    """
 
     def draw(i: int, rng: np.random.Generator) -> SpikeTrain:
         return simulate_spike_train(
             params, horizon, rng, trial_seed=derive_seed(master_seed, *key_prefix, i)
         )
 
-    return sample_many_indexed(
-        draw, n_trials, master_seed, workers=workers, key_prefix=key_prefix
-    )
+    return sample_many_indexed(draw, n_trials, master_seed, key_prefix=key_prefix)
 
 
 def inter_spike_intervals(train: SpikeTrain) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Deterministic random-number substreams for reproducible parallel sampling.
+"""Deterministic random-number substreams for reproducible batch sampling.
 
 Batch sampling maps sample index ``i`` to its own ``numpy.random.Generator``
 whose seed is derived from ``(master_seed, *key)`` by a fixed 64-bit mixing
 function (splitmix64).  Sample ``i`` therefore consumes exactly the same
-random numbers no matter how many workers run the batch or in which order the
-indices are processed, which makes batch output a pure function of
-``(master_seed, n)``.
+random numbers whatever the batch size and whichever indices are drawn
+before it, which makes batch entry ``i`` a pure function of
+``(master_seed, *key, i)``.
 
 Scalar samplers that need many draws of one law take them from a
 :func:`block_stream`, which serves a block from one numpy call as plain
@@ -15,7 +15,6 @@ Python floats: a numpy call per value costs about a microsecond, and the
 
 from __future__ import annotations
 
-import concurrent.futures
 from itertools import chain, repeat
 from typing import Callable, Sequence, TypeVar
 
@@ -76,38 +75,17 @@ def sample_many_indexed(
     n: int,
     master_seed: int,
     *,
-    workers: int = 1,
     key_prefix: Sequence[int] = (),
 ) -> list[T]:
     """Evaluate ``draw(i, rng_i)`` on ``n`` independent substreams.
 
     ``draw`` receives the sample index and the generator for substream
-    ``(*key_prefix, i)``; its result is stored at position ``i``.  The output
-    is identical for any ``workers`` value; workers only control how the
-    index range is split across threads.
+    ``(*key_prefix, i)``; its result is stored at position ``i``.
     """
     if n < 0:
         raise ParameterError(f"n must be non-negative, got {n}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
     prefix = tuple(int(k) for k in key_prefix)
-
-    def draw_at(i: int) -> T:
-        return draw(i, substream(master_seed, *prefix, i))
-
-    if workers == 1 or n <= 1:
-        return [draw_at(i) for i in range(n)]
-
-    results: list[T] = [None] * n  # type: ignore[list-item]
-    blocks = [range(start, n, workers) for start in range(workers)]
-
-    def run_block(indices: range) -> None:
-        for i in indices:
-            results[i] = draw_at(i)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_block, blocks))
-    return results
+    return [draw(i, substream(master_seed, *prefix, i)) for i in range(n)]
 
 
 def sample_many(
@@ -115,13 +93,10 @@ def sample_many(
     n: int,
     master_seed: int,
     *,
-    workers: int = 1,
     key_prefix: Sequence[int] = (),
 ) -> list[T]:
     """Evaluate ``draw`` on ``n`` independent substreams (index-blind form).
 
     See :func:`sample_many_indexed` for the stream-assignment contract.
     """
-    return sample_many_indexed(
-        lambda _i, rng: draw(rng), n, master_seed, workers=workers, key_prefix=key_prefix
-    )
+    return sample_many_indexed(lambda _i, rng: draw(rng), n, master_seed, key_prefix=key_prefix)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fptsim.bm_fpt import constant_level_cdf
 from fptsim.errors import ParameterError
 from fptsim.model import Orientation, UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
+from fptsim.rng import substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -136,12 +138,17 @@ def test_improved_reports_interior_hit_times():
 
 
 def test_grid_batch_worker_invariance():
+    """Batch entry i is the per-path draw on substream (seed, *prefix, i)."""
     sde = _brownian()
     th = constant_threshold(1.0, Orientation.ABOVE_START)
     g = GridScheme(delta=0.125, horizon=8.0, scheme="improved_euler")
-    a = grid_batch(sde, th, g, 40, 13)
-    b = grid_batch(sde, th, g, 40, 13, workers=3)
-    assert a == b
+    assert grid_batch(sde, th, g, 40, 13) == [
+        improved_euler_fpt(sde, th, g, substream(13, i)) for i in range(40)
+    ]
+    plain = replace(g, scheme="euler")
+    assert grid_batch(sde, th, plain, 40, 13, key_prefix=(2,)) == [
+        euler_fpt(sde, th, plain, substream(13, 2, i)) for i in range(40)
+    ]
 
 
 def test_coupled_grid_times_matches_per_path_law():

@@ -274,6 +274,28 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "ConfigurationError"
     assert main(["example1", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # --workers has no effect but is still checked
+    assert main(["example1", "--workers", "0", "--out", str(tmp_path / "w0")]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigurationError"
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        {"experiment": "benchmark", "method": "euler"},
+        {"experiment": "example1", "method": "euler", "delta": 0.01, "split": 4},
+    ],
+)
+def test_main_exit_code_2_on_ignored_config_keys(tmp_path, capsys, mapping):
+    # the benchmark always runs the exact sampler and both grids, and grid
+    # methods have no stages to split: both keys would be echoed but unused
+    with pytest.raises(ConfigurationError):
+        resolve_config(mapping)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**mapping, "n": 5, "out": str(tmp_path / "o")}))
+    assert main([mapping["experiment"], "--config", str(cfg_file)]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigurationError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):

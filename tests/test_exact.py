@@ -158,6 +158,24 @@ def test_constant_drift_to_constant_level_is_inverse_gaussian():
     assert any(d.proposals > 1 for d in draws)
 
 
+@pytest.mark.parametrize("c", [0.8, 1.2])
+def test_flat_threshold_with_reference_drift_is_a_linear_proposal(c):
+    # dX = c dt + dB to level 1 measured against BM with drift g = 0.8: the
+    # default proposal of a flat threshold is the falling line 1 - g t, and
+    # the passage law is IG(1/c, 1) whatever g is
+    g, level = 0.8, 1.0
+    sde = _unit_sde(c)
+    th = linear_threshold(0.0, level, Orientation.ABOVE_START)
+    assert default_proposal(th) == Proposal("linear")
+    gammas = make_gamma_pair(sde, th, reference_drift=g).with_kappa(0.5)  # gamma2 = (c^2 - g^2)/2
+    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas, proposal=default_proposal(th))
+    draws = sample_batch(prob, 20000, 44)
+    x = np.array([d.time for d in draws])
+    _, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, level / c, level * level))
+    assert p > 0.01
+    assert all(d.finite for d in draws)
+
+
 def test_below_start_zero_drift_matches_reflected_line_law():
     # BM to the rising line -1 + 0.5 t from below: by symmetry the law is the
     # passage of BM to the falling line 1 - 0.5 t, i.e. IG(2, 1)
@@ -208,10 +226,12 @@ def test_kappa_too_small_is_caught_not_silently_biased():
 
 
 def test_sample_batch_worker_invariance():
+    """Batch entry i is the direct draw on substream (seed, *prefix, i)."""
     prob = example1_problem()
-    a = sample_batch(prob, 60, 47)
-    b = sample_batch(prob, 60, 47, workers=4)
-    assert a == b
+    batch = sample_batch(prob, 60, 47)
+    assert batch == [sample_exact(prob, substream(47, i)) for i in range(60)]
+    split = sample_batch(prob, 20, 47, split=3, key_prefix=(5,))
+    assert split == [sample_exact_split(prob, 3, substream(47, 5, i)) for i in range(20)]
 
 
 def test_sample_batch_key_prefix_decorrelates():
@@ -348,5 +368,7 @@ def test_expected_proposals_accounts_for_reference_drift():
 def test_proposal_kind_validation():
     with pytest.raises(ConfigurationError):
         Proposal("bogus")
+    with pytest.raises(ConfigurationError):
+        Proposal("constant")  # flat lines are linear proposals
     with pytest.raises(ConfigurationError):
         Proposal("curvy")  # needs CurvyParams

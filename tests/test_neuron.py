@@ -25,6 +25,7 @@ from fptsim.neuron import (
     transform_neuron,
     write_spike_trains_csv,
 )
+from fptsim.rng import derive_seed, substream
 
 
 # --- adaptive threshold --------------------------------------------------------
@@ -214,10 +215,14 @@ def test_trains_count_their_stage_draws():
 
 
 def test_simulate_trials_worker_invariance():
+    """Trial i is the direct train on substream (seed, *prefix, i)."""
     p = NeuronParams(I=20.0)
-    a = simulate_trials(p, 1.0, 6, 72)
-    b = simulate_trials(p, 1.0, 6, 72, workers=3)
-    assert [t.times for t in a] == [t.times for t in b]
+    trains = simulate_trials(p, 1.0, 6, 72, key_prefix=(4,))
+    direct = [
+        simulate_spike_train(p, 1.0, substream(72, 4, i), trial_seed=derive_seed(72, 4, i))
+        for i in range(6)
+    ]
+    assert trains == direct
 
 
 def test_stronger_current_spikes_more():

@@ -1,4 +1,4 @@
-"""Stream derivation and worker-invariant batch sampling."""
+"""Stream derivation and per-index batch sampling."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptsim.errors import ParameterError
 from fptsim.rng import (
     block_stream,
     derive_seed,
@@ -43,12 +44,18 @@ def test_substream_reproducible_and_independent():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_sample_many_worker_invariant(workers):
-    draw = lambda rng: rng.random()
-    serial = sample_many(draw, 23, 99)
-    parallel = sample_many(draw, 23, 99, workers=workers)
-    assert serial == parallel
+@pytest.mark.parametrize("seed", [2, 4])
+def test_sample_many_worker_invariant(seed):
+    """Entry i is the draw on substream (seed, *prefix, i) and nothing else.
+
+    This per-index keying is what any split of the index range (threads,
+    processes, chunks) has to keep for results to stay worker-invariant.
+    """
+    draw = lambda rng: rng.standard_normal(2).tolist()
+    assert sample_many(draw, 23, seed) == [draw(substream(seed, i)) for i in range(23)]
+    assert sample_many(draw, 23, seed, key_prefix=(3,)) == [
+        draw(substream(seed, 3, i)) for i in range(23)
+    ]
 
 
 def test_sample_many_key_prefix_changes_streams():
@@ -58,10 +65,12 @@ def test_sample_many_key_prefix_changes_streams():
 
 def test_sample_many_indexed_passes_indices_and_is_worker_invariant():
     draw = lambda i, rng: (i, rng.random())
-    serial = sample_many_indexed(draw, 17, 5)
-    parallel = sample_many_indexed(draw, 17, 5, workers=3)
-    assert serial == parallel
-    assert [i for i, _ in serial] == list(range(17))
+    batch = sample_many_indexed(draw, 17, 5, key_prefix=(2, 7))
+    assert batch == [draw(i, substream(5, 2, 7, i)) for i in range(17)]
+    assert [i for i, _ in batch] == list(range(17))
+    assert sample_many_indexed(draw, 0, 5) == []
+    with pytest.raises(ParameterError):
+        sample_many_indexed(draw, -1, 5)
 
 
 def test_per_index_substreams_do_not_depend_on_n():
