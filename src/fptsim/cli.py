@@ -7,8 +7,10 @@ Usage::
 
 with ``experiment`` one of ``example1``, ``example2``, ``neuron``,
 ``benchmark`` or ``sample``.  The JSON config supplies experiment parameters
-(flags override config fields); unknown keys are rejected.  Every run writes
-its artifacts into ``--out``:
+(flags override config fields).  Each experiment and method family (the exact
+sampler or the Euler grids) accepts its own keys (``_KEYS``); any other key,
+and a ``null`` value, is refused.  Every run writes its artifacts into
+``--out``:
 
 * ``samples.csv`` — one row per draw: index, time, finite, proposals,
   clock_events (passage-time experiments),
@@ -16,8 +18,10 @@ its artifacts into ``--out``:
 * ``comparison.csv`` — delta, method, ks_D, ks_p, bias1, bias2, wall_time
   (benchmark experiment),
 * ``summary.json`` — summary statistics, acceptance diagnostics, wall time,
-  the full resolved config and the library version (the provenance record
-  for all files of the run).
+  the library version and the resolved config (the provenance record for all
+  files of the run): ``experiment, n, seed, method, timing`` plus the
+  experiment's keys that were given or have a default here.  Keys left to
+  the library's own defaults (such as ``epsilon``) are not echoed.
 
 Exit codes: 0 success; 2 configuration errors; 3 violated mathematical
 assumptions (negative rate, rate above its stated bound, log-domain
@@ -40,9 +44,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -76,15 +81,17 @@ METHODS = ("exact", "euler", "improved_euler")
 
 #: Default discretization grid for Example-1/2-class problems (time units).
 DEFAULT_GRID_HORIZON = 20.0
-#: Default proposal horizon for curvy proposals.
-DEFAULT_PROPOSAL_HORIZON = 50.0
 #: Benchmark refinement ladder.
 DEFAULT_DELTAS = tuple(2.0**-k for k in range(4, 11))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved run description; serialized verbatim into summaries."""
+    """Fully-resolved run description; serialized into summaries.
+
+    ``values`` holds the experiment's own keys that are set.  Each key reads
+    as an attribute too, ``None`` when unset (``cfg.epsilon is None``).
+    """
 
     experiment: str
     n: int = 1000
@@ -93,29 +100,12 @@ class ExperimentConfig:
     workers: int = 1
     out: str = "."
     timing: bool = True
-    max_proposals: int = 10**6
-    delta: float | None = None
-    epsilon: float | None = None
-    deltas: tuple[float, ...] | None = None
-    horizon: float | None = None
-    split: int | None = None
-    K: float | None = None
-    a: float | None = None
-    b: float | None = None
-    x0: float | None = None
-    current: float | None = None
-    tau_m: float | None = None
-    V_r: float | None = None
-    sigma: float | None = None
-    v0: float | None = None
-    theta0: float | None = None
-    tau1: float | None = None
-    adaptation: float | None = None
-    v_reset: float | None = None
-    drift: str | None = None
-    drift_params: dict | None = None
-    threshold: str | None = None
-    threshold_params: dict | None = None
+    values: dict = field(default_factory=dict)
+
+    def __getattr__(self, name: str) -> Any:
+        if name in _NAMES:
+            return self.values.get(name)
+        raise AttributeError(name)
 
     def as_dict(self) -> dict:
         """Provenance echo: every field that can affect the written data.
@@ -124,42 +114,8 @@ class ExperimentConfig:
         do not influence results, so they are omitted to keep artifacts
         byte-identical across them.
         """
-        d = asdict(self)
-        del d["out"], d["workers"]
-        if d["deltas"] is not None:
-            d["deltas"] = list(d["deltas"])
-        return d
-
-
-_COMMON_KEYS = {"experiment", "n", "seed", "method", "workers", "out", "timing", "max_proposals"}
-_PROBLEM_KEYS = {"K", "a", "b", "x0"}
-_ALLOWED_KEYS = {
-    "example1": _COMMON_KEYS | _PROBLEM_KEYS | {"split", "delta", "horizon"},
-    "example2": _COMMON_KEYS | _PROBLEM_KEYS | {"epsilon", "delta", "horizon"},
-    "benchmark": _COMMON_KEYS | _PROBLEM_KEYS | {"deltas", "horizon"},
-    "neuron": (_COMMON_KEYS - {"method", "max_proposals"})
-    | {
-        "trials",
-        "current",
-        "horizon",
-        "tau_m",
-        "V_r",
-        "sigma",
-        "v0",
-        "theta0",
-        "tau1",
-        "delta",
-        "v_reset",
-    },
-    "sample": _COMMON_KEYS
-    | {"drift", "drift_params", "threshold", "threshold_params", "x0", "epsilon", "delta", "horizon"},
-}
-
-_EXAMPLE_DEFAULTS = {
-    "example1": {"K": 1.6, "a": -1.0, "b": 0.5, "x0": 0.0},
-    "example2": {"K": 1.6, "a": 1.0, "b": 1.0, "x0": 0.0},
-    "benchmark": {"K": 1.6, "a": -1.0, "b": 0.5, "x0": 0.0},
-}
+        run = {"n": self.n, "seed": self.seed, "method": self.method, "timing": self.timing}
+        return {"experiment": self.experiment, **run, **self.values}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -167,122 +123,170 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigurationError(message)
 
 
-def _check_number(name: str, value: Any, *, positive: bool = False) -> float:
+def _number(key: str, value: Any) -> float:
     _require(
         isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
-        f"{name} must be a finite number, got {value!r}",
+        f"{key} must be a finite number, got {value!r}",
     )
-    if positive:
-        _require(value > 0, f"{name} must be positive, got {value}")
     return float(value)
 
 
-def _check_int(name: str, value: Any, minimum: int) -> int:
-    _require(
-        isinstance(value, int) and not isinstance(value, bool),
-        f"{name} must be an integer, got {value!r}",
-    )
-    _require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
+def _positive(key: str, value: Any) -> float:
+    value = _number(key, value)
+    _require(value > 0, f"{key} must be positive, got {value}")
     return value
 
 
+def _integer(key: str, value: Any, minimum: int = 1) -> int:
+    _require(
+        isinstance(value, int) and not isinstance(value, bool) and minimum <= value < 2**64,
+        f"{key} must be an integer in [{minimum}, 2**64), got {value!r}",
+    )
+    return value
+
+
+def _method(key: str, value: Any) -> str:
+    _require(value in METHODS, f"{key} must be one of {list(METHODS)}, got {value!r}")
+    return value
+
+
+def _of_type(kind: type, what: str) -> Callable[[str, Any], Any]:
+    def check(key: str, value: Any) -> Any:
+        _require(isinstance(value, kind), f"{key} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+def _ladder(key: str, value: Any) -> tuple[float, ...]:
+    _require(isinstance(value, (list, tuple)) and len(value) > 0, f"{key} must be a non-empty list")
+    return tuple(_positive(f"{key}[{i}]", d) for i, d in enumerate(value))
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its check, its default and where its value goes.
+
+    ``check(key, value)`` returns the value or raises ``ConfigurationError``.
+    With ``default`` None an unset key stays unset, so the library default
+    applies.  ``arg`` is the keyword of the model call (problem builder or
+    ``NeuronParams``) that takes the value; without it the runner reads the
+    value.  ``name`` is the stored name when it differs from the key.
+    """
+
+    check: Callable[[str, Any], Any]
+    default: Any = None
+    arg: str | None = None
+    name: str | None = None
+
+
+def _passed(check: Callable[[str, Any], Any], **defaults: Any) -> dict[str, _Key]:
+    """Keys the model call takes under their own names, with their defaults."""
+    return {key: _Key(check, default, key) for key, default in defaults.items()}
+
+
+_RUN = {
+    "n": _Key(_integer, 1000),
+    "seed": _Key(partial(_integer, minimum=0), 0),
+    "method": _Key(_method, "exact"),
+    "workers": _Key(_integer, 1),
+    "out": _Key(_of_type(str, "a string path"), "."),
+    "timing": _Key(_of_type(bool, "a boolean"), True),
+}
+_EX1 = _passed(_number, K=1.6, a=-1.0, b=0.5, x0=0.0)
+_EX2 = _passed(_number, K=1.6, a=1.0, b=1.0, x0=0.0)
+_BUDGET = _passed(_integer, max_proposals=10**6)
+_CURVE = _passed(_positive, epsilon=None, horizon=None)
+_GRID = {"delta": _Key(_positive, _REQUIRED), "horizon": _Key(_positive, DEFAULT_GRID_HORIZON)}
+_REGISTRY = {
+    **_passed(_of_type(str, "a selector string"), drift=_REQUIRED, threshold=_REQUIRED),
+    **_passed(_of_type(dict, "an object"), drift_params={}, threshold_params={}),
+    **_passed(_number, x0=None),
+}
+
+#: The keys each (experiment, method family) accepts; a key outside its
+#: entry is refused.  The family is ``exact`` or ``grid`` (both Euler
+#: schemes); ``benchmark`` and ``neuron`` have no grid entry.
+_KEYS: dict[tuple[str, str], dict[str, _Key]] = {
+    ("example1", "exact"): {**_RUN, **_EX1, **_BUDGET, "split": _Key(_integer)},
+    ("example1", "grid"): {**_RUN, **_EX1, **_GRID},
+    ("example2", "exact"): {**_RUN, **_EX2, **_BUDGET, **_CURVE},
+    ("example2", "grid"): {**_RUN, **_EX2, **_GRID},
+    ("sample", "exact"): {**_RUN, **_REGISTRY, **_BUDGET, **_CURVE},
+    ("sample", "grid"): {**_RUN, **_REGISTRY, **_GRID},
+    ("benchmark", "exact"): {
+        **_RUN,
+        **_EX1,
+        **_BUDGET,
+        "deltas": _Key(_ladder, DEFAULT_DELTAS),
+        "horizon": _Key(_positive, DEFAULT_GRID_HORIZON),
+    },
+    # the neuron counts trials, and its `delta` is the adaptation strength
+    # of the threshold, not a grid width
+    ("neuron", "exact"): {
+        **{key: _RUN[key] for key in ("seed", "workers", "out", "timing")},
+        "trials": _Key(_integer, 5, name="n"),
+        "horizon": _Key(_positive, 2.0),
+        "current": _Key(_number, NeuronParams.I, "I"),
+        "delta": _Key(_number, None, "delta", "adaptation"),
+        **_passed(_number, tau_m=None, V_r=None, theta0=None),
+        **_passed(_positive, sigma=None, v0=None, tau1=None, v_reset=None),
+    },
+}
+_NAMES = {spec.name or key for keys in _KEYS.values() for key, spec in keys.items()}
+
+
+def _entry(experiment: str, method: Any) -> dict[str, _Key] | None:
+    return _KEYS.get((experiment, "exact" if method == "exact" else "grid"))
+
+
 def resolve_config(mapping: dict) -> ExperimentConfig:
-    """Validate a raw config mapping and fill in experiment defaults."""
+    """Check a raw config mapping against its experiment's keys and fill in defaults."""
     _require(isinstance(mapping, dict), "config must be a JSON object")
-    raw = dict(mapping)
-    experiment = raw.get("experiment")
+    experiment = mapping.get("experiment")
     _require(
         experiment in EXPERIMENTS,
         f"experiment must be one of {list(EXPERIMENTS)}, got {experiment!r}",
     )
-
-    allowed = _ALLOWED_KEYS[experiment]
-    unknown = sorted(set(raw) - allowed)
-    _require(not unknown, f"unknown config keys for {experiment}: {unknown}")
-
-    if experiment == "neuron":
-        # the neuron experiment counts trials, and its `delta` is the
-        # adaptation strength of the threshold, not a grid width
-        if "trials" in raw:
-            raw["n"] = raw.pop("trials")
-        if "delta" in raw:
-            raw["adaptation"] = raw.pop("delta")
-        if "current" not in raw:
-            raw["current"] = 0.0
-        raw.setdefault("n", 5)
-        raw.setdefault("horizon", 2.0)
-        raw["method"] = "exact"
-    else:
-        for key, value in _EXAMPLE_DEFAULTS.get(experiment, {}).items():
-            raw.setdefault(key, value)
-
-    cfg_kwargs: dict[str, Any] = {"experiment": experiment}
-
-    cfg_kwargs["n"] = _check_int("n", raw.get("n", 1000), 1)
-    cfg_kwargs["seed"] = _check_int("seed", raw.get("seed", 0), 0)
-    _require(cfg_kwargs["seed"] < 2**64, "seed must fit in 64 bits")
-    cfg_kwargs["workers"] = _check_int("workers", raw.get("workers", 1), 1)
-    cfg_kwargs["max_proposals"] = _check_int(
-        "max_proposals", raw.get("max_proposals", 10**6), 1
-    )
-    method = raw.get("method", "exact")
-    _require(method in METHODS, f"method must be one of {list(METHODS)}, got {method!r}")
-    cfg_kwargs["method"] = method
-    out = raw.get("out", ".")
-    _require(isinstance(out, str), f"out must be a string path, got {out!r}")
-    cfg_kwargs["out"] = out
-    timing = raw.get("timing", True)
-    _require(isinstance(timing, bool), f"timing must be a boolean, got {timing!r}")
-    cfg_kwargs["timing"] = timing
-
-    for key in ("delta", "epsilon", "horizon", "K", "a", "b", "x0", "current",
-                "tau_m", "V_r", "sigma", "v0", "theta0", "tau1", "adaptation", "v_reset"):
-        if raw.get(key) is not None:
-            positive = key in ("delta", "epsilon", "horizon", "sigma", "v0", "tau1", "v_reset")
-            cfg_kwargs[key] = _check_number(key, raw[key], positive=positive)
-
-    if raw.get("split") is not None:
-        cfg_kwargs["split"] = _check_int("split", raw["split"], 1)
-
-    if experiment == "benchmark":
-        deltas = raw.get("deltas", list(DEFAULT_DELTAS))
-        _require(
-            isinstance(deltas, (list, tuple)) and len(deltas) > 0,
-            "deltas must be a non-empty list",
-        )
-        cfg_kwargs["deltas"] = tuple(
-            _check_number(f"deltas[{i}]", d, positive=True) for i, d in enumerate(deltas)
-        )
-
+    method = mapping.get("method", "exact")
+    keys = _entry(experiment, method)
     _require(
-        experiment != "benchmark" or method == "exact",
-        "the benchmark experiment always compares the exact sampler with both "
-        f"grid schemes; method must be 'exact', got {method!r}",
+        keys is not None,
+        f"the {experiment} experiment runs the exact sampler only (the benchmark "
+        f"adds both grid schemes itself); method must be 'exact', got {method!r}",
     )
+    unknown = sorted(set(mapping) - set(keys) - {"experiment"})
+    _require(not unknown, f"config keys unknown to {experiment} with method {method!r}: {unknown}")
+
+    values: dict[str, Any] = {}
+    for key, spec in keys.items():
+        if key in mapping:
+            values[spec.name or key] = spec.check(key, mapping[key])
+        else:
+            _require(spec.default is not _REQUIRED, f"{experiment} with method {method!r} requires {key!r}")
+            if spec.default is not None:
+                values[spec.name or key] = spec.default
+
+    widths = values.get("deltas", (values["delta"],) if "delta" in values else ())
     _require(
-        cfg_kwargs.get("split") is None or method == "exact",
-        f"split applies to the exact sampler only; method {method!r} cannot use it",
+        all(width <= values["horizon"] for width in widths),
+        f"grid widths {list(widths)} must not exceed the grid horizon {values.get('horizon')}",
     )
+    run = {f.name: values.pop(f.name) for f in fields(ExperimentConfig) if f.name in values}
+    return ExperimentConfig(experiment, **run, values=values)
 
-    if method != "exact" and experiment in ("example1", "example2", "sample"):
-        _require(
-            cfg_kwargs.get("delta") is not None,
-            f"method {method!r} requires a positive delta (grid width)",
-        )
 
-    if experiment == "sample":
-        for key in ("drift", "threshold"):
-            _require(
-                isinstance(raw.get(key), str),
-                f"sample experiment requires a {key!r} selector string",
-            )
-            cfg_kwargs[key] = raw[key]
-        for key in ("drift_params", "threshold_params"):
-            params = raw.get(key, {})
-            _require(isinstance(params, dict), f"{key} must be an object")
-            cfg_kwargs[key] = params
-
-    return ExperimentConfig(**cfg_kwargs)
+def _model_args(cfg: ExperimentConfig) -> dict:
+    """The set keys the experiment's model call takes, by its keyword names."""
+    keys = _entry(cfg.experiment, cfg.method)
+    return {
+        spec.arg: cfg.values[spec.name or key]
+        for key, spec in keys.items()
+        if spec.arg is not None and (spec.name or key) in cfg.values
+    }
 
 
 def _decode_config(text: bytes) -> dict:
@@ -318,14 +322,9 @@ def _write_samples_csv(path: Path, draws: Sequence[FptDraw]) -> None:
             )
 
 
-def _write_summary(path: Path, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _summary_payload(cfg: ExperimentConfig, wall: float, body: dict, files: list[str]) -> dict:
-    return {
+def _write_summary(cfg: ExperimentConfig, out: Path, wall: float, body: dict, files: list[str]) -> dict:
+    """Write ``summary.json`` and return its payload."""
+    payload = {
         "experiment": cfg.experiment,
         "version": __version__,
         "config": cfg.as_dict(),
@@ -333,6 +332,10 @@ def _summary_payload(cfg: ExperimentConfig, wall: float, body: dict, files: list
         "wall_time_s": wall if cfg.timing else 0.0,
         **body,
     }
+    with open(out / "summary.json", "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return payload
 
 
 def _sample_summary(draws: Sequence[FptDraw], problem: ExactProblem | None) -> dict:
@@ -360,31 +363,13 @@ def _sample_summary(draws: Sequence[FptDraw], problem: ExactProblem | None) -> d
 
 
 def _build_passage_problem(cfg: ExperimentConfig) -> ExactProblem:
-    if cfg.experiment in ("example1", "benchmark"):
-        return example1_problem(
-            K=cfg.K, a=cfg.a, b=cfg.b, x0=cfg.x0, max_proposals=cfg.max_proposals
-        )
     if cfg.experiment == "example2":
-        return example2_problem(
-            K=cfg.K,
-            a=cfg.a,
-            b=cfg.b,
-            x0=cfg.x0,
-            epsilon=cfg.epsilon if cfg.epsilon is not None else 2.0**-4,
-            horizon=cfg.horizon if cfg.horizon is not None else DEFAULT_PROPOSAL_HORIZON,
-            max_proposals=cfg.max_proposals,
-        )
-    assert cfg.experiment == "sample"
-    return build_custom_problem(
-        drift=cfg.drift,
-        drift_params=cfg.drift_params or {},
-        threshold=cfg.threshold,
-        threshold_params=cfg.threshold_params or {},
-        x0=cfg.x0 if cfg.x0 is not None else 0.0,
-        epsilon=cfg.epsilon if cfg.epsilon is not None else 2.0**-4,
-        horizon=cfg.horizon if cfg.horizon is not None else DEFAULT_PROPOSAL_HORIZON,
-        max_proposals=cfg.max_proposals,
-    )
+        build = example2_problem
+    elif cfg.experiment == "sample":
+        build = build_custom_problem
+    else:
+        build = example1_problem
+    return build(**_model_args(cfg))
 
 
 def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
@@ -394,38 +379,20 @@ def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
         draws = sample_batch(problem, cfg.n, cfg.seed, split=cfg.split)
         ref: ExactProblem | None = problem
     else:
-        scheme = GridScheme(
-            delta=cfg.delta,
-            horizon=cfg.horizon if cfg.horizon is not None else DEFAULT_GRID_HORIZON,
-            scheme=cfg.method,
-        )
+        scheme = GridScheme(delta=cfg.delta, horizon=cfg.horizon, scheme=cfg.method)
         draws = grid_batch(problem.sde, problem.threshold, scheme, cfg.n, cfg.seed)
         ref = None
     wall = time.perf_counter() - t0
     _write_samples_csv(out / "samples.csv", draws)
     body = _sample_summary(draws, ref)
     body["method"] = cfg.method
-    payload = _summary_payload(cfg, wall, body, ["samples.csv"])
-    _write_summary(out / "summary.json", payload)
-    return payload
+    return _write_summary(cfg, out, wall, body, ["samples.csv"])
 
 
 def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
-    defaults = NeuronParams()
-    params = NeuronParams(
-        tau_m=cfg.tau_m if cfg.tau_m is not None else defaults.tau_m,
-        V_r=cfg.V_r if cfg.V_r is not None else defaults.V_r,
-        sigma=cfg.sigma if cfg.sigma is not None else defaults.sigma,
-        v0=cfg.v0 if cfg.v0 is not None else defaults.v0,
-        I=cfg.current if cfg.current is not None else defaults.I,
-        theta0=cfg.theta0 if cfg.theta0 is not None else defaults.theta0,
-        tau1=cfg.tau1 if cfg.tau1 is not None else defaults.tau1,
-        delta=cfg.adaptation if cfg.adaptation is not None else defaults.delta,
-        v_reset=cfg.v_reset,
-    )
-    horizon = cfg.horizon if cfg.horizon is not None else 2.0
+    params = NeuronParams(**_model_args(cfg))
     t0 = time.perf_counter()
-    trains = simulate_trials(params, horizon, cfg.n, cfg.seed)
+    trains = simulate_trials(params, cfg.horizon, cfg.n, cfg.seed)
     wall = time.perf_counter() - t0
     write_spike_trains_csv(trains, out / "spikes.csv")
     body = {
@@ -433,9 +400,7 @@ def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
         "counts": [t.count for t in trains],
         "cv_isi": pooled_isi_cv(trains),
     }
-    payload = _summary_payload(cfg, wall, body, ["spikes.csv"])
-    _write_summary(out / "summary.json", payload)
-    return payload
+    return _write_summary(cfg, out, wall, body, ["spikes.csv"])
 
 
 def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
@@ -446,11 +411,10 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
     exact_times = np.array([d.time for d in exact_draws])
     _write_samples_csv(out / "samples.csv", exact_draws)
 
-    grid_horizon = cfg.horizon if cfg.horizon is not None else DEFAULT_GRID_HORIZON
     rows = []
     for delta in cfg.deltas:
         for method_index, method in enumerate(("euler", "improved_euler")):
-            scheme = GridScheme(delta=delta, horizon=grid_horizon, scheme=method)
+            scheme = GridScheme(delta=delta, horizon=cfg.horizon, scheme=method)
             t1 = time.perf_counter()
             draws = grid_batch(
                 problem.sde,
@@ -478,29 +442,15 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
                 }
             )
 
+    columns = ["delta", "method", "ks_D", "ks_p", "bias1", "bias2", "wall_time"]
     with open(out / "comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["delta", "method", "ks_D", "ks_p", "bias1", "bias2", "wall_time"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row["delta"]),
-                    row["method"],
-                    repr(row["ks_D"]),
-                    repr(row["ks_p"]),
-                    repr(row["bias1"]),
-                    repr(row["bias2"]),
-                    repr(row["wall_time"]),
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([repr(row[c]) if c != "method" else row[c] for c in columns] for row in rows)
 
     body = _sample_summary(exact_draws, problem)
     body["comparison"] = rows
-    payload = _summary_payload(
-        cfg, exact_wall, body, ["samples.csv", "comparison.csv"]
-    )
-    _write_summary(out / "summary.json", payload)
-    return payload
+    return _write_summary(cfg, out, exact_wall, body, ["samples.csv", "comparison.csv"])
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -566,8 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         mapping["experiment"] = args.experiment
         if args.n is not None:
-            mapping.pop("trials", None)
-            mapping["n" if args.experiment != "neuron" else "trials"] = args.n
+            mapping["trials" if args.experiment == "neuron" else "n"] = args.n
         if args.seed is not None:
             mapping["seed"] = args.seed
         if args.out is not None:

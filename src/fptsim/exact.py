@@ -31,9 +31,13 @@ and the expected number of proposals per acceptance equals ``1 / N_c`` (see
 :func:`expected_proposals`).
 
 The reconstruction is exact for constant and linear thresholds, where the
-conditioned gap of the reference motion is exactly a Bessel(3) bridge; for
-curvy thresholds it shares the epsilon-level approximation of the proposal
-iteration.
+conditioned gap of the reference motion is exactly a Bessel(3) bridge.  For
+curvy thresholds it is not: the gap of a path conditioned to first hit a
+curve at ``tau_W`` is a Bessel(3) bridge reweighted by
+``exp(-int_0^tau G_s beta''(s) ds)``, so accepted times carry a bias that
+does not shrink with epsilon (Example 2 at epsilon = 2^-20 against improved
+Euler: two-sample KS p = 3.3e-6).  The fix, a reconstruction that follows
+the line iterates of the proposal, is ROADMAP item 1.
 
 Each call draws its randomness in blocks from its own generator: the
 exponential clock gaps, the bridge normals and the event marks come from

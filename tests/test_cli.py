@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from fptsim.cli import (
     DEFAULT_DELTAS,
+    _KEYS,
+    _RUN,
     _build_passage_problem,
+    EXPERIMENTS,
     ExperimentConfig,
     main,
     parse_config,
@@ -250,6 +255,9 @@ def test_main_n_maps_to_trials_for_neuron(tmp_path):
     assert len(json.loads((out / "summary.json").read_text())["counts"]) == 2
 
 
+_SAMPLE = {"drift": "zero", "threshold": "linear", "threshold_params": {"a": -0.5, "b": 1.0}}
+
+
 def _stderr_error(capsys):
     err = capsys.readouterr().err
     return json.loads(err.splitlines()[-1])
@@ -284,6 +292,20 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
     [
         {"experiment": "benchmark", "method": "euler"},
         {"experiment": "example1", "method": "euler", "delta": 0.01, "split": 4},
+        # grid keys with the exact sampler, sampler keys with a grid method
+        {"experiment": "example1", "delta": 0.01},
+        {"experiment": "example1", "horizon": 3.0},
+        {"experiment": "example1", "method": "euler", "delta": 0.01, "max_proposals": 7},
+        {"experiment": "example2", "delta": 0.01},
+        {"experiment": "sample", **_SAMPLE, "delta": 0.01},
+        {"experiment": "example2", "method": "euler", "delta": 0.01, "epsilon": 0.1},
+        {"experiment": "example2", "method": "euler", "delta": 0.01, "max_proposals": 7},
+        {"experiment": "sample", **_SAMPLE, "method": "euler", "delta": 0.01, "epsilon": 0.1},
+        {"experiment": "sample", **_SAMPLE, "method": "euler", "delta": 0.01, "max_proposals": 7},
+        # the neuron counts `trials`, which silently won over an `n`
+        {"experiment": "neuron", "n": 3},
+        # a grid width above the grid horizon fails before the exact batch runs
+        {"experiment": "benchmark", "deltas": [16.0], "horizon": 8.0},
     ],
 )
 def test_main_exit_code_2_on_ignored_config_keys(tmp_path, capsys, mapping):
@@ -296,6 +318,31 @@ def test_main_exit_code_2_on_ignored_config_keys(tmp_path, capsys, mapping):
     assert main([mapping["experiment"], "--config", str(cfg_file)]) == 2
     assert _stderr_error(capsys)["error"] == "ConfigurationError"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key", [("example1", "K"), ("example2", "epsilon"), ("neuron", "current")]
+)
+def test_main_exit_code_2_on_null_config_values(tmp_path, capsys, experiment, key):
+    # a given key must hold a valid value; null is not "use the default"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: None, "out": str(tmp_path / "o")}))
+    assert main([experiment, "--config", str(cfg_file), "--n", "2"]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigurationError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_lists_each_experiments_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {
+        m[1]: [set(re.findall(r"`(\w+)`", cell)) for cell in (m[2], m[3])]
+        for m in re.finditer(r"^\| `(\w+)` *\|[^|]*\|([^|]*)\|([^|]*)\|$", readme, re.M)
+    }
+    assert set(rows) == set(EXPERIMENTS)
+    for experiment, cells in rows.items():
+        for family, listed in zip(("exact", "grid"), cells):
+            accepted = set(_KEYS.get((experiment, family), {})) - set(_RUN)
+            assert listed == accepted, (experiment, family)
 
 
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):
