@@ -198,50 +198,60 @@ THRESHOLD_REGISTRY: dict[str, Callable[..., Threshold]] = {
 }
 
 
+def _registry_threshold(threshold: str, threshold_params: dict, orientation: Orientation) -> Threshold:
+    if threshold not in THRESHOLD_REGISTRY:
+        raise ConfigurationError(
+            f"unknown threshold {threshold!r}; available: {sorted(THRESHOLD_REGISTRY)}"
+        )
+    try:
+        return THRESHOLD_REGISTRY[threshold](orientation=orientation, **threshold_params)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad parameters for threshold {threshold!r}: {exc}") from exc
+
+
+def _check_epsilon(threshold: str, threshold_params: dict, epsilon: float | None) -> None:
+    """Refuse an ``epsilon`` for a line threshold, whose proposal would ignore it."""
+    if epsilon is None:
+        return
+    if _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START).linear is not None:
+        raise ConfigurationError(f"epsilon applies to curved thresholds only; {threshold!r} is a line")
+
+
 def build_custom_problem(
     drift: str,
     drift_params: dict,
     threshold: str,
     threshold_params: dict,
     x0: float = 0.0,
-    epsilon: float = 2.0**-4,
+    epsilon: float | None = None,
     horizon: float = 50.0,
     max_proposals: int = 10**6,
 ) -> ExactProblem:
     """Assemble a problem from registry names and parameter dicts.
 
-    Orientation is inferred from the threshold start relative to ``x0``.  The
-    thinning bound is estimated on a grid spanning the threshold range padded
-    by one sine period on each side, which covers the global supremum for
-    every registered (periodic or constant) drift; the sampler's runtime
-    guard still aborts if the bound is ever exceeded.
+    ``epsilon`` sets the curvy iteration's stop gap for a curved threshold
+    (2**-4 when unset); a line threshold has no such iteration and refuses
+    it.  Orientation is inferred from the threshold start relative to
+    ``x0``.  The thinning bound is estimated on a grid spanning the
+    threshold range padded by one sine period on each side, which covers
+    the global supremum for every registered (periodic or constant) drift;
+    the sampler's runtime guard still aborts if the bound is ever exceeded.
     """
     if drift not in DRIFT_REGISTRY:
         raise ConfigurationError(
             f"unknown drift {drift!r}; available: {sorted(DRIFT_REGISTRY)}"
         )
-    if threshold not in THRESHOLD_REGISTRY:
-        raise ConfigurationError(
-            f"unknown threshold {threshold!r}; available: {sorted(THRESHOLD_REGISTRY)}"
-        )
+    _check_epsilon(threshold, threshold_params, epsilon)
     try:
         sde = DRIFT_REGISTRY[drift](x0=x0, **drift_params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for drift {drift!r}: {exc}") from exc
 
-    def build_threshold(orientation: Orientation) -> Threshold:
-        try:
-            return THRESHOLD_REGISTRY[threshold](orientation=orientation, **threshold_params)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"bad parameters for threshold {threshold!r}: {exc}"
-            ) from exc
-
-    b0 = build_threshold(Orientation.ABOVE_START).beta(0.0)
+    b0 = _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START).beta(0.0)
     if b0 > x0:
-        th = build_threshold(Orientation.ABOVE_START)
+        th = _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START)
     elif b0 < x0:
-        th = build_threshold(Orientation.BELOW_START)
+        th = _registry_threshold(threshold, threshold_params, Orientation.BELOW_START)
     else:
         raise ConfigurationError(f"threshold starts exactly at x0 = {x0}")
 
@@ -250,6 +260,7 @@ def build_custom_problem(
     lo = min(x0, b0, th.beta(horizon)) - pad
     hi = max(x0, b0, th.beta(horizon)) + pad
     kappa = estimate_kappa(gammas, t_max=horizon, x_lo=lo, x_hi=hi)
+    epsilon = 2.0**-4 if epsilon is None else epsilon
     proposal = default_proposal(th, CurvyParams(epsilon=epsilon, r=_tangent_slope(th), horizon=horizon))
     return ExactProblem(
         sde=sde,

@@ -302,6 +302,8 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
         {"experiment": "example2", "method": "euler", "delta": 0.01, "max_proposals": 7},
         {"experiment": "sample", **_SAMPLE, "method": "euler", "delta": 0.01, "epsilon": 0.1},
         {"experiment": "sample", **_SAMPLE, "method": "euler", "delta": 0.01, "max_proposals": 7},
+        # a line threshold has no curvy iteration for epsilon to stop
+        {"experiment": "sample", **_SAMPLE, "epsilon": 0.5},
         # the neuron counts `trials`, which silently won over an `n`
         {"experiment": "neuron", "n": 3},
         # a grid width above the grid horizon fails before the exact batch runs

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fptsim import rng as rng_module
 from fptsim.errors import ParameterError
 from fptsim.rng import (
+    _BATCH,
+    _TABLE_MIN_N,
+    _batch_table,
+    _seed_table,
     block_stream,
     derive_seed,
     sample_many,
@@ -71,6 +80,105 @@ def test_sample_many_indexed_passes_indices_and_is_worker_invariant():
     assert sample_many_indexed(draw, 0, 5) == []
     with pytest.raises(ParameterError):
         sample_many_indexed(draw, -1, 5)
+
+
+def _seed_sequence_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+@given(
+    master=st.integers(min_value=0, max_value=2**64 - 1),
+    prefix=st.lists(st.integers(min_value=0, max_value=2**63), max_size=3),
+    n=st.integers(min_value=0, max_value=300),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_table_equals_seed_sequence(master, prefix, n):
+    table = _batch_table(master, tuple(prefix), n)
+    assert table.shape == (n, 4) and table.dtype == np.uint64
+    for i, row in enumerate(table):
+        np.testing.assert_array_equal(row, _seed_sequence_words(derive_seed(master, *prefix, i)))
+
+
+def test_seed_table_edge_seeds():
+    # seeds below 2**32 have one word of entropy; no derived key lands there
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    table = _seed_table(np.array(seeds, dtype=np.uint64))
+    for seed, row in zip(seeds, table):
+        np.testing.assert_array_equal(row, _seed_sequence_words(seed))
+
+
+def _states(seed, prefix, n):
+    return sample_many_indexed(lambda i, rng: rng.bit_generator.state, n, seed, key_prefix=prefix)
+
+
+@pytest.mark.parametrize("n", [1, _TABLE_MIN_N - 1, _TABLE_MIN_N, 5 * _TABLE_MIN_N])
+def test_batch_entries_keep_the_per_index_streams(monkeypatch, n):
+    tables = []
+    monkeypatch.setattr(rng_module, "_seed_table", lambda s: tables.append(s) or _seed_table(s))
+    states = _states(11, (4, 2), n)
+    assert len(tables) == (n >= _TABLE_MIN_N)
+    assert states == [substream(11, 4, 2, i).bit_generator.state for i in range(n)]
+    # the streams are those of a PCG64 seeded with the derived seed directly
+    assert states == [np.random.PCG64(derive_seed(11, 4, 2, i)).state for i in range(n)]
+    assert _BATCH.get() is None
+
+
+def test_nested_batches_see_their_own_keys():
+    n = 2 * _TABLE_MIN_N
+    keys = lambda i: [(5, i), (6, i), (5,), (5, i, 0)]
+
+    def draw(i, rng):
+        inner = _states(5, (9, i), n)
+        # outer keys and keys of no batch, called from inside the inner draw loop
+        outside = sample_many_indexed(
+            lambda j, r: [substream(*key).bit_generator.state for key in keys(i)], n, 5, key_prefix=(3,)
+        )
+        here = [substream(*key).bit_generator.state for key in keys(i)]
+        return rng.bit_generator.state, inner, outside[0], here
+
+    batch = sample_many_indexed(draw, n, 5)
+    for i, (state, inner, outside, here) in enumerate(batch):
+        assert state == substream(5, i).bit_generator.state
+        assert inner == [substream(5, 9, i, j).bit_generator.state for j in range(n)]
+        assert outside == here == [np.random.PCG64(derive_seed(*key)).state for key in keys(i)]
+    assert _BATCH.get() is None
+
+
+def test_batch_table_is_dropped_when_a_draw_raises():
+    def draw(i, rng):
+        raise ValueError(i)
+
+    with pytest.raises(ValueError):
+        sample_many_indexed(draw, _TABLE_MIN_N, 3)
+    assert _BATCH.get() is None
+
+
+def test_concurrent_batches_keep_their_own_streams():
+    # three threads, so two of them share a core on a two-core machine
+    n, seeds = 3 * _TABLE_MIN_N, (1, 2, 3)
+    expected = {seed: [substream(seed, 7, i).bit_generator.state for i in range(n)] for seed in seeds}
+    mismatches, rounds = [], []
+
+    def run(seed):
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline:
+            if _states(seed, (7,), n) != expected[seed]:
+                mismatches.append(seed)
+            rounds.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert set(rounds) == set(seeds)
 
 
 def test_per_index_substreams_do_not_depend_on_n():
