@@ -35,15 +35,20 @@ keep each interval draw both correct and affordable:
   for all stage times ``t``, where ``q(u) = alpha' + alpha^2`` written in
   ``u = exp(-sigma*x)`` and ``u(t)`` is the threshold in those units.  The
   constraint is concave-quadratic in ``g``, so each time point contributes an
-  interval of admissible drifts.  Within a stage ``theta`` is monotone in
-  time, and so are ``beta'``, ``u(t)`` and ``alpha(beta(t))``; the builder
-  cuts the stage into equal pieces, bounds each term on a piece by its
-  values at the piece ends, and intersects the root intervals of those
-  bounds.  The result holds at every stage time, not only at sampled ones
-  (a rigorous bound, not a grid estimate).  It picks the smallest
-  admissible ``g``, which minimizes the expected number of proposals (their
-  cost exponent is increasing in ``g``), and bounds the time rate, and so
-  ``kappa``, the same way.
+  interval of admissible drifts.  Within an interval ``theta`` is monotone
+  in time, and so are ``beta'``, ``u(t)`` and ``alpha(beta(t))``.  Every
+  stage of an interval ends at the same time, the remaining horizon plus
+  ``PROPOSAL_SLACK``, so one grid of equal pieces over the interval serves
+  them all.  In one numpy pass per interval the builder bounds each term on
+  each piece by its values at the piece ends, for every stage at once, and
+  keeps suffix tables over the pieces of the worst constraint margin and of
+  the intersected root intervals.  A stage that starts at time ``s`` reads
+  those tables at the piece holding ``s``: the pieces from there on cover
+  its whole time window, so its bounds hold at every stage time, not only
+  at sampled ones (a rigorous bound, not a grid estimate).  It picks the
+  smallest admissible ``g``, which minimizes the expected number of
+  proposals (their cost exponent is increasing in ``g``), and bounds the
+  time rate over the same pieces, and so ``kappa``.
 * **Stage splitting.**  After several spikes the threshold sits far from the
   reset point in ``u = exp(-sigma*x)`` units, and single-shot acceptance
   degrades exponentially in that distance.  The interval passage is therefore
@@ -66,7 +71,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +86,7 @@ from .errors import (
     SequencingError,
 )
 from .exact import ExactProblem, Proposal, sample_exact_below
-from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, make_gamma_pair
+from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE
 from .rng import derive_seed, sample_many_indexed
 
 __all__ = [
@@ -105,9 +111,9 @@ CURVY_EPSILON = 2.0**-4
 PROPOSAL_SLACK = 5.0
 #: Margin between the tangent slope and the steepest admissible slope.
 TANGENT_MARGIN = 0.1
-#: Number of equal stage-time pieces the rate bounds are taken over.
+#: Number of equal pieces of interval time the rate bounds are taken over.
 _RATE_PIECES = 64
-#: Piece ends as fractions of the stage horizon.
+#: Piece ends as fractions of the grid span.
 _PIECE_ENDS = np.arange(_RATE_PIECES + 1) / _RATE_PIECES
 _KAPPA_FLOOR = 1e-9
 
@@ -227,14 +233,221 @@ class SpikeTrain:
         return len(self.times)
 
 
-def _box_max(a_lo, a_hi, b_lo, b_hi):
-    """Upper bound of ``a*b`` over ``[a_lo, a_hi] x [b_lo, b_hi]``, elementwise.
+def _exp(x):
+    """``exp`` of an ndarray elementwise, and of anything else with :mod:`math`."""
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
-    The product is bilinear, so its maximum over a box sits at a corner.
+
+def _suffix(ufunc, table):
+    """``ufunc.accumulate`` along each row of ``table``, from its last column back."""
+    return ufunc.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+
+
+def _q(c: float, d: float, sigma: float, u):
+    """``q(u) = alpha' + alpha^2`` of the drift, written in ``u = exp(-sigma*x)``."""
+    return d * d * u * u + (2.0 * c * d - sigma * d) * u + c * c
+
+
+class _StageBounds:
+    """Rate bounds of the passage stages of one interval, built in one pass.
+
+    Stage ``i`` has the threshold ``beta(t) + offsets[i]`` in interval time
+    ``t``.  One grid of ``_RATE_PIECES`` equal pieces covers ``[t0, t0 +
+    span]``, and every stage runs inside it.  ``theta`` is monotone in time,
+    so on each piece it lies between its end values, and so do ``beta'``
+    (increasing in ``theta`` for ``theta0 > 0``), ``u = theta*scale_i`` and
+    ``alpha = c + d*u``.  From these boxes the constructor takes, for every
+    stage and piece at once, the worst margin of the drift constraint and the
+    interval of admissible drifts, and folds them into suffix tables over the
+    pieces.  A stage that starts at ``s`` reads them at the piece ``j0`` that
+    holds ``s``: the pieces ``j >= j0`` cover its whole time window, so its
+    bounds hold at every stage time.
     """
-    return np.maximum(
-        np.maximum(a_lo * b_lo, a_lo * b_hi), np.maximum(a_hi * b_lo, a_hi * b_hi)
-    )
+
+    def __init__(
+        self,
+        params: NeuronParams,
+        theta_plus: float,
+        offsets: Sequence[float],
+        t0: float,
+        span: float,
+    ) -> None:
+        sigma, tau1, th0 = params.sigma, params.tau1, params.theta0
+        thp = theta_plus
+        if min(th0, thp) <= 0.0:
+            raise DomainError(
+                f"threshold levels must stay positive for the log transform, "
+                f"got theta0={th0}, theta_plus={thp}"
+            )
+        c, d = params.drift_coefficients()
+        self.params = params
+        self.theta_plus = thp
+        self.c, self.d = c, d
+        self.offsets = offsets
+        # slope range of beta (monotone in theta; same for every stage offset)
+        slope_at_peak = (thp - th0) / (tau1 * sigma * thp)
+        self.inf_slope = min(0.0, slope_at_peak)
+        self.sup_slope = max(0.0, slope_at_peak)
+
+        # rows are stages; along a row, piece ends or pieces in time order
+        ends = t0 + span * _PIECE_ENDS
+        theta = th0 + (thp - th0) * np.exp(-ends / tau1)
+        scales = np.exp(-sigma * np.array(offsets))[:, None]
+        bp_ends = (theta - th0) / (tau1 * sigma * theta)
+        alpha_ends = c + d * (scales * theta)
+        # beta' at the first and at the last end of each piece: the flat
+        # form lists the pieces' end values in time order
+        bp_flat = np.repeat(bp_ends, 2)[1:-1]
+        bp_box = bp_flat.reshape(-1, 2)
+        # corner products alpha*beta' of each piece box, for beta' at either
+        # end: the time rate (g - alpha)*beta' peaks at g*B - min(alpha*B)
+        ab_first = alpha_ends[:, :-1, None] * bp_box
+        ab_last = alpha_ends[:, 1:, None] * bp_box
+        ab_min = np.minimum(ab_first, ab_last)
+        ab_max = np.maximum(ab_first, ab_last)
+        ab_max = np.maximum(ab_max[:, :, 0], ab_max[:, :, 1])
+        # infimum of q over the state range (0, u(t)]: q is convex, with its
+        # limit c^2 at u -> 0+, so the infimum sits at the vertex when
+        # reachable; it does not increase with u(t), so a piece's value at its
+        # largest u bounds it from below
+        u_vertex = (sigma - 2.0 * c) / (2.0 * d) if d != 0.0 else -1.0
+        if u_vertex > 0.0:
+            u_hi = scales * np.maximum(theta[:-1], theta[1:])
+            q_low = _q(c, d, sigma, np.minimum(u_hi, u_vertex))
+        else:
+            q_low = c * c
+
+        # admissible reference drifts solve, for every stage time,
+        #   (g - alpha)*beta' + (inf q - g^2)/2 >= slack.
+        # On a piece the left side is at least g*B - g^2/2 + q_low/2 - ab_max
+        # for B = beta' at either end (it is linear in beta'), a concave
+        # quadratic in g with discriminant disc; the intersection of the root
+        # intervals over a stage's pieces is admissible at every stage time.
+        slack = 1e-12
+        disc = bp_box * bp_box + ((q_low - 2.0 * slack) - 2.0 * ab_max)[:, :, None]
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = bp_box - root
+        hi = bp_box + root
+        self.margin = np.minimum(disc[:, :, 0], disc[:, :, 1])
+        self.worst = _suffix(np.minimum, self.margin)
+        self.g_lo = _suffix(np.maximum, np.maximum(lo[:, :, 0], lo[:, :, 1]))
+        self.g_hi = _suffix(np.minimum, np.minimum(hi[:, :, 0], hi[:, :, 1]))
+        # the time-rate bound of a stage reads columns from 2*j0 on
+        self.bp_flat = bp_flat
+        self.ab_min = ab_min.reshape(len(offsets), -1)
+        self.ends = ends.tolist()
+        self.theta = theta.tolist()
+        self.scales = scales[:, 0].tolist()
+
+        def alpha(x):
+            return c + d * _exp(-sigma * x)
+
+        def alpha_prime(x):
+            return -sigma * d * _exp(-sigma * x)
+
+        def A(x):
+            return c * x - (d / sigma) * _exp(-sigma * x)
+
+        self.sde_parts = (alpha, alpha_prime, A)
+
+    def problem(
+        self, i: int, s: float, *, x_start: float, horizon: float, max_proposals: int
+    ) -> ExactProblem:
+        """Exact problem of stage ``i``, started at interval time ``s`` in
+        state ``x_start``, with proposal horizon ``horizon``.
+
+        The stage picks the smallest admissible reference drift ``g`` (the
+        cost exponent of its proposals increases with ``g``), bounds the space
+        rate by its exact quadratic-in-``u`` form and the time rate piece by
+        piece, and attaches the curvy proposal.
+        """
+        params = self.params
+        sigma, tau1, th0 = params.sigma, params.tau1, params.theta0
+        c, d = self.c, self.d
+        thp = self.theta_plus
+        offset = self.offsets[i]
+        scale = self.scales[i]
+        j0 = min(bisect_right(self.ends, s), _RATE_PIECES) - 1
+        worst = float(self.worst[i, j0])
+        if worst < 0.0:
+            j = j0 + int(np.argmax(self.margin[i, j0:] < 0.0))
+            raise AssumptionViolation(
+                "no constant reference drift keeps the combined rate non-negative "
+                f"over the stage window [{s}, {s + horizon}] (worst margin {worst}, "
+                f"first negative on the piece [{self.ends[j]}, {self.ends[j + 1]}])"
+            )
+        g = float(self.g_lo[i, j0])
+        g_hi = float(self.g_hi[i, j0])
+        if g > g_hi:
+            raise AssumptionViolation(
+                "no constant reference drift keeps the combined rate non-negative "
+                f"at all times of the stage window [{s}, {s + horizon}] "
+                f"(need g in [{g}, {g_hi}])"
+            )
+        # theta is monotone over the window, so u peaks at one of its ends
+        u_cap = max(self.theta[j0], self.theta[-1]) * scale
+        u_limit = u_cap * (1.0 + 1e-9)
+        gg = g * g
+
+        def theta_loc(w: float) -> float:
+            return th0 + (thp - th0) * math.exp(-(s + w) / tau1)
+
+        def beta(w: float) -> float:
+            return -math.log(theta_loc(w)) / sigma + offset
+
+        def beta_prime(w: float) -> float:
+            theta = theta_loc(w)
+            return (theta - th0) / (tau1 * sigma * theta)
+
+        # the rates of make_gamma_pair in closed form: alpha(beta(w)) is
+        # c + d*u with u = theta*scale
+        def gamma1(w: float) -> float:
+            theta = theta_loc(w)
+            return -(c + d * theta * scale - g) * (theta - th0) / (tau1 * sigma * theta)
+
+        def gamma2(x: float) -> float:
+            u = math.exp(-sigma * x)
+            # domination bound: reconstructed states never leave the
+            # threshold's far side, so u must stay within the stage's range
+            if u > u_limit:
+                raise AssumptionViolation(
+                    f"state x={x} outside the stage domain (exp(-sigma*x) > {u_cap})"
+                )
+            a = c + d * u
+            return 0.5 * (-sigma * d * u + a * a - gg)
+
+        # clock rate: positive-part suprema of each rate bound their sum; the
+        # space rate is an exact endpoint value of a convex quadratic, the
+        # time rate (g - alpha)*beta' is bounded piece by piece
+        sup2 = max(0.0, 0.5 * (max(c * c, _q(c, d, sigma, u_cap)) - gg))
+        col = 2 * j0
+        sup1 = max(0.0, float((g * self.bp_flat[col:] - self.ab_min[i, col:]).max()))
+        alpha, alpha_prime, A = self.sde_parts
+        return ExactProblem(
+            sde=UnitDiffusionSDE(alpha=alpha, alpha_prime=alpha_prime, A=A, x0=x_start),
+            threshold=Threshold(
+                beta=beta,
+                beta_prime=beta_prime,
+                orientation=Orientation.BELOW_START,
+                inf_slope=self.inf_slope,
+                sup_slope=self.sup_slope,
+            ),
+            gammas=GammaPair(
+                gamma1=gamma1,
+                gamma2=gamma2,
+                kappa=max(sup1 + sup2, _KAPPA_FLOOR),
+                reference_drift=g,
+            ),
+            proposal=Proposal(
+                "curvy",
+                CurvyParams(
+                    epsilon=CURVY_EPSILON,
+                    r=(g - self.sup_slope) - TANGENT_MARGIN,
+                    horizon=horizon,
+                ),
+            ),
+            max_proposals=max_proposals,
+        )
 
 
 def _stage_problem(
@@ -251,141 +464,14 @@ def _stage_problem(
 
     The stage threshold is ``beta(time_shift + w) + offset`` in stage-local
     time ``w``, where ``beta`` is the transformed interval threshold; the
-    stage starts at ``x_start`` above it.  The builder picks the stage
-    reference drift, bounds both rates (the space rate by its exact
-    quadratic-in-``u`` form, the time rate by piecewise-monotone bounds:
-    over each of ``_RATE_PIECES`` equal pieces of stage time, ``theta`` and
-    with it ``beta'``, ``u`` and ``alpha`` lie between their piece-end
-    values) and attaches the curvy proposal.  Both the drift constraint and
-    ``kappa`` are rigorous at every stage time, not only at the piece ends.
+    stage starts at ``x_start`` above it.  This is the one-stage case of
+    :class:`_StageBounds`, with its piece grid over ``[time_shift,
+    time_shift + prop_horizon]``.  Both the drift constraint and ``kappa``
+    are rigorous at every stage time, not only at the piece ends.
     """
-    sigma = params.sigma
-    tau1 = params.tau1
-    th0 = params.theta0
-    thp = theta_plus
-    if min(th0, thp) <= 0.0:
-        raise DomainError(
-            f"threshold levels must stay positive for the log transform, "
-            f"got theta0={th0}, theta_plus={thp}"
-        )
-    c, d = params.drift_coefficients()
-
-    def theta_loc(w: float) -> float:
-        return th0 + (thp - th0) * math.exp(-(time_shift + w) / tau1)
-
-    def beta(w: float) -> float:
-        return -math.log(theta_loc(w)) / sigma + offset
-
-    def beta_prime(w: float) -> float:
-        theta = theta_loc(w)
-        return (theta - th0) / (tau1 * sigma * theta)
-
-    # slope range of beta (monotone in theta; same for every stage offset)
-    slope_at_peak = (thp - th0) / (tau1 * sigma * thp)
-    inf_slope = min(0.0, slope_at_peak)
-    sup_slope = max(0.0, slope_at_peak)
-
-    def q(u):
-        return d * d * u * u + (2.0 * c * d - sigma * d) * u + c * c
-
-    # theta is monotone in stage time, so on each of _RATE_PIECES equal pieces
-    # it lies between its end values, and so do beta' (increasing in theta
-    # for theta0 > 0) and alpha = c + d*u (linear in u = theta*scale)
-    w_ends = prop_horizon * _PIECE_ENDS
-    theta_ends = th0 + (thp - th0) * np.exp(-(time_shift + w_ends) / tau1)
-    scale = math.exp(-sigma * offset)
-    u_cap = float(max(theta_ends[0], theta_ends[-1])) * scale
-    bp_ends = (theta_ends - th0) / (tau1 * sigma * theta_ends)
-    alpha_ends = c + d * theta_ends * scale
-    bp_lo = np.minimum(bp_ends[:-1], bp_ends[1:])
-    bp_hi = np.maximum(bp_ends[:-1], bp_ends[1:])
-    alpha_lo = np.minimum(alpha_ends[:-1], alpha_ends[1:])
-    alpha_hi = np.maximum(alpha_ends[:-1], alpha_ends[1:])
-    # infimum of q over the state range (0, u(t)]: q is convex, with its
-    # limit c^2 at u -> 0+, so the infimum sits at the vertex when reachable;
-    # it does not increase with u(t), so a piece's value at its largest u
-    # bounds it from below
-    if d != 0.0:
-        u_vertex = (sigma - 2.0 * c) / (2.0 * d)
-    else:
-        u_vertex = -1.0
-    if u_vertex > 0.0:
-        u_hi = np.maximum(theta_ends[:-1], theta_ends[1:]) * scale
-        q_low = q(np.minimum(u_hi, u_vertex))
-    else:
-        q_low = c * c
-    ab_max = _box_max(alpha_lo, alpha_hi, bp_lo, bp_hi)
-
-    # admissible reference drifts solve, for every stage time,
-    #   (g - alpha)*beta' + (inf q - g^2)/2 >= slack.
-    # On a piece the left side is at least g*B - g^2/2 + q_low/2 - ab_max for
-    # B = bp_lo or bp_hi (it is linear in beta'), a concave quadratic in g;
-    # the intersection of the 2*_RATE_PIECES root intervals is admissible at
-    # every stage time, not only at the piece ends.
-    slack = 1e-12
-    lo, hi = -math.inf, math.inf
-    for bp in (bp_lo, bp_hi):
-        disc = bp * bp + q_low - 2.0 * ab_max - 2.0 * slack
-        if float(disc.min()) < 0.0:
-            raise AssumptionViolation(
-                "no constant reference drift keeps the combined rate non-negative "
-                f"over this stage (worst margin {float(disc.min())})"
-            )
-        root = np.sqrt(disc)
-        lo = max(lo, float((bp - root).max()))
-        hi = min(hi, float((bp + root).min()))
-    if lo > hi:
-        raise AssumptionViolation(
-            "no constant reference drift keeps the combined rate non-negative "
-            f"at all stage times (need g in [{lo}, {hi}])"
-        )
-    g = lo
-
-    sde = UnitDiffusionSDE(
-        alpha=lambda x: c + d * np.exp(-sigma * x),
-        alpha_prime=lambda x: -sigma * d * np.exp(-sigma * x),
-        A=lambda x: c * x - (d / sigma) * np.exp(-sigma * x),
-        x0=x_start,
-    )
-    threshold = Threshold(
-        beta=beta,
-        beta_prime=beta_prime,
-        orientation=Orientation.BELOW_START,
-        inf_slope=inf_slope,
-        sup_slope=sup_slope,
-    )
-    base = make_gamma_pair(sde, threshold, reference_drift=g)
-
-    u_limit = u_cap * (1.0 + 1e-9)
-    base_gamma2 = base.gamma2
-
-    def gamma2(x: float) -> float:
-        # domination bound: reconstructed states never leave the threshold's
-        # far side, so exp(-sigma*x) must stay within the stage's u range
-        if math.exp(-sigma * x) > u_limit:
-            raise AssumptionViolation(
-                f"state x={x} outside the stage domain (exp(-sigma*x) > {u_cap})"
-            )
-        return base_gamma2(x)
-
-    # clock rate: positive-part suprema of each rate bound their sum; the
-    # space rate is an exact endpoint value of a convex quadratic, the time
-    # rate (g - alpha)*beta' is bounded piece by piece
-    sup2 = max(0.0, 0.5 * (max(c * c, q(u_cap)) - g * g))
-    sup1 = max(0.0, float(_box_max(g - alpha_hi, g - alpha_lo, bp_lo, bp_hi).max()))
-    kappa = max(sup1 + sup2, _KAPPA_FLOOR)
-
-    gammas = replace(base, gamma2=gamma2, kappa=kappa)
-    r = (g - sup_slope) - TANGENT_MARGIN
-    proposal = Proposal(
-        "curvy", CurvyParams(epsilon=CURVY_EPSILON, r=r, horizon=prop_horizon)
-    )
-    return ExactProblem(
-        sde=sde,
-        threshold=threshold,
-        gammas=gammas,
-        proposal=proposal,
-        max_proposals=max_proposals,
+    bounds = _StageBounds(params, theta_plus, [offset], time_shift, prop_horizon)
+    return bounds.problem(
+        0, time_shift, x_start=x_start, horizon=prop_horizon, max_proposals=max_proposals
     )
 
 
@@ -448,24 +534,21 @@ def _draw_interval(
         )
     span = theta_plus - v
     k = max(1, math.ceil(abs(d) * span / sigma - 1e-12))
+    offsets = [math.log(theta_plus / (v + span * (i / k))) / sigma for i in range(1, k + 1)]
+    # every stage ends at the same interval time, so one piece grid over
+    # [0, t_end] serves them all
+    t_end = remaining + PROPOSAL_SLACK
+    bounds = _StageBounds(params, theta_plus, offsets, 0.0, t_end)
 
     s = 0.0
     x_cur = -math.log(v) / sigma
     draws: list[FptDraw] = []
-    for i in range(1, k + 1):
+    for i in range(k):
         if s >= remaining:
             return None, draws
-        u_i = v + span * (i / k)
-        offset = math.log(theta_plus / u_i) / sigma
-        stage_horizon = (remaining - s) + PROPOSAL_SLACK
-        problem = _stage_problem(
-            params,
-            theta_plus,
-            x_start=x_cur,
-            offset=offset,
-            time_shift=s,
-            prop_horizon=stage_horizon,
-            max_proposals=max_proposals,
+        stage_horizon = t_end - s
+        problem = bounds.problem(
+            i, s, x_start=x_cur, horizon=stage_horizon, max_proposals=max_proposals
         )
         draw = sample_exact_below(problem, rng)
         draws.append(draw)

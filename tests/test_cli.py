@@ -360,6 +360,20 @@ def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):
     assert payload["exit_code"] == 3
 
 
+def test_main_exit_code_3_names_the_stage_window_of_a_leaky_membrane(tmp_path, capsys):
+    # a leaky membrane at zero current admits no constant reference drift
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tau_m": 1, "current": 0, "out": str(tmp_path / "o")}))
+    assert main(["neuron", "--config", str(cfg_file)]) == 3
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "AssumptionViolation"
+    message = payload["message"]
+    # the first stage spans the horizon (2) plus the proposal slack (5)
+    assert "over the stage window [0.0, 7.0]" in message
+    assert "worst margin -2.02" in message
+    assert "first negative on the piece [0.0, 0.109375]" in message
+
+
 def test_main_exit_code_4_on_budget_exhaustion(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(

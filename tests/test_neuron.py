@@ -7,12 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from fptsim import neuron
 from fptsim.errors import ParameterError, SequencingError
-from fptsim.exact import expected_proposals, sample_batch
-from fptsim.model import Orientation
+from fptsim.exact import expected_proposals, sample_batch, sample_exact_below
+from fptsim.model import Orientation, make_gamma_pair
 from fptsim.neuron import (
+    PROPOSAL_SLACK,
+    _RATE_PIECES,
     NeuronParams,
     SpikeTrain,
+    _draw_interval,
+    _StageBounds,
     _stage_problem,
     apply_spike,
     initial_state,
@@ -162,6 +167,79 @@ def test_later_stage_drift_and_kappa_are_tight(theta_plus, current, tau_m):
     sup2 = max(0.0, 0.5 * (max(c * c, q(float(u.max()))) - g * g))
     rate_max = max(0.0, float(((g - alpha) * bp).max())) + sup2
     assert rate_max <= kappa <= 1.02 * rate_max
+
+
+# Interval stages that start off the piece grid: strictly inside a piece and
+# exactly at a piece end, for both signs of tau_m.
+_T_END = 7.0
+_INTERVAL_STAGES = [
+    pytest.param(current, tau_m, where, id=f"I{current:g}-tau{tau_m:+g}-{where}")
+    for current, tau_m in ((0.0, -1.0), (20.0, -1.0), (20.0, 1.0))
+    for where in ("inside", "at_end")
+]
+
+
+def _interval_bounds(current, tau_m, theta_plus=5.0, v=1.0, k=4):
+    p = NeuronParams(I=current, tau_m=tau_m)
+    offsets = [
+        math.log(theta_plus / (v + (theta_plus - v) * (i / k))) / p.sigma
+        for i in range(1, k + 1)
+    ]
+    return p, _StageBounds(p, theta_plus, offsets, 0.0, _T_END)
+
+
+@pytest.mark.parametrize("current, tau_m, where", _INTERVAL_STAGES)
+def test_interval_stages_off_the_grid_are_admissible_between_pieces(current, tau_m, where):
+    p, bounds = _interval_bounds(current, tau_m)
+    piece = _T_END / _RATE_PIECES
+    for i, j in ((0, 2), (2, 17), (3, 40)):
+        s = (j + 0.37) * piece if where == "inside" else bounds.ends[j]
+        horizon = _T_END - s
+        prob = bounds.problem(i, s, x_start=0.0, horizon=horizon, max_proposals=10**6)
+        # a mesh ten times finer than the pieces, shifted off their ends
+        ws = np.concatenate([[0.0, horizon], (np.arange(0, 640) + 0.5) * horizon / 640])
+        for w in ws:
+            lo = prob.threshold.beta(float(w))
+            for x in np.linspace(lo, lo + 3.0, 12):
+                assert prob.gammas.evaluate(float(w), float(x)) >= 0.0  # raises outside [0, kappa]
+
+
+@pytest.mark.parametrize("current, tau_m", [(0.0, -1.0), (20.0, -1.0), (20.0, 1.0)])
+def test_stage_rates_match_make_gamma_pair(current, tau_m):
+    p, bounds = _interval_bounds(current, tau_m)
+    prob = bounds.problem(2, 1.3, x_start=0.0, horizon=_T_END - 1.3, max_proposals=10**6)
+    generic = make_gamma_pair(prob.sde, prob.threshold, prob.gammas.reference_drift)
+    for w in np.linspace(0.0, _T_END - 1.3, 50):
+        w = float(w)
+        assert prob.gammas.gamma1(w) == pytest.approx(generic.gamma1(w), rel=1e-12, abs=1e-12)
+        lo = prob.threshold.beta(w)
+        for x in np.linspace(lo, lo + 3.0, 7):
+            x = float(x)
+            assert prob.gammas.gamma2(x) == pytest.approx(generic.gamma2(x), rel=1e-12, abs=1e-12)
+
+
+def test_one_stage_interval_matches_stage_problem(monkeypatch):
+    # theta_plus - v = 1 with |d| = sigma = 1 makes a one-stage interval
+    p = NeuronParams(I=20.0)
+    built = []
+
+    def recording(problem, rng):
+        built.append(problem)
+        return sample_exact_below(problem, rng)
+
+    monkeypatch.setattr(neuron, "sample_exact_below", recording)
+    _draw_interval(p, 2.0, 1.0, 2.0, np.random.default_rng(5), 10**6)
+    assert len(built) == 1
+    single = _stage_problem(
+        p, 2.0, x_start=0.0, offset=0.0, time_shift=0.0, prop_horizon=2.0 + PROPOSAL_SLACK,
+        max_proposals=10**6,
+    )
+    for prob in (built[0], single):
+        assert prob.proposal.curvy.horizon == 2.0 + PROPOSAL_SLACK
+    assert built[0].gammas.reference_drift == single.gammas.reference_drift
+    assert built[0].gammas.kappa == single.gammas.kappa
+    assert built[0].proposal.curvy.r == single.proposal.curvy.r
+    assert built[0].sde.x0 == single.sde.x0
 
 
 def test_stage_acceptance_identity_at_strong_current():
