@@ -185,12 +185,12 @@ def _interval_bounds(current, tau_m, theta_plus=5.0, v=1.0, k=4):
         math.log(theta_plus / (v + (theta_plus - v) * (i / k))) / p.sigma
         for i in range(1, k + 1)
     ]
-    return p, _StageBounds(p, theta_plus, offsets, 0.0, _T_END)
+    return _StageBounds(p, theta_plus, offsets, 0.0, _T_END)
 
 
 @pytest.mark.parametrize("current, tau_m, where", _INTERVAL_STAGES)
 def test_interval_stages_off_the_grid_are_admissible_between_pieces(current, tau_m, where):
-    p, bounds = _interval_bounds(current, tau_m)
+    bounds = _interval_bounds(current, tau_m)
     piece = _T_END / _RATE_PIECES
     for i, j in ((0, 2), (2, 17), (3, 40)):
         s = (j + 0.37) * piece if where == "inside" else bounds.ends[j]
@@ -206,7 +206,7 @@ def test_interval_stages_off_the_grid_are_admissible_between_pieces(current, tau
 
 @pytest.mark.parametrize("current, tau_m", [(0.0, -1.0), (20.0, -1.0), (20.0, 1.0)])
 def test_stage_rates_match_make_gamma_pair(current, tau_m):
-    p, bounds = _interval_bounds(current, tau_m)
+    bounds = _interval_bounds(current, tau_m)
     prob = bounds.problem(2, 1.3, x_start=0.0, horizon=_T_END - 1.3, max_proposals=10**6)
     generic = make_gamma_pair(prob.sde, prob.threshold, prob.gammas.reference_drift)
     for w in np.linspace(0.0, _T_END - 1.3, 50):
