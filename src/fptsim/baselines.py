@@ -21,9 +21,16 @@ per-path walk serves :func:`euler_fpt`, :func:`improved_euler_fpt` and
 gives :func:`grid_batch` its per-index substreams and is the test reference
 for the batch kernel.  :func:`coupled_grid_times` runs whole chunks of paths
 as arrays, for sample sizes (around 10^6 paths) where a Python loop per path
-is too slow.  The per-path walk takes its normals and bridge uniforms in
-blocks of 512 from :func:`fptsim.rng.block_stream`, the buffered scalar
-stream it shares with the exact sampler.
+is too slow.
+
+The per-path walk takes its normals, and a bridge walk its crossing
+uniforms, from :func:`fptsim.rng.block_stream`, which draws each block by one
+numpy call and converts it to floats a slice at a time.  A bridge walk
+interleaves both streams on one generator, so both keep blocks of 512.  A
+plain walk's normals, the generator's only consumer, come in blocks growing
+from 16 to 512: the same values, but the walk leaves its generator after the
+last block it used, so a generator shared by several plain walks ends in
+another state than under fixed blocks (batch paths have their own substreams).
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 _BLOCK = 512
+_FIRST_BLOCK = 16
 _SCHEMES = ("euler", "improved_euler")
 
 
@@ -113,7 +121,9 @@ def _walk(
     if gap <= 0.0:
         return 0.0, 0.0
     sqrt_dt = math.sqrt(delta)
-    normal = block_stream(rng.standard_normal, _BLOCK)
+    # only a walk without uniforms may grow its normal blocks (module docstring)
+    first = None if bridge else _FIRST_BLOCK
+    normal = block_stream(rng.standard_normal, _BLOCK, _first=first)
     uniform = block_stream(rng.random, _BLOCK) if bridge else None
 
     x = sde.x0

@@ -21,7 +21,7 @@ from fptsim.bm_fpt import constant_level_cdf
 from fptsim.errors import ParameterError
 from fptsim.model import Orientation, UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
-from fptsim.rng import substream
+from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -207,3 +207,74 @@ def test_library_drifts_accept_arrays():
             out = np.asarray(fn(xs))
             assert out.shape == xs.shape
             assert np.allclose(out, [fn(float(v)) for v in xs])
+
+
+def _walk_on_fixed_blocks(sde, th, g, rng, *, plain, bridge):
+    """(plain, improved) times of the Euler walk, replayed with every stream
+    in blocks of 512: the normals, plus the crossing uniforms of a bridge
+    walk.  Same detectors and stopping rule as the library walk."""
+    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
+    gap = sign * (th.beta(0.0) - sde.x0)
+    if gap <= 0.0:
+        return 0.0, 0.0
+    normal = block_stream(rng.standard_normal, 512)
+    uniform = block_stream(rng.random, 512)
+    x, improved = sde.x0, math.inf
+    for i in range(1, math.ceil(g.horizon / g.delta - 1e-12) + 1):
+        x = x + sde.alpha(x) * g.delta + math.sqrt(g.delta) * normal()
+        t = i * g.delta
+        gap_new = sign * (th.beta(t) - x)
+        if gap_new <= 0.0:
+            return t, min(improved, t)
+        if bridge and uniform() < math.exp(-2.0 * gap * gap_new / g.delta):
+            improved = t - 0.5 * g.delta
+            if not plain:
+                break
+            bridge = False
+        gap = gap_new
+    return math.inf, improved
+
+
+_EX1 = example1_problem()
+
+
+@pytest.mark.parametrize(
+    "sde,th,delta,horizon",
+    [
+        (_EX1.sde, _EX1.threshold, 2.0**-4, 8.0),
+        (_EX1.sde, _EX1.threshold, 2.0**-6, 8.0),
+        # paths of up to 4096 steps, most of them longer than one block
+        (_brownian(), linear_threshold(-0.5, 2.0, Orientation.ABOVE_START), 2.0**-10, 4.0),
+    ],
+    ids=["example1_coarse", "example1_fine", "far_line"],
+)
+def test_walks_serve_the_draws_of_fixed_512_blocks(sde, th, delta, horizon):
+    g = GridScheme(delta=delta, horizon=horizon)
+    imp = replace(g, scheme="improved_euler")
+    long_paths = 0
+    for i in range(12):
+        ref_plain, _ = _walk_on_fixed_blocks(sde, th, g, substream(21, i), plain=True, bridge=False)
+        assert euler_fpt(sde, th, g, substream(21, i)).time == ref_plain
+        long_paths += not ref_plain < 512 * delta
+        # bridge walks draw the same blocks and leave the generator where
+        # the replay leaves it
+        rng, ref_rng = substream(21, i), substream(21, i)
+        pair = coupled_euler_pair(sde, th, imp, rng)
+        ref = _walk_on_fixed_blocks(sde, th, imp, ref_rng, plain=True, bridge=True)
+        assert (pair[0].time, pair[1].time) == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rng, ref_rng = substream(21, i), substream(21, i)
+        ref = _walk_on_fixed_blocks(sde, th, imp, ref_rng, plain=False, bridge=True)
+        assert improved_euler_fpt(sde, th, imp, rng).time == ref[1]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if delta < 2.0**-8:
+        assert long_paths > 0
+    for scheme in (g, imp):
+        ref = [
+            _walk_on_fixed_blocks(
+                sde, th, scheme, substream(22, 3, i), plain=False,
+                bridge=scheme.scheme == "improved_euler",
+            )[1]
+            for i in range(12)
+        ]
+        assert [d.time for d in grid_batch(sde, th, scheme, 12, 22, key_prefix=(3,))] == ref

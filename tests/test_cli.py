@@ -7,8 +7,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fptsim.baselines import GridScheme, grid_batch
 from fptsim.cli import (
     DEFAULT_DELTAS,
     _KEYS,
@@ -23,6 +25,7 @@ from fptsim.cli import (
 )
 from fptsim.errors import ConfigurationError
 from fptsim.exact import sample_batch
+from fptsim.stats import ks_two_sample, moment_bias
 
 
 # --- config resolution ----------------------------------------------------------
@@ -214,6 +217,34 @@ def test_benchmark_run_writes_comparison(tmp_path):
     assert len(rows) == 1 + 2 * 2  # two methods per delta
     methods = {r[1] for r in rows[1:]}
     assert methods == {"euler", "improved_euler"}
+
+
+def test_benchmark_compares_horizon_capped_times(tmp_path):
+    # a censored grid path only says tau >= horizon: both samples are
+    # compared on min(tau, horizon), not the grid's survivors on raw times
+    mapping = {"experiment": "benchmark", "n": 200, "deltas": [0.0625], "horizon": 0.5}
+    cfg = resolve_config({**mapping, "seed": 3, "timing": False, "out": str(tmp_path)})
+    summary = run_experiment(cfg)
+    problem = _build_passage_problem(cfg)
+    exact = np.minimum([d.time for d in sample_batch(problem, 200, 3)], 0.5)
+    for index, row in enumerate(summary["comparison"]):
+        scheme = GridScheme(delta=0.0625, horizon=0.5, scheme=row["method"])
+        draws = grid_batch(problem.sde, problem.threshold, scheme, 200, 3, key_prefix=(1 + index,))
+        approx = np.minimum([d.time for d in draws], 0.5)
+        assert 0 < row["censored"] < 200
+        assert (row["bias1"], row["bias2"]) == moment_bias(approx, exact)
+        assert (row["ks_D"], row["ks_p"]) == ks_two_sample(approx, exact)
+
+
+def test_benchmark_with_every_grid_path_censored_exits_0(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"deltas": [2.0**-8], "horizon": 2.0**-8}))
+    out = tmp_path / "o"
+    assert main(["benchmark", "--config", str(cfg_file), "--n", "20", "--out", str(out)]) == 0
+    rows = json.loads((out / "summary.json").read_text())["comparison"]
+    assert [row["censored"] for row in rows] == [20, 20]
+    # every capped time equals the horizon in both samples
+    assert all(row["bias1"] == row["bias2"] == row["ks_D"] == 0.0 for row in rows)
 
 
 def test_sample_experiment_uses_registry(tmp_path):

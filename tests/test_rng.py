@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -206,3 +207,62 @@ def test_block_stream_serves_generator_blocks_as_plain_floats():
     expected = np.concatenate([ref.standard_normal(3) for _ in range(3)])
     assert values == expected[:7].tolist()
     assert all(type(v) is float for v in values)
+
+
+def _served(nxt, k):
+    return [nxt() for _ in range(k)]
+
+
+def test_block_stream_converts_large_blocks_lazily_with_the_same_draws():
+    # two streams share one generator, so the order of their block draws
+    # fixes the values: lazy conversion must draw as whole-block conversion did
+    def run(make_stream):
+        rng = np.random.default_rng(5)
+        calls = []
+
+        def logged(name, draw):
+            def draw_block(k):
+                calls.append((name, k))
+                return draw(k)
+
+            return draw_block
+
+        normal = make_stream(logged("normal", rng.standard_normal), 100)
+        uniform = make_stream(logged("uniform", rng.random), 100)
+        values = []
+        for step in range(250):
+            values.append(normal())
+            if step % 3 == 0:
+                values.append(uniform())
+        return calls, values, rng.bit_generator.state
+
+    def whole_blocks(draw_block, size):
+        return chain.from_iterable(map(lambda k: draw_block(k).tolist(), repeat(size))).__next__
+
+    calls, values, state = run(block_stream)
+    assert (calls, values, state) == run(whole_blocks)
+    assert calls == [("normal", 100), ("uniform", 100), ("normal", 100), ("normal", 100)]
+    assert all(type(v) is float for v in values)
+
+
+def test_block_stream_size_plan_serves_the_values_of_fixed_blocks():
+    # with one consumer, numpy fills normals in sequence whatever the block
+    # sizes; the plan doubles from _first and then stays at size
+    calls = []
+    rng = np.random.default_rng(8)
+
+    def draw_block(k):
+        calls.append(k)
+        return rng.standard_normal(k)
+
+    grown = _served(block_stream(draw_block, 512, _first=16), 1500)
+    assert calls == [16, 32, 64, 128, 256, 512, 512]
+    fixed = _served(block_stream(np.random.default_rng(8).standard_normal, 512), 1500)
+    assert grown == fixed
+    assert all(type(v) is float for v in grown)
+    # a stream that stops early leaves the generator after the blocks it used
+    rng = np.random.default_rng(8)
+    _served(block_stream(rng.standard_normal, 512, _first=16), 40)
+    ref = np.random.default_rng(8)
+    ref.standard_normal(48)
+    assert rng.bit_generator.state == ref.bit_generator.state
