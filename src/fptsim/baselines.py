@@ -42,7 +42,7 @@ import numpy as np
 
 from .bm_fpt import FptDraw
 from .errors import ParameterError
-from .model import Orientation, Threshold, UnitDiffusionSDE
+from .model import Threshold, UnitDiffusionSDE
 from .rng import block_stream, sample_many, substream
 
 __all__ = [
@@ -113,7 +113,7 @@ def _walk(
     time, so a plain time not reached by then reads ``inf``.  A detector that
     does not fire before the horizon reports ``inf``.
     """
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
+    sign = th.orientation.sign
     alpha = sde.alpha
     beta = th.beta
     delta = g.delta
@@ -239,7 +239,7 @@ def coupled_grid_times(
         raise ParameterError(f"n must be non-negative, got {n}")
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
+    sign = th.orientation.sign
     alpha = sde.alpha
     beta = th.beta
     delta = g.delta

@@ -19,7 +19,11 @@ shapes are covered:
   stopping when ``H <= epsilon`` or ``T`` exceeds the horizon.  Every iterate
   is an exact passage time to a piecewise-linear lower approximation, so the
   returned time under-approximates and converges as ``epsilon -> 0``.
-  Thresholds the process approaches from above are handled by reflection.
+  Thresholds the process approaches from above are reflected through
+  :meth:`fptsim.model.Threshold.proposal_frame`, the one place that maps a
+  threshold into the frame of the line iteration.  A final gap below zero
+  means a line crossed the threshold, so a stated slope bound was false;
+  the iteration then raises :class:`fptsim.errors.AssumptionViolation`.
 
 The line draws of this module go through one core, :func:`_linear_time`,
 which takes its randomness from two scalar streams (zero-argument callables
@@ -44,7 +48,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .errors import ParameterError
+from .errors import AssumptionViolation, ParameterError
 from .model import Orientation, Threshold
 from .rng import block_stream
 
@@ -62,6 +66,8 @@ __all__ = [
 
 #: Values per block of the streams the curvy iteration builds for itself.
 _LINE_BLOCK = 16
+#: Relative round-off allowed below zero in the final gap of the curvy iteration.
+_OVERSHOOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,10 +104,12 @@ class FptDraw:
 class CurvyParams:
     """Parameters of the curvy-threshold iteration.
 
-    ``r`` is the tilted-line slope in the frame the iteration runs in (after
-    reflection, for thresholds approached from above); it must not exceed the
-    infimum of the running frame's threshold slope.  ``epsilon`` is the gap at
-    which the iteration stops; ``horizon`` censors non-convergent runs.
+    ``r`` is the tilted-line slope in the proposal frame the iteration runs
+    in (:meth:`fptsim.model.Threshold.proposal_frame`: reflected for
+    thresholds approached from above, tilted by the reference drift of the
+    exact sampler); it must not exceed the frame's ``inf_slope``.
+    ``epsilon`` is the gap at which the iteration stops; ``horizon`` censors
+    non-convergent runs.
     """
 
     epsilon: float
@@ -172,10 +180,7 @@ def sample_fpt_constant(level: float, rng: np.random.Generator) -> FptDraw:
         raise ParameterError(f"level must be >= 0 and finite, got {level}")
     if level == 0.0:
         return FptDraw(time=0.0, finite=True)
-    g = rng.standard_normal()
-    while g == 0.0:
-        g = rng.standard_normal()
-    return FptDraw(time=(level / g) ** 2, finite=True)
+    return FptDraw(time=_linear_time(0.0, level, rng.standard_normal, rng.random), finite=True)
 
 
 def _wald(
@@ -231,18 +236,6 @@ def sample_fpt_linear(a: float, b: float, rng: np.random.Generator) -> FptDraw:
     return FptDraw(time=t, finite=True)
 
 
-def _reflected(threshold: Threshold) -> Threshold:
-    beta = threshold.beta
-    beta_prime = threshold.beta_prime
-    return Threshold(
-        beta=lambda t: -beta(t),
-        beta_prime=lambda t: -beta_prime(t),
-        orientation=Orientation.ABOVE_START,
-        inf_slope=None if threshold.sup_slope is None else -threshold.sup_slope,
-        sup_slope=None if threshold.inf_slope is None else -threshold.inf_slope,
-    )
-
-
 def sample_fpt_curvy(
     threshold: Threshold,
     params: CurvyParams,
@@ -254,11 +247,14 @@ def sample_fpt_curvy(
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
     The threshold is given in the Brownian frame (process starts at 0).
-    Thresholds with ``Orientation.BELOW_START`` are reflected and the
-    above-start iteration runs on ``-beta``; ``params.r`` always refers to the
-    running frame.  The returned time is ``min(T, horizon)`` with
-    ``clock_events`` equal to the number of line draws consumed; a returned
-    time equal to the horizon means the run was censored.
+    Thresholds with ``Orientation.BELOW_START`` are reflected by their
+    :meth:`~fptsim.model.Threshold.proposal_frame` and the above-start
+    iteration runs on ``-beta``; ``params.r`` always refers to that frame.
+    The returned time is ``min(T, horizon)`` with ``clock_events`` equal to
+    the number of line draws consumed; a returned time equal to the horizon
+    means the run was censored.  A final gap below
+    ``-1e-12 * max(1, |beta(T)|)`` (more than round-off) means a line
+    overshot the threshold, and raises :class:`AssumptionViolation`.
 
     The line draws take their normals and uniforms from the scalar streams
     ``normal`` and ``uniform`` when both are given (``rng`` is then unused),
@@ -267,7 +263,7 @@ def sample_fpt_curvy(
     if (normal is None) != (uniform is None):
         raise ParameterError("pass both the normal and the uniform stream, or neither")
     if threshold.orientation is Orientation.BELOW_START:
-        threshold = _reflected(threshold)
+        threshold = threshold.proposal_frame()
     beta = threshold.beta
     b0 = beta(0.0)
     if not (b0 > 0.0 and math.isfinite(b0)):
@@ -302,4 +298,9 @@ def sample_fpt_curvy(
         H = beta_next - beta_T - r * g
         beta_T = beta_next
         if H <= epsilon or T >= horizon:
+            if H < 0.0 and H < -_OVERSHOOT_TOL * max(1.0, abs(beta_T)):
+                raise AssumptionViolation(
+                    f"line of slope r={r} overshot the threshold at T={T} (gap {H}); "
+                    "the threshold's inf_slope is not a lower bound of its slope"
+                )
             return FptDraw(time=min(T, horizon), finite=True, clock_events=draws)

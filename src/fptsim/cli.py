@@ -71,7 +71,7 @@ from .neuron import (
     summarize_trains,
     write_spike_trains_csv,
 )
-from .problems import _check_epsilon, build_custom_problem, example1_problem, example2_problem
+from .problems import _registry_threshold, build_custom_problem, example1_problem, example2_problem
 from .stats import ks_two_sample, moment_bias, summarize
 
 __all__ = ["ExperimentConfig", "parse_config", "resolve_config", "run_experiment", "main"]
@@ -276,7 +276,7 @@ def resolve_config(mapping: dict) -> ExperimentConfig:
         f"grid widths {list(widths)} must not exceed the grid horizon {values.get('horizon')}",
     )
     if experiment == "sample" and "epsilon" in values:
-        _check_epsilon(values["threshold"], values["threshold_params"], values["epsilon"])
+        _registry_threshold(values["threshold"], values["threshold_params"], values["epsilon"])
     run = {f.name: values.pop(f.name) for f in fields(ExperimentConfig) if f.name in values}
     return ExperimentConfig(experiment, **run, values=values)
 

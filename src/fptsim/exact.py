@@ -12,14 +12,18 @@ the first-passage density of the reference motion to ``beta``,
 and ``N_c = exp(A(x0) - A(beta(0)) - g*(x0 - beta(0)))``.  The sampler draws a
 proposal ``tau_W`` from the reference first-passage law and accepts it when a
 rate-``kappa`` exponential clock places no event below the graph of the
-integrand.  At a clock event ``E`` in ``[0, tau_W]`` the path state enters as
+integrand.  Proposals are passage times of standard Brownian motion from 0
+to the threshold's proposal frame (:meth:`fptsim.model.Threshold.proposal_frame`:
+start shifted to 0, drift ``g`` removed, below-start problems reflected),
+which :class:`ExactProblem` builds once per problem.  At a clock event ``E``
+in ``[0, tau_W]`` the path state enters as
 
     x_rec = beta(E) -/+ || (E/tau_W) * delta * e1 + l_E ||,
 
-where ``delta = |beta(0) - x0|`` is the starting gap, ``l`` is a pinned 3-D
-Brownian bridge updated event-to-event by :func:`bridge_step`, and the sign
-places the reconstruction on the starting side of the threshold.  The
-distance ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from
+where ``delta = |beta(0) - x0|`` is the starting gap (the frame at 0), ``l``
+is a pinned 3-D Brownian bridge updated event-to-event by :func:`bridge_step`,
+and the sign places the reconstruction on the starting side of the
+threshold.  The distance ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from
 0 to ``delta`` evaluated at ``E``, i.e. the path-to-threshold gap of the
 *time-reversed* proposal path, which runs from 0 at the hit back to ``delta``
 at time 0.  Pairing the forward-time rate ``gamma1(E)`` with the
@@ -62,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, _linear_time, sample_fpt_curvy
 from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
@@ -182,7 +186,9 @@ class ExactProblem:
     ``gammas`` must carry a ``kappa`` bound and must have been built from
     ``(sde, threshold)`` with the same ``reference_drift`` (or be certified
     equivalent by the caller); runtime guards abort on out-of-range rates
-    rather than silently biasing output.
+    rather than silently biasing output.  ``frame`` is the threshold as the
+    reference motion sees it (:meth:`fptsim.model.Threshold.proposal_frame`
+    at ``x0`` and the reference drift), built once here for every draw.
     """
 
     sde: UnitDiffusionSDE
@@ -190,6 +196,7 @@ class ExactProblem:
     gammas: GammaPair
     proposal: Proposal = field(default_factory=lambda: Proposal("linear"))
     max_proposals: int = 10**6
+    frame: Threshold = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gammas.kappa is None:
@@ -199,6 +206,12 @@ class ExactProblem:
         self.threshold.validate_start(self.sde.x0)
         if self.proposal.kind == "linear" and self.threshold.linear is None:
             raise ConfigurationError("linear proposals require a linear threshold")
+        frame = self.threshold.proposal_frame(self.sde.x0, self.gammas.reference_drift)
+        if frame.linear is not None and not frame.linear[1] > 0.0:
+            raise ConfigurationError(
+                f"translated proposal intercept {frame.linear[1]} must be positive"
+            )
+        object.__setattr__(self, "frame", frame)
 
 
 def expected_proposals(problem: ExactProblem) -> float:
@@ -217,46 +230,30 @@ def expected_proposals(problem: ExactProblem) -> float:
 
 def _proposal_drawer(
     problem: ExactProblem,
-    sign: float,
     rng: np.random.Generator,
     normal: Callable[[], float],
     uniform: Callable[[], float],
     line_draws: list[int],
 ) -> Callable[[], float]:
-    """Build a closure drawing reference passage times in the above frame.
+    """Build a closure drawing reference passage times to ``problem.frame``.
 
-    The reference motion is Brownian with drift ``g``; translating the start
-    to 0 and reflecting below-start problems, proposals are passage times of
-    standard Brownian motion to ``phi(t) = sign * (beta(t) - g*t - x0)``.
-    Returns ``inf`` for non-hitting or horizon-censored draws (the caller
-    treats both as automatic rejections).  Linear proposals have the law of
+    The frame is built once per problem (see :class:`ExactProblem`): it is
+    the threshold seen by standard Brownian motion from 0, so proposals need
+    no start shift, drift tilt or reflection of their own.  Returns ``inf``
+    for non-hitting or horizon-censored draws (the caller treats both as
+    automatic rejections).  Linear proposals have the law of
     :func:`fptsim.bm_fpt.sample_fpt_linear`: flat lines draw from ``normal``,
     rising lines draw their hit test from ``uniform``, and Wald hit times come
     from a block stream with the line's fixed parameters.  Curved proposals
     call :func:`sample_fpt_curvy` on the ``normal`` and ``uniform`` streams
     and add its line draws to ``line_draws[0]``.
     """
-    th = problem.threshold
-    g = problem.gammas.reference_drift
-    x0 = problem.sde.x0
+    frame = problem.frame
 
     if problem.proposal.kind == "linear":
-        a, b = th.linear  # type: ignore[misc]
-        slope = sign * (a - g)
-        intercept = sign * (b - x0)
-        if not intercept > 0.0:
-            raise ConfigurationError(
-                f"translated proposal intercept {intercept} must be positive"
-            )
+        slope, intercept = frame.linear  # type: ignore[misc]
         if slope == 0.0:
-
-            def level_time() -> float:
-                z = normal()
-                while z == 0.0:
-                    z = normal()
-                return (intercept / z) ** 2
-
-            return level_time
+            return partial(_linear_time, 0.0, intercept, normal, uniform)
         # Wald parameters of the hit time; the generator's transform can
         # round to a small negative double, so it is clamped to 0
         wald = block_stream(
@@ -269,31 +266,9 @@ def _proposal_drawer(
 
     params = problem.proposal.curvy
     assert params is not None
-    beta = th.beta
-    beta_prime = th.beta_prime
-
-    def phi(t: float) -> float:
-        return sign * (beta(t) - g * t - x0)
-
-    def phi_prime(t: float) -> float:
-        return sign * (beta_prime(t) - g)
-
-    if sign > 0:
-        inf_slope = None if th.inf_slope is None else th.inf_slope - g
-        sup_slope = None if th.sup_slope is None else th.sup_slope - g
-    else:
-        inf_slope = None if th.sup_slope is None else -(th.sup_slope - g)
-        sup_slope = None if th.inf_slope is None else -(th.inf_slope - g)
-    phi_threshold = Threshold(
-        beta=phi,
-        beta_prime=phi_prime,
-        orientation=Orientation.ABOVE_START,
-        inf_slope=inf_slope,
-        sup_slope=sup_slope,
-    )
 
     def draw() -> float:
-        d = sample_fpt_curvy(phi_threshold, params, rng, normal=normal, uniform=uniform)
+        d = sample_fpt_curvy(frame, params, rng, normal=normal, uniform=uniform)
         line_draws[0] += d.clock_events
         if d.time >= params.horizon:
             return math.inf
@@ -302,26 +277,24 @@ def _proposal_drawer(
     return draw
 
 
-def _sample_oriented(
-    problem: ExactProblem, rng: np.random.Generator, sign: float
-) -> FptDraw:
+def _sample_oriented(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
     gp = problem.gammas
     kappa = gp.kappa
     assert kappa is not None
     scale = 1.0 / kappa
     ceiling = _rate_ceiling(kappa)
     beta = problem.threshold.beta
+    sign = problem.threshold.orientation.sign
     gamma1 = gp.gamma1
     gamma2 = gp.gamma2
     s1 = gp.shift1
     s2 = gp.shift2
-    x0 = problem.sde.x0
-    delta = sign * (beta(0.0) - x0)
+    delta = problem.frame.beta(0.0)
     normal = block_stream(rng.standard_normal, _EVENT_BLOCK)
     uniform = block_stream(rng.random, _EVENT_BLOCK)
     clock_gap = block_stream(partial(rng.exponential, scale), _EVENT_BLOCK)
     line_draws = [0]
-    draw_proposal = _proposal_drawer(problem, sign, rng, normal, uniform, line_draws)
+    draw_proposal = _proposal_drawer(problem, rng, normal, uniform, line_draws)
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
 
@@ -378,7 +351,7 @@ def sample_exact(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
     if problem.threshold.orientation is not Orientation.ABOVE_START:
         raise ConfigurationError("sample_exact handles above-start problems; "
                                  "use sample_exact_below")
-    return _sample_oriented(problem, rng, +1.0)
+    return _sample_oriented(problem, rng)
 
 
 def sample_exact_below(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
@@ -386,7 +359,7 @@ def sample_exact_below(problem: ExactProblem, rng: np.random.Generator) -> FptDr
     if problem.threshold.orientation is not Orientation.BELOW_START:
         raise ConfigurationError("sample_exact_below handles below-start problems; "
                                  "use sample_exact")
-    return _sample_oriented(problem, rng, -1.0)
+    return _sample_oriented(problem, rng)
 
 
 def sample_exact_split(
@@ -434,7 +407,7 @@ def sample_exact_split(
             proposal=Proposal("linear"),
             max_proposals=problem.max_proposals,
         )
-        d = _sample_oriented(stage_problem, rng, +1.0)
+        d = _sample_oriented(stage_problem, rng)
         x_cur = a * d.time + intercept
         t_acc += d.time
         total_proposals += d.proposals

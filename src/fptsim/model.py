@@ -72,6 +72,10 @@ class Orientation(Enum):
     ABOVE_START = "above_start"  # beta(0) > x0: the process must move up
     BELOW_START = "below_start"  # beta(0) < x0: the process must move down
 
+    def __init__(self, value: str) -> None:
+        #: ``+1.0`` above the start, ``-1.0`` below: ``sign * (beta(0) - x0) > 0``
+        self.sign = 1.0 if value == "above_start" else -1.0
+
 
 @dataclass(frozen=True)
 class GeneralSDE:
@@ -126,14 +130,39 @@ class Threshold:
         b0 = self.beta(0.0)
         if not math.isfinite(b0):
             raise DomainError(f"beta(0) = {b0} is not finite")
-        if self.orientation is Orientation.ABOVE_START and not b0 > x0:
+        if not self.orientation.sign * (b0 - x0) > 0.0:
             raise ConfigurationError(
-                f"above-start threshold requires beta(0) > x0, got beta(0)={b0}, x0={x0}"
+                f"{self.orientation.value} threshold lies on the wrong side of the "
+                f"start: beta(0)={b0}, x0={x0}"
             )
-        if self.orientation is Orientation.BELOW_START and not b0 < x0:
-            raise ConfigurationError(
-                f"below-start threshold requires beta(0) < x0, got beta(0)={b0}, x0={x0}"
-            )
+
+    def proposal_frame(self, x0: float = 0.0, g: float = 0.0) -> "Threshold":
+        """This threshold as a reference Brownian motion from 0 sees it.
+
+        The reference motion has drift ``g`` and starts at ``x0``; shifting
+        the start to 0, removing the drift and reflecting below-start
+        thresholds (``s = orientation.sign``) gives the above-start threshold
+        ``phi(t) = s * (beta(t) - g*t - x0)`` with ``phi' = s * (beta' - g)``,
+        passed by standard Brownian motion from 0 at the same times.  The
+        slope bounds are tilted by ``g`` and swap sides when ``s = -1``;
+        ``linear = (a, b)`` maps to ``(s * (a - g), s * (b - x0))``.
+        ``phi(0)`` is the start gap.
+        """
+        s = self.orientation.sign
+        beta = self.beta
+        beta_prime = self.beta_prime
+        linear = self.linear
+        lo, hi = (self.inf_slope, self.sup_slope) if s > 0 else (self.sup_slope, self.inf_slope)
+        # positional, in field order: every exact problem (each neuron stage,
+        # each split stage) builds one frame, and keywords cost ~0.5 us more
+        return Threshold(
+            lambda t: s * (beta(t) - g * t - x0),
+            lambda t: s * (beta_prime(t) - g),
+            Orientation.ABOVE_START,
+            None if lo is None else s * (lo - g),
+            None if hi is None else s * (hi - g),
+            None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
+        )
 
     def validate_slopes(self, ts: Sequence[float], tol: float = 1e-9) -> None:
         for t in ts:

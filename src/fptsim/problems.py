@@ -12,7 +12,7 @@ with a numerically estimated thinning bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -101,8 +101,12 @@ def example1_problem(
 def exponential_threshold(
     a: float = 1.0, b: float = 1.0, orientation: Orientation = Orientation.ABOVE_START
 ) -> Threshold:
-    """Threshold ``beta(t) = a * exp(-b*t)`` with exact slope bounds.
+    """Threshold ``beta(t) = a * exp(-b*t)`` with slope bounds.
 
+    For ``b >= 0`` the slope ``beta' = -a*b*exp(-b*t)`` runs from ``-a*b``
+    to 0 and the bounds are ``min/max(-a*b, 0)``, exact.  For ``b < 0`` it
+    grows without bound away from 0, so the bound on that side is ``None``
+    (a curvy proposal then refuses the threshold) and the other stays 0.
     Like the drift of :func:`sinusoidal_sde`, ``beta`` and ``beta'`` evaluate
     numpy arrays elementwise and anything else with :mod:`math`.
     """
@@ -116,12 +120,17 @@ def exponential_threshold(
     def beta_prime(t):
         return -rate * (np.exp(-b * t) if isinstance(t, np.ndarray) else math.exp(-b * t))
 
+    inf_slope, sup_slope = min(-rate, 0.0), max(-rate, 0.0)
+    if b < 0.0 and rate > 0.0:
+        inf_slope = None
+    elif b < 0.0 and rate < 0.0:
+        sup_slope = None
     return Threshold(
         beta=beta,
         beta_prime=beta_prime,
         orientation=orientation,
-        inf_slope=min(-rate, 0.0),
-        sup_slope=max(-rate, 0.0),
+        inf_slope=inf_slope,
+        sup_slope=sup_slope,
     )
 
 
@@ -198,23 +207,20 @@ THRESHOLD_REGISTRY: dict[str, Callable[..., Threshold]] = {
 }
 
 
-def _registry_threshold(threshold: str, threshold_params: dict, orientation: Orientation) -> Threshold:
+def _registry_threshold(threshold: str, threshold_params: dict, epsilon: float | None) -> Threshold:
+    """Build a registry threshold, above-start; refuse an ``epsilon`` for a
+    line threshold, whose proposal would ignore it."""
     if threshold not in THRESHOLD_REGISTRY:
         raise ConfigurationError(
             f"unknown threshold {threshold!r}; available: {sorted(THRESHOLD_REGISTRY)}"
         )
     try:
-        return THRESHOLD_REGISTRY[threshold](orientation=orientation, **threshold_params)
+        th = THRESHOLD_REGISTRY[threshold](orientation=Orientation.ABOVE_START, **threshold_params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for threshold {threshold!r}: {exc}") from exc
-
-
-def _check_epsilon(threshold: str, threshold_params: dict, epsilon: float | None) -> None:
-    """Refuse an ``epsilon`` for a line threshold, whose proposal would ignore it."""
-    if epsilon is None:
-        return
-    if _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START).linear is not None:
+    if epsilon is not None and th.linear is not None:
         raise ConfigurationError(f"epsilon applies to curved thresholds only; {threshold!r} is a line")
+    return th
 
 
 def build_custom_problem(
@@ -241,18 +247,16 @@ def build_custom_problem(
         raise ConfigurationError(
             f"unknown drift {drift!r}; available: {sorted(DRIFT_REGISTRY)}"
         )
-    _check_epsilon(threshold, threshold_params, epsilon)
+    th = _registry_threshold(threshold, threshold_params, epsilon)
     try:
         sde = DRIFT_REGISTRY[drift](x0=x0, **drift_params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for drift {drift!r}: {exc}") from exc
 
-    b0 = _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START).beta(0.0)
-    if b0 > x0:
-        th = _registry_threshold(threshold, threshold_params, Orientation.ABOVE_START)
-    elif b0 < x0:
-        th = _registry_threshold(threshold, threshold_params, Orientation.BELOW_START)
-    else:
+    b0 = th.beta(0.0)
+    if b0 < x0:
+        th = replace(th, orientation=Orientation.BELOW_START)
+    elif not b0 > x0:
         raise ConfigurationError(f"threshold starts exactly at x0 = {x0}")
 
     gammas = make_gamma_pair(sde, th)
@@ -272,11 +276,9 @@ def build_custom_problem(
 
 
 def _tangent_slope(th: Threshold) -> float:
-    """Steepest admissible tangent slope for curvy proposals on ``th``."""
-    if th.orientation is Orientation.ABOVE_START:
-        if th.inf_slope is None:
-            raise ConfigurationError("curvy proposals need a finite inf_slope")
-        return th.inf_slope
-    if th.sup_slope is None:
-        raise ConfigurationError("curvy proposals need a finite sup_slope")
-    return -th.sup_slope
+    """Steepest admissible tangent slope for curvy proposals on ``th``: the
+    ``inf_slope`` of its proposal frame (with no reference drift)."""
+    slope = th.proposal_frame().inf_slope
+    if slope is None:
+        raise ConfigurationError("curvy proposals need a bounded threshold slope")
+    return slope

@@ -10,7 +10,7 @@ filtered before KS comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -43,18 +43,7 @@ class SummaryStats:
     q75: float
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "n": self.n,
-            "finite_fraction": self.finite_fraction,
-            "mean": self.mean,
-            "variance": self.variance,
-            "std": self.std,
-            "min": self.min,
-            "max": self.max,
-            "q25": self.q25,
-            "median": self.median,
-            "q75": self.q75,
-        }
+        return asdict(self)
 
 
 def summarize(times: np.ndarray) -> SummaryStats:

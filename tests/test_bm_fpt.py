@@ -22,7 +22,7 @@ from fptsim.bm_fpt import (
     sample_fpt_linear,
     sample_inverse_gaussian,
 )
-from fptsim.errors import ConfigurationError, ParameterError
+from fptsim.errors import AssumptionViolation, ConfigurationError, ParameterError
 from fptsim.model import Orientation, Threshold
 from fptsim.rng import block_stream
 from fptsim.stats import ks_one_sample, ks_two_sample
@@ -322,6 +322,22 @@ def test_curvy_slope_precondition_enforced():
     rng = np.random.default_rng(13)
     with pytest.raises(ParameterError):
         sample_fpt_curvy(th, CurvyParams(epsilon=2.0**-4, r=-0.5, horizon=50.0), rng)
+
+
+def test_curvy_overstated_inf_slope_raises_instead_of_returning_a_time():
+    # beta' runs over [-1, 0), but the threshold claims it never falls: each
+    # flat line ends above the falling threshold, a negative final gap
+    th = Threshold(
+        beta=lambda t: math.exp(-t),
+        beta_prime=lambda t: -math.exp(-t),
+        orientation=Orientation.ABOVE_START,
+        inf_slope=0.0,
+        sup_slope=0.0,
+    )
+    params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=50.0)
+    for seed in range(5):
+        with pytest.raises(AssumptionViolation, match="overshot"):
+            sample_fpt_curvy(th, params, np.random.default_rng(seed))
 
 
 def test_curvy_params_validation():

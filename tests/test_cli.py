@@ -378,6 +378,19 @@ def test_readme_lists_each_experiments_config_keys():
             assert listed == accepted, (experiment, family)
 
 
+def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
+    # beta = exp(t/2) has no upper slope bound, which a curvy proposal below
+    # the start needs as its tangent slope
+    mapping = {
+        "drift": "zero", "threshold": "exponential", "threshold_params": {"a": 1, "b": -0.5},
+        "x0": 2.0, "epsilon": 2.0**-20, "horizon": 20.0, "n": 5, "out": str(tmp_path / "o"),
+    }
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(mapping))
+    assert main(["sample", "--config", str(cfg_file)]) == 2
+    assert _stderr_error(capsys)["error"] == "ConfigurationError"
+
+
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     # parameters pass static validation (theta0 + 1 > v0) but the threshold

@@ -34,6 +34,7 @@ from fptsim.exact import (
 )
 from fptsim.model import (
     Orientation,
+    Threshold,
     UnitDiffusionSDE,
     linear_threshold,
     make_gamma_pair,
@@ -372,3 +373,37 @@ def test_proposal_kind_validation():
         Proposal("constant")  # flat lines are linear proposals
     with pytest.raises(ConfigurationError):
         Proposal("curvy")  # needs CurvyParams
+
+
+def test_linear_intercept_on_the_wrong_side_is_refused_at_construction():
+    # beta(0) = 1 lies above x0 = 0, but the line the proposals would use,
+    # -t - 0.5, starts below it
+    sde = _unit_sde(0.0)
+    th = Threshold(
+        beta=lambda t: 1.0 - t,
+        beta_prime=lambda t: -1.0,
+        orientation=Orientation.ABOVE_START,
+        inf_slope=-1.0,
+        sup_slope=-1.0,
+        linear=(-1.0, -0.5),
+    )
+    gammas = make_gamma_pair(sde, th).with_kappa(1.0)
+    with pytest.raises(ConfigurationError, match="intercept"):
+        ExactProblem(sde=sde, threshold=th, gammas=gammas, proposal=Proposal("linear"))
+
+
+@pytest.mark.parametrize("name", ["falling_line", "below_start", "curved"])
+def test_each_problem_builds_one_proposal_frame(monkeypatch, name):
+    built = []
+    original = Threshold.proposal_frame
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Threshold, "proposal_frame", counting)
+    prob = _plain_float_problems()[name]
+    assert sum(th is prob.threshold for th in built) == 1
+    built.clear()
+    sample_batch(prob, 20, 54)
+    assert built == []

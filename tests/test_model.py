@@ -19,6 +19,7 @@ from fptsim.model import (
     GammaPair,
     GeneralSDE,
     Orientation,
+    Threshold,
     UnitDiffusionSDE,
     constant_threshold,
     estimate_kappa,
@@ -28,7 +29,7 @@ from fptsim.model import (
     shift_gamma_pair,
     validate_unit_sde,
 )
-from fptsim.problems import sinusoidal_sde
+from fptsim.problems import exponential_threshold, sinusoidal_sde
 
 RNG = np.random.default_rng(20240817)
 
@@ -58,6 +59,50 @@ def test_validate_start_checks_orientation_side():
     below.validate_start(0.0)
     with pytest.raises(ConfigurationError):
         below.validate_start(-2.0)
+
+
+@pytest.mark.parametrize(
+    "orientation, s", [(Orientation.ABOVE_START, 1.0), (Orientation.BELOW_START, -1.0)]
+)
+@pytest.mark.parametrize("g", [0.0, 0.7])
+@pytest.mark.parametrize("shape", ["line", "curve"])
+def test_proposal_frame_shifts_tilts_and_reflects(orientation, s, g, shape):
+    assert orientation.sign == s
+    x0 = 0.3
+    # start 1.2 away from x0 on the orientation's side
+    if shape == "line":
+        th = linear_threshold(-0.5, x0 + 1.2 * s, orientation)
+    else:
+        th = Threshold(
+            beta=lambda t: x0 + 1.2 * s * math.exp(-t),
+            beta_prime=lambda t: -1.2 * s * math.exp(-t),
+            orientation=orientation,
+            inf_slope=min(-1.2 * s, 0.0),
+            sup_slope=max(-1.2 * s, 0.0),
+        )
+    frame = th.proposal_frame(x0, g)
+    assert frame.orientation is Orientation.ABOVE_START
+    assert frame.beta(0.0) == pytest.approx(1.2, rel=1e-14)
+    frame.validate_start(0.0)
+    for t in (0.0, 0.4, 1.7, 6.0):
+        assert frame.beta(t) == s * (th.beta(t) - g * t - x0)
+        assert frame.beta_prime(t) == s * (th.beta_prime(t) - g)
+    # the bounds of beta' tilted by g, on swapped sides below the start
+    lo, hi = sorted((s * (th.inf_slope - g), s * (th.sup_slope - g)))
+    assert (frame.inf_slope, frame.sup_slope) == (lo, hi)
+    frame.validate_slopes(np.linspace(0.0, 6.0, 61))
+    if shape == "line":
+        assert frame.linear == (s * (-0.5 - g), s * (th.linear[1] - x0))
+        assert frame.linear[1] == pytest.approx(1.2, rel=1e-14)
+    else:
+        assert frame.linear is None
+
+
+def test_proposal_frame_keeps_an_unknown_bound_unknown():
+    th = exponential_threshold(-1.0, -0.5, Orientation.BELOW_START)  # beta' unbounded below
+    frame = th.proposal_frame(g=0.2)
+    assert frame.sup_slope is None
+    assert frame.inf_slope == -(th.sup_slope - 0.2)
 
 
 def test_validate_slopes_rejects_wrong_bounds():

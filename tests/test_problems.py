@@ -133,6 +133,25 @@ def test_exponential_threshold_slope_bounds():
     assert th.beta(2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("a, bounds", [(1.0, (0.0, None)), (-1.0, (None, 0.0))])
+def test_growing_exponential_threshold_drops_its_unbounded_slope_side(a, bounds):
+    # b < 0: beta' = -a*b*exp(|b|*t) leaves every bound on the side of -a*b
+    th = exponential_threshold(a, -0.5)
+    assert (th.inf_slope, th.sup_slope) == bounds
+    th.validate_slopes(np.linspace(0.0, 20.0, 81))
+
+
+def test_build_custom_builds_its_registry_threshold_once(monkeypatch):
+    calls = []
+    exponential = THRESHOLD_REGISTRY["exponential"]
+    monkeypatch.setitem(
+        THRESHOLD_REGISTRY, "exponential", lambda **kw: calls.append(kw) or exponential(**kw)
+    )
+    prob = build_custom_problem("zero", {}, "exponential", {"a": 1.0, "b": 1.0}, x0=2.0)
+    assert len(calls) == 1
+    assert prob.threshold.orientation is Orientation.BELOW_START
+
+
 @pytest.mark.parametrize(
     "name, fn, xs",
     [
