@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .errors import AssumptionViolation, ParameterError
-from .model import Orientation, Threshold
+from .model import Orientation, Threshold, _fill
 from .rng import block_stream
 
 __all__ = [
@@ -98,6 +98,13 @@ class FptDraw:
             raise ParameterError(f"time must be >= 0, got {self.time}")
         if self.proposals < 0 or self.clock_events < 0 or self.line_draws < 0:
             raise ParameterError("counters must be non-negative")
+
+
+def _finite_draw(time: float, proposals: int, clock_events: int, line_draws: int = 0) -> FptDraw:
+    """A finite :class:`FptDraw` from a sampler's own values, not re-checked:
+    ``time`` is a finite float ``>= 0`` and the counts are non-negative."""
+    return _fill(FptDraw, {"time": time, "finite": True, "proposals": proposals,
+                           "clock_events": clock_events, "line_draws": line_draws})
 
 
 @dataclass(frozen=True)
@@ -279,7 +286,7 @@ def sample_fpt_curvy(
     epsilon = params.epsilon
     horizon = params.horizon
     if b0 <= epsilon:
-        return FptDraw(time=0.0, finite=True, clock_events=0)
+        return _finite_draw(0.0, 1, 0)
     if normal is None:
         normal = block_stream(rng.standard_normal, _LINE_BLOCK)
         uniform = block_stream(rng.random, _LINE_BLOCK)
@@ -292,7 +299,7 @@ def sample_fpt_curvy(
         g = linear_time(r, H, normal, uniform)
         draws += 1
         if g == math.inf:
-            return FptDraw(time=horizon, finite=True, clock_events=draws)
+            return _finite_draw(horizon, 1, draws)
         T += g
         beta_next = beta(T)
         H = beta_next - beta_T - r * g
@@ -303,4 +310,4 @@ def sample_fpt_curvy(
                     f"line of slope r={r} overshot the threshold at T={T} (gap {H}); "
                     "the threshold's inf_slope is not a lower bound of its slope"
                 )
-            return FptDraw(time=min(T, horizon), finite=True, clock_events=draws)
+            return _finite_draw(min(T, horizon), 1, draws)

@@ -385,6 +385,7 @@ def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
         draws = grid_batch(problem.sde, problem.threshold, scheme, cfg.n, cfg.seed)
         ref = None
     wall = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out / "samples.csv", draws)
     body = _sample_summary(draws, ref)
     body["method"] = cfg.method
@@ -396,6 +397,7 @@ def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     trains = simulate_trials(params, cfg.horizon, cfg.n, cfg.seed)
     wall = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
     write_spike_trains_csv(trains, out / "spikes.csv")
     body = {
         "trains": summarize_trains(trains),
@@ -413,6 +415,7 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
     # a grid path censored at the horizon only says tau >= horizon, so both
     # samples are compared on min(tau, horizon)
     exact_capped = np.minimum([d.time for d in exact_draws], cfg.horizon)
+    out.mkdir(parents=True, exist_ok=True)
     _write_samples_csv(out / "samples.csv", exact_draws)
 
     rows = []
@@ -458,9 +461,12 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run one experiment, write its artifacts, return the summary payload."""
+    """Run one experiment, write its artifacts, return the summary payload.
+
+    The output directory is made just before the first artifact is written,
+    so a run that fails leaves no directory behind.
+    """
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "neuron":
         return _run_neuron(cfg, out)
     if cfg.experiment == "benchmark":

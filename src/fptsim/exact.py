@@ -43,6 +43,13 @@ does not shrink with epsilon (Example 2 at epsilon = 2^-20 against improved
 Euler: two-sample KS p = 3.3e-6).  The fix, a reconstruction that follows
 the line iterates of the proposal, is ROADMAP item 1.
 
+:class:`ExactProblem` checks its parts once and builds the problem's kernel
+form (``_Kernel``: plain floats and callables, with the start gap
+``delta = phi(0)``), which the sampler runs on without rebuilding anything
+per draw.  Callers whose values already meet every check skip them: neuron
+stages are built by ``_trusted_problem``, and :func:`sample_exact_split`
+builds its stages in kernel form only.
+
 Each call draws its randomness in blocks from its own generator: the
 exponential clock gaps, the bridge normals and the event marks come from
 per-call streams of 16 values (:func:`fptsim.rng.block_stream`), and so do
@@ -62,20 +69,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, _linear_time, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, _finite_draw, _linear_time, sample_fpt_curvy
 from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
     Orientation,
     Threshold,
     UnitDiffusionSDE,
+    _fill,
     _guard_rate,
     _rate_ceiling,
-    linear_threshold,
     make_gamma_pair,
 )
 from .rng import block_stream, sample_many
@@ -188,7 +195,8 @@ class ExactProblem:
     equivalent by the caller); runtime guards abort on out-of-range rates
     rather than silently biasing output.  ``frame`` is the threshold as the
     reference motion sees it (:meth:`fptsim.model.Threshold.proposal_frame`
-    at ``x0`` and the reference drift), built once here for every draw.
+    at ``x0`` and the reference drift), built once here for every draw,
+    together with the plain-value form the sampler runs on.
     """
 
     sde: UnitDiffusionSDE
@@ -197,6 +205,7 @@ class ExactProblem:
     proposal: Proposal = field(default_factory=lambda: Proposal("linear"))
     max_proposals: int = 10**6
     frame: Threshold = field(init=False, repr=False, compare=False)
+    _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.gammas.kappa is None:
@@ -212,6 +221,72 @@ class ExactProblem:
                 f"translated proposal intercept {frame.linear[1]} must be positive"
             )
         object.__setattr__(self, "frame", frame)
+        kernel = _kernel_of(self.threshold, self.gammas, self.proposal, self.max_proposals, frame)
+        object.__setattr__(self, "_kernel", kernel)
+
+
+class _Kernel(NamedTuple):
+    """An exact problem as :func:`_sample_oriented` runs it: plain values only.
+
+    ``beta`` and ``sign`` are the threshold and its orientation sign, the
+    rate is ``gamma1(t) - shift1 + gamma2(x) - shift2`` under the clock rate
+    ``kappa`` and its guard ``ceiling``, and ``delta`` is the start gap
+    ``phi(0)`` of the proposal frame ``phi``.  Exactly one of ``line`` and
+    ``curvy`` is set.  ``line = (intercept, wald, hit)`` draws the passage of
+    standard Brownian motion to the frame line: ``wald`` is the ``(mean,
+    shape)`` of a sloped line's inverse Gaussian time (None for a flat line)
+    and ``hit`` the hit probability of a rising line (None when every path
+    hits).  ``curvy = (phi, params)`` runs :func:`sample_fpt_curvy`.
+    """
+
+    beta: Callable[[float], float]
+    sign: float
+    gamma1: Callable[[float], float]
+    gamma2: Callable[[float], float]
+    shift1: float
+    shift2: float
+    kappa: float
+    ceiling: float
+    delta: float
+    max_proposals: int
+    line: tuple | None
+    curvy: tuple | None
+
+
+def _line_part(slope: float, intercept: float) -> tuple:
+    """``_Kernel.line`` of the frame line ``slope * t + intercept``."""
+    if slope == 0.0:
+        return intercept, None, None
+    wald = (abs(intercept / slope), intercept * intercept)
+    return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
+
+
+def _kernel_of(threshold: Threshold, gammas: GammaPair, proposal: Proposal,
+               max_proposals: int, frame: Threshold) -> _Kernel:
+    """The kernel of checked problem parts (see :class:`ExactProblem`)."""
+    linear = proposal.kind == "linear"
+    return _Kernel(
+        threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
+        gammas.shift1, gammas.shift2, gammas.kappa, _rate_ceiling(gammas.kappa),
+        frame.beta(0.0), max_proposals, _line_part(*frame.linear) if linear else None,
+        None if linear else (frame, proposal.curvy),
+    )
+
+
+def _trusted_problem(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
+                     proposal: Proposal, max_proposals: int, frame: Threshold) -> ExactProblem:
+    """An :class:`ExactProblem` of parts that already meet its checks.
+
+    It skips ``__post_init__``: the caller guarantees that ``kappa`` is set
+    and positive, ``max_proposals >= 1``, the start lies on the threshold's
+    far side, a linear proposal has a linear threshold with a positive frame
+    intercept, and ``frame`` is ``threshold.proposal_frame(x0, g)`` in value.
+    The neuron stages use it: their interval tables guarantee all of this.
+    """
+    kernel = _kernel_of(threshold, gammas, proposal, max_proposals, frame)
+    return _fill(ExactProblem, {"sde": sde, "threshold": threshold, "gammas": gammas,
+                                "proposal": proposal, "max_proposals": max_proposals,
+                                "frame": frame, "_kernel": kernel})
 
 
 def expected_proposals(problem: ExactProblem) -> float:
@@ -228,89 +303,49 @@ def expected_proposals(problem: ExactProblem) -> float:
     return math.exp((A(b0) - g * b0) - (A(x0) - g * x0))
 
 
-def _proposal_drawer(
-    problem: ExactProblem,
-    rng: np.random.Generator,
-    normal: Callable[[], float],
-    uniform: Callable[[], float],
-    line_draws: list[int],
-) -> Callable[[], float]:
-    """Build a closure drawing reference passage times to ``problem.frame``.
+def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
+    """One exact draw of the problem ``k``.
 
-    The frame is built once per problem (see :class:`ExactProblem`): it is
-    the threshold seen by standard Brownian motion from 0, so proposals need
-    no start shift, drift tilt or reflection of their own.  Returns ``inf``
-    for non-hitting or horizon-censored draws (the caller treats both as
-    automatic rejections).  Linear proposals have the law of
-    :func:`fptsim.bm_fpt.sample_fpt_linear`: flat lines draw from ``normal``,
-    rising lines draw their hit test from ``uniform``, and Wald hit times come
-    from a block stream with the line's fixed parameters.  Curved proposals
-    call :func:`sample_fpt_curvy` on the ``normal`` and ``uniform`` streams
-    and add its line draws to ``line_draws[0]``.
+    Proposals are reference passage times to the frame (``inf`` for
+    non-hitting or horizon-censored ones, which count as rejections).  A
+    line draws its flat passage from ``normal``, its rising-line hit test
+    from ``uniform`` and its Wald times from their own block stream; a curve
+    calls :func:`sample_fpt_curvy` on the ``normal`` and ``uniform`` streams
+    and adds its line draws to the draw's ``line_draws``.
     """
-    frame = problem.frame
-
-    if problem.proposal.kind == "linear":
-        slope, intercept = frame.linear  # type: ignore[misc]
-        if slope == 0.0:
-            return partial(_linear_time, 0.0, intercept, normal, uniform)
-        # Wald parameters of the hit time; the generator's transform can
-        # round to a small negative double, so it is clamped to 0
-        wald = block_stream(
-            partial(rng.wald, abs(intercept / slope), intercept * intercept), _EVENT_BLOCK
-        )
-        if slope < 0.0:
-            return lambda: max(0.0, wald())
-        hit = math.exp(-2.0 * slope * intercept)
-        return lambda: max(0.0, wald()) if uniform() < hit else math.inf
-
-    params = problem.proposal.curvy
-    assert params is not None
-
-    def draw() -> float:
-        d = sample_fpt_curvy(frame, params, rng, normal=normal, uniform=uniform)
-        line_draws[0] += d.clock_events
-        if d.time >= params.horizon:
-            return math.inf
-        return d.time
-
-    return draw
-
-
-def _sample_oriented(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
-    gp = problem.gammas
-    kappa = gp.kappa
-    assert kappa is not None
-    scale = 1.0 / kappa
-    ceiling = _rate_ceiling(kappa)
-    beta = problem.threshold.beta
-    sign = problem.threshold.orientation.sign
-    gamma1 = gp.gamma1
-    gamma2 = gp.gamma2
-    s1 = gp.shift1
-    s2 = gp.shift2
-    delta = problem.frame.beta(0.0)
+    beta, sign, gamma1, gamma2, s1, s2, kappa, ceiling, delta, max_proposals, line, curvy = k
     normal = block_stream(rng.standard_normal, _EVENT_BLOCK)
     uniform = block_stream(rng.random, _EVENT_BLOCK)
-    clock_gap = block_stream(partial(rng.exponential, scale), _EVENT_BLOCK)
-    line_draws = [0]
-    draw_proposal = _proposal_drawer(problem, rng, normal, uniform, line_draws)
+    clock_gap = block_stream(partial(rng.exponential, 1.0 / kappa), _EVENT_BLOCK)
+    if curvy is None:
+        intercept, wald_params, hit = line
+        if wald_params is not None:
+            # the generator's transform can round to a small negative double,
+            # so its times are clamped to 0
+            wald = block_stream(partial(rng.wald, *wald_params), _EVENT_BLOCK)
+    else:
+        phi, params = curvy
+        horizon = params.horizon
+    line_draws = 0
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
 
     total_events = 0
-    for attempt in range(1, problem.max_proposals + 1):
-        tau = draw_proposal()
+    for attempt in range(1, max_proposals + 1):
+        if curvy is not None:
+            d = sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform)
+            line_draws += d.clock_events
+            tau = d.time if d.time < horizon else math.inf
+        elif wald_params is None:
+            tau = _linear_time(0.0, intercept, normal, uniform)
+        elif hit is None or uniform() < hit:
+            tau = max(0.0, wald())
+        else:
+            continue
         if tau == math.inf:
             continue
         if tau <= 0.0:
-            return FptDraw(
-                time=0.0,
-                finite=True,
-                proposals=attempt,
-                clock_events=total_events,
-                line_draws=line_draws[0],
-            )
+            return _finite_draw(0.0, attempt, total_events, line_draws)
         e0 = 0.0
         e1 = clock_gap()
         l1 = l2 = l3 = 0.0
@@ -333,15 +368,9 @@ def _sample_oriented(problem: ExactProblem, rng: np.random.Generator) -> FptDraw
             e0 = e1
             e1 += clock_gap()
         else:
-            return FptDraw(
-                time=tau,
-                finite=True,
-                proposals=attempt,
-                clock_events=total_events,
-                line_draws=line_draws[0],
-            )
+            return _finite_draw(tau, attempt, total_events, line_draws)
     raise NonTerminationError(
-        f"no acceptance within {problem.max_proposals} proposals; "
+        f"no acceptance within {max_proposals} proposals; "
         "check kappa and the proposal horizon"
     )
 
@@ -351,7 +380,7 @@ def sample_exact(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
     if problem.threshold.orientation is not Orientation.ABOVE_START:
         raise ConfigurationError("sample_exact handles above-start problems; "
                                  "use sample_exact_below")
-    return _sample_oriented(problem, rng)
+    return _sample_oriented(problem._kernel, rng)
 
 
 def sample_exact_below(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
@@ -359,7 +388,7 @@ def sample_exact_below(problem: ExactProblem, rng: np.random.Generator) -> FptDr
     if problem.threshold.orientation is not Orientation.BELOW_START:
         raise ConfigurationError("sample_exact_below handles below-start problems; "
                                  "use sample_exact")
-    return _sample_oriented(problem, rng)
+    return _sample_oriented(problem._kernel, rng)
 
 
 def sample_exact_split(
@@ -372,7 +401,8 @@ def sample_exact_split(
     Markov property the summed stage times follow the original passage law,
     and ``k = 1`` is the plain single-stage path.  Stage rate pairs are
     rebuilt from the stage geometry and inherit the original shifts, bound
-    and reference drift.
+    and reference drift.  Each stage is built in kernel form only: its
+    line, rates and start are the checked problem's, moved along the line.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -382,6 +412,10 @@ def sample_exact_split(
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
     gp = problem.gammas
+    g = float(gp.reference_drift)
+    alpha = problem.sde.alpha
+    gamma2 = make_gamma_pair(problem.sde, problem.threshold, g).gamma2
+    ceiling = _rate_ceiling(gp.kappa)
     x0 = problem.sde.x0
     gap = b - x0
 
@@ -392,29 +426,24 @@ def sample_exact_split(
     for i in range(1, k + 1):
         level = x0 + gap * (i / k)
         intercept = a * t_acc + level
-        stage_threshold = linear_threshold(a, intercept, Orientation.ABOVE_START)
-        stage_sde = replace(problem.sde, x0=x_cur)
-        stage_gammas = replace(
-            make_gamma_pair(stage_sde, stage_threshold, gp.reference_drift),
-            shift1=gp.shift1,
-            shift2=gp.shift2,
-            kappa=gp.kappa,
+        # the stage problem in kernel form, with the float expressions of
+        # linear_threshold, make_gamma_pair and Threshold.proposal_frame
+        delta = intercept - x_cur
+        if not delta > 0.0:
+            raise ConfigurationError(f"translated proposal intercept {delta} must be positive")
+        stage = _Kernel(
+            lambda t, b=intercept: a * t + b,
+            1.0,
+            lambda t, b=intercept: -(alpha(a * t + b) - g) * a,
+            gamma2, gp.shift1, gp.shift2, gp.kappa, ceiling, delta, problem.max_proposals,
+            _line_part(a - g, delta), None,
         )
-        stage_problem = ExactProblem(
-            sde=stage_sde,
-            threshold=stage_threshold,
-            gammas=stage_gammas,
-            proposal=Proposal("linear"),
-            max_proposals=problem.max_proposals,
-        )
-        d = _sample_oriented(stage_problem, rng)
+        d = _sample_oriented(stage, rng)
         x_cur = a * d.time + intercept
         t_acc += d.time
         total_proposals += d.proposals
         total_events += d.clock_events
-    return FptDraw(
-        time=t_acc, finite=True, proposals=total_proposals, clock_events=total_events
-    )
+    return _finite_draw(t_acc, total_proposals, total_events)
 
 
 def sample_batch(

@@ -153,8 +153,8 @@ class Threshold:
         beta_prime = self.beta_prime
         linear = self.linear
         lo, hi = (self.inf_slope, self.sup_slope) if s > 0 else (self.sup_slope, self.inf_slope)
-        # positional, in field order: every exact problem (each neuron stage,
-        # each split stage) builds one frame, and keywords cost ~0.5 us more
+        # positional, in field order: beta, beta_prime, orientation, inf_slope,
+        # sup_slope, linear
         return Threshold(
             lambda t: s * (beta(t) - g * t - x0),
             lambda t: s * (beta_prime(t) - g),
@@ -192,6 +192,18 @@ def linear_threshold(a: float, b: float, orientation: Orientation) -> Threshold:
 def constant_threshold(level: float, orientation: Orientation) -> Threshold:
     """Threshold ``beta(t) = level``."""
     return linear_threshold(0.0, level, orientation)
+
+
+def _fill(cls: type, fields: dict):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``.
+
+    It runs no ``__init__`` and no ``__post_init__``, so only a caller whose
+    values already meet every check of ``cls`` may use it, and ``fields``
+    must name every field.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 def _rate_ceiling(kappa: float | None) -> float:

@@ -85,8 +85,8 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .exact import ExactProblem, Proposal, sample_exact_below
-from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE
+from .exact import ExactProblem, Proposal, _trusted_problem, sample_exact_below
+from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
 from .rng import derive_seed, sample_many_indexed
 
 __all__ = [
@@ -115,6 +115,8 @@ TANGENT_MARGIN = 0.1
 _RATE_PIECES = 64
 #: Piece ends as fractions of the grid span.
 _PIECE_ENDS = np.arange(_RATE_PIECES + 1) / _RATE_PIECES
+#: Indices of the first and of the last end of each piece, in two rows.
+_PIECE_END_INDEX = np.stack((np.arange(_RATE_PIECES), np.arange(1, _RATE_PIECES + 1)))
 _KAPPA_FLOOR = 1e-9
 
 
@@ -289,23 +291,23 @@ class _StageBounds:
         self.inf_slope = min(0.0, slope_at_peak)
         self.sup_slope = max(0.0, slope_at_peak)
 
-        # rows are stages; along a row, piece ends or pieces in time order
+        # rows are stages; along a row, piece ends or pieces in time order.
+        # Tables with an axis for the two ends of a piece keep it in front of
+        # the piece axis, so numpy's inner loops run along the pieces.
         ends = t0 + span * _PIECE_ENDS
         theta = th0 + (thp - th0) * np.exp(-ends / tau1)
         scales = np.exp(-sigma * np.array(offsets))[:, None]
         bp_ends = (theta - th0) / (tau1 * sigma * theta)
         alpha_ends = c + d * (scales * theta)
-        # beta' at the first and at the last end of each piece: the flat
-        # form lists the pieces' end values in time order
-        bp_flat = np.repeat(bp_ends, 2)[1:-1]
-        bp_box = bp_flat.reshape(-1, 2)
+        # beta' at the first and at the last end of each piece
+        bp_box = bp_ends[_PIECE_END_INDEX]
         # corner products alpha*beta' of each piece box, for beta' at either
         # end: the time rate (g - alpha)*beta' peaks at g*B - min(alpha*B)
-        ab_first = alpha_ends[:, :-1, None] * bp_box
-        ab_last = alpha_ends[:, 1:, None] * bp_box
+        ab_first = alpha_ends[:, None, :-1] * bp_box
+        ab_last = alpha_ends[:, None, 1:] * bp_box
         ab_min = np.minimum(ab_first, ab_last)
         ab_max = np.maximum(ab_first, ab_last)
-        ab_max = np.maximum(ab_max[:, :, 0], ab_max[:, :, 1])
+        ab_max = np.maximum(ab_max[:, 0], ab_max[:, 1])
         # infimum of q over the state range (0, u(t)]: q is convex, with its
         # limit c^2 at u -> 0+, so the infimum sits at the vertex when
         # reachable; it does not increase with u(t), so a piece's value at its
@@ -324,17 +326,17 @@ class _StageBounds:
         # quadratic in g with discriminant disc; the intersection of the root
         # intervals over a stage's pieces is admissible at every stage time.
         slack = 1e-12
-        disc = bp_box * bp_box + ((q_low - 2.0 * slack) - 2.0 * ab_max)[:, :, None]
+        disc = bp_box * bp_box + ((q_low - 2.0 * slack) - 2.0 * ab_max)[:, None]
         root = np.sqrt(np.maximum(disc, 0.0))
         lo = bp_box - root
         hi = bp_box + root
-        self.margin = np.minimum(disc[:, :, 0], disc[:, :, 1])
+        self.margin = np.minimum(disc[:, 0], disc[:, 1])
         self.worst = _suffix(np.minimum, self.margin)
-        self.g_lo = _suffix(np.maximum, np.maximum(lo[:, :, 0], lo[:, :, 1]))
-        self.g_hi = _suffix(np.minimum, np.minimum(hi[:, :, 0], hi[:, :, 1]))
-        # the time-rate bound of a stage reads columns from 2*j0 on
-        self.bp_flat = bp_flat
-        self.ab_min = ab_min.reshape(len(offsets), -1)
+        self.g_lo = _suffix(np.maximum, np.maximum(lo[:, 0], lo[:, 1]))
+        self.g_hi = _suffix(np.minimum, np.minimum(hi[:, 0], hi[:, 1]))
+        # the time-rate bound of a stage reads the pieces from j0 on
+        self.bp_box = bp_box
+        self.ab_min = ab_min
         self.ends = ends.tolist()
         self.theta = theta.tolist()
         self.scales = scales[:, 0].tolist()
@@ -388,21 +390,26 @@ class _StageBounds:
         u_cap = max(self.theta[j0], self.theta[-1]) * scale
         u_limit = u_cap * (1.0 + 1e-9)
         gg = g * g
-
-        def theta_loc(w: float) -> float:
-            return th0 + (thp - th0) * math.exp(-(s + w) / tau1)
+        dth = thp - th0
 
         def beta(w: float) -> float:
-            return -math.log(theta_loc(w)) / sigma + offset
+            return -math.log(th0 + dth * math.exp(-(s + w) / tau1)) / sigma + offset
 
         def beta_prime(w: float) -> float:
-            theta = theta_loc(w)
+            theta = th0 + dth * math.exp(-(s + w) / tau1)
             return (theta - th0) / (tau1 * sigma * theta)
+
+        # the proposal frame phi = -(beta - g*w - x_start) of
+        # Threshold.proposal_frame, as one closure: the curvy iteration
+        # evaluates it once per line draw
+        def phi(w: float) -> float:
+            return -(-math.log(th0 + dth * math.exp(-(s + w) / tau1)) / sigma + offset
+                     - g * w - x_start)
 
         # the rates of make_gamma_pair in closed form: alpha(beta(w)) is
         # c + d*u with u = theta*scale
         def gamma1(w: float) -> float:
-            theta = theta_loc(w)
+            theta = th0 + dth * math.exp(-(s + w) / tau1)
             return -(c + d * theta * scale - g) * (theta - th0) / (tau1 * sigma * theta)
 
         def gamma2(x: float) -> float:
@@ -420,33 +427,31 @@ class _StageBounds:
         # space rate is an exact endpoint value of a convex quadratic, the
         # time rate (g - alpha)*beta' is bounded piece by piece
         sup2 = max(0.0, 0.5 * (max(c * c, _q(c, d, sigma, u_cap)) - gg))
-        col = 2 * j0
-        sup1 = max(0.0, float((g * self.bp_flat[col:] - self.ab_min[i, col:]).max()))
+        sup1 = max(0.0, float((g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:]).max()))
+        r = (g - self.sup_slope) - TANGENT_MARGIN
+        if not math.isfinite(r):
+            raise ParameterError(f"r must be finite, got {r}")
+        # The tables meet every check of the public constructors: kappa is
+        # at least _KAPPA_FLOOR, the stage starts on the threshold's far
+        # side, epsilon is a constant and the horizon is positive and finite
+        # (simulate_spike_train checks its horizon and max_proposals once).
+        inf_slope, sup_slope = self.inf_slope, self.sup_slope
         alpha, alpha_prime, A = self.sde_parts
-        return ExactProblem(
-            sde=UnitDiffusionSDE(alpha=alpha, alpha_prime=alpha_prime, A=A, x0=x_start),
-            threshold=Threshold(
-                beta=beta,
-                beta_prime=beta_prime,
-                orientation=Orientation.BELOW_START,
-                inf_slope=self.inf_slope,
-                sup_slope=self.sup_slope,
-            ),
-            gammas=GammaPair(
-                gamma1=gamma1,
-                gamma2=gamma2,
-                kappa=max(sup1 + sup2, _KAPPA_FLOOR),
-                reference_drift=g,
-            ),
-            proposal=Proposal(
-                "curvy",
-                CurvyParams(
-                    epsilon=CURVY_EPSILON,
-                    r=(g - self.sup_slope) - TANGENT_MARGIN,
-                    horizon=horizon,
-                ),
-            ),
-            max_proposals=max_proposals,
+        return _trusted_problem(
+            _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
+                                     "x0": x_start}),
+            _fill(Threshold, {"beta": beta, "beta_prime": beta_prime,
+                              "orientation": Orientation.BELOW_START,
+                              "inf_slope": inf_slope, "sup_slope": sup_slope, "linear": None}),
+            _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2, "shift1": 0.0, "shift2": 0.0,
+                              "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g}),
+            _fill(Proposal, {"kind": "curvy", "curvy": _fill(
+                CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon})}),
+            max_proposals,
+            _fill(Threshold, {"beta": phi, "beta_prime": lambda w: -(beta_prime(w) - g),
+                              "orientation": Orientation.ABOVE_START,
+                              "inf_slope": -(sup_slope - g), "sup_slope": -(inf_slope - g),
+                              "linear": None}),
         )
 
 
@@ -507,6 +512,8 @@ def transform_neuron(
         prop_horizon=prop_horizon,
         max_proposals=10**6,
     )
+    # a start voltage at or above the threshold is the caller's, not the tables'
+    problem.threshold.validate_start(problem.sde.x0)
     return problem.sde, problem.threshold, problem.gammas
 
 
@@ -568,9 +575,15 @@ def simulate_spike_train(
     max_spikes: int = 10_000,
     max_proposals: int = 10**6,
 ) -> SpikeTrain:
-    """Chain exact interval draws into the spike train on ``[0, horizon)``."""
-    if not horizon > 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    """Chain exact interval draws into the spike train on ``[0, horizon)``.
+
+    ``horizon`` and ``max_proposals`` are checked here, once per train: the
+    stage problems are built without re-checking them.
+    """
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+    if max_proposals < 1:
+        raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     state = initial_state(params)
     voltage = params.v0
     times: list[float] = []

@@ -389,6 +389,18 @@ def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
     cfg_file.write_text(json.dumps(mapping))
     assert main(["sample", "--config", str(cfg_file)]) == 2
     assert _stderr_error(capsys)["error"] == "ConfigurationError"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_run_failing_while_it_samples_leaves_no_output_directory(tmp_path, capsys):
+    # the leaky membrane at zero current fails in its first stage
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(
+        json.dumps({"tau_m": 1.0, "current": 0.0, "trials": 1, "out": str(tmp_path / "o")})
+    )
+    assert main(["neuron", "--config", str(cfg_file)]) == 3
+    assert _stderr_error(capsys)["error"] == "AssumptionViolation"
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):

@@ -407,3 +407,47 @@ def test_each_problem_builds_one_proposal_frame(monkeypatch, name):
     built.clear()
     sample_batch(prob, 20, 54)
     assert built == []
+
+
+def test_split_stage_kernels_match_public_stage_problems(monkeypatch):
+    # each split stage is built in kernel form only; rebuilt as a checked
+    # public problem (start on the far side, positive line intercept), it
+    # must give the same kernel values
+    stages = []
+    original = exact_module._sample_oriented
+
+    def recording(kernel, rng):
+        d = original(kernel, rng)
+        stages.append((kernel, d))
+        return d
+
+    monkeypatch.setattr(exact_module, "_sample_oriented", recording)
+    prob = example1_problem()
+    k = 3
+    for i in range(4):
+        stages.clear()
+        sample_exact_split(prob, k, substream(56, i))
+        assert len(stages) == k
+        a, b = prob.threshold.linear
+        x0 = prob.sde.x0
+        t_acc, x_cur = 0.0, x0
+        for j, (kernel, d) in enumerate(stages, start=1):
+            intercept = a * t_acc + (x0 + (b - x0) * (j / k))
+            th = linear_threshold(a, intercept, Orientation.ABOVE_START)
+            sde = replace(prob.sde, x0=x_cur)
+            gammas = replace(
+                make_gamma_pair(sde, th, prob.gammas.reference_drift),
+                shift1=prob.gammas.shift1, shift2=prob.gammas.shift2, kappa=prob.gammas.kappa,
+            )
+            public = ExactProblem(sde=sde, threshold=th, gammas=gammas,
+                                  proposal=Proposal("linear"), max_proposals=prob.max_proposals)
+            theirs = public._kernel
+            for name in ("sign", "shift1", "shift2", "kappa", "ceiling", "delta",
+                         "max_proposals", "line", "curvy"):
+                assert getattr(kernel, name) == getattr(theirs, name), name
+            for t in (0.0, 0.3, 1.7):
+                assert kernel.beta(t) == theirs.beta(t)
+                assert kernel.gamma1(t) == theirs.gamma1(t)
+                assert kernel.gamma2(intercept - t) == theirs.gamma2(intercept - t)
+            x_cur = a * d.time + intercept
+            t_acc += d.time

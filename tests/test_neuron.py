@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fptsim import neuron
-from fptsim.errors import ParameterError, SequencingError
-from fptsim.exact import expected_proposals, sample_batch, sample_exact_below
+from fptsim.errors import ConfigurationError, ParameterError, SequencingError
+from fptsim.exact import (
+    ExactProblem,
+    Proposal,
+    _Kernel,
+    expected_proposals,
+    sample_batch,
+    sample_exact_below,
+)
 from fptsim.model import Orientation, make_gamma_pair
 from fptsim.neuron import (
     PROPOSAL_SLACK,
@@ -374,3 +382,62 @@ def test_spike_train_csv_format(tmp_path):
         "0,1,1.5\n"
         "2,0,0.125\n"
     )
+
+
+# --- trusted stage construction -------------------------------------------------
+
+
+@pytest.mark.parametrize("current, tau_m", [(0.0, -1.0), (20.0, -1.0), (20.0, 1.0)])
+def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
+    # every stage a train builds, rebuilt through the validated public
+    # constructors: kappa set and positive, max_proposals >= 1, the start on
+    # the threshold's far side and the CurvyParams checks all pass, and the
+    # frame and the sampler's kernel come out equal
+    built = []
+
+    def recording(problem, rng):
+        built.append(problem)
+        return sample_exact_below(problem, rng)
+
+    monkeypatch.setattr(neuron, "sample_exact_below", recording)
+    simulate_trials(NeuronParams(I=current, tau_m=tau_m), 1.0, 3, 76)
+    assert len(built) > 3
+    for trusted in built:
+        public = ExactProblem(
+            sde=replace(trusted.sde),
+            threshold=replace(trusted.threshold),
+            gammas=replace(trusted.gammas),
+            proposal=Proposal("curvy", replace(trusted.proposal.curvy)),
+            max_proposals=trusted.max_proposals,
+        )
+        assert public == trusted
+        assert trusted.gammas.kappa > 0.0
+        for name in ("orientation", "inf_slope", "sup_slope", "linear"):
+            assert getattr(public.frame, name) == getattr(trusted.frame, name)
+        for w in np.linspace(0.0, trusted.proposal.curvy.horizon, 9):
+            w = float(w)
+            assert public.frame.beta(w) == trusted.frame.beta(w)
+            assert public.frame.beta_prime(w) == trusted.frame.beta_prime(w)
+        mine, theirs = trusted._kernel, public._kernel
+        for name in _Kernel._fields:
+            if name == "curvy":
+                assert mine.curvy[1] == theirs.curvy[1]
+            else:
+                assert getattr(mine, name) == getattr(theirs, name), name
+
+
+def test_train_checks_its_budget_and_horizon_before_any_stage(monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage was built")
+
+    monkeypatch.setattr(neuron, "_StageBounds", no_stage)
+    p = NeuronParams(I=20.0)
+    with pytest.raises(ParameterError, match="max_proposals"):
+        simulate_spike_train(p, 1.0, np.random.default_rng(0), max_proposals=0)
+    with pytest.raises(ParameterError, match="horizon"):
+        simulate_spike_train(p, math.inf, np.random.default_rng(0))
+
+
+def test_transform_refuses_a_start_above_the_threshold():
+    with pytest.raises(ConfigurationError, match="wrong side"):
+        transform_neuron(NeuronParams(), start_voltage=5.0)
