@@ -25,8 +25,9 @@ and a ``null`` value, is refused.  Every run writes its artifacts into
 
 Exit codes: 0 success; 2 configuration errors; 3 violated mathematical
 assumptions (negative rate, rate above its stated bound, log-domain
-failures); 4 iteration-budget exhaustion.  Failures print a machine-readable
-JSON object on standard error.
+failures); 4 iteration-budget exhaustion.  Each error class of
+:mod:`fptsim.errors` carries its code as ``exit_code``.  Failures print a
+machine-readable JSON object on standard error.
 
 Sample ``i`` is drawn on its own substream of ``(seed, i)``, so a run is a
 function of its config.  ``--workers`` (config key ``workers``) is accepted
@@ -54,15 +55,7 @@ import numpy as np
 from . import __version__
 from .baselines import GridScheme, grid_batch
 from .bm_fpt import FptDraw
-from .errors import (
-    AssumptionViolation,
-    ConfigurationError,
-    DomainError,
-    FptsimError,
-    NonTerminationError,
-    ParameterError,
-    SequencingError,
-)
+from .errors import ConfigurationError, FptsimError
 from .exact import ExactProblem, expected_proposals, sample_batch
 from .neuron import (
     NeuronParams,
@@ -158,6 +151,17 @@ def _of_type(kind: type, what: str) -> Callable[[str, Any], Any]:
     return check
 
 
+def _numbers(key: str, value: Any) -> dict:
+    """A registry parameter object whose values are finite numbers.
+
+    The values are kept as given, so an integer stays one in the echoed config.
+    """
+    _require(isinstance(value, dict), f"{key} must be an object, got {value!r}")
+    for name, number in value.items():
+        _number(f"{key}.{name}", number)
+    return value
+
+
 def _ladder(key: str, value: Any) -> tuple[float, ...]:
     _require(isinstance(value, (list, tuple)) and len(value) > 0, f"{key} must be a non-empty list")
     return tuple(_positive(f"{key}[{i}]", d) for i, d in enumerate(value))
@@ -203,7 +207,7 @@ _CURVE = _passed(_positive, epsilon=None, horizon=None)
 _GRID = {"delta": _Key(_positive, _REQUIRED), "horizon": _Key(_positive, DEFAULT_GRID_HORIZON)}
 _REGISTRY = {
     **_passed(_of_type(str, "a selector string"), drift=_REQUIRED, threshold=_REQUIRED),
-    **_passed(_of_type(dict, "an object"), drift_params={}, threshold_params={}),
+    **_passed(_numbers, drift_params={}, threshold_params={}),
     **_passed(_number, x0=None),
 }
 
@@ -477,23 +481,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 # --------------------------------------------------------------------------
 # entry point
 
-_EXIT_CODES: tuple[tuple[type, int], ...] = (
-    (ConfigurationError, 2),
-    (ParameterError, 2),
-    (SequencingError, 2),
-    (DomainError, 3),
-    (AssumptionViolation, 3),
-    (NonTerminationError, 4),
-)
-
-
-def _exit_code(exc: FptsimError) -> int:
-    for etype, code in _EXIT_CODES:
-        if isinstance(exc, etype):
-            return code
-    return 3
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpt",
@@ -536,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = resolve_config(mapping)
         run_experiment(cfg)
     except FptsimError as exc:
-        code = _exit_code(exc)
+        code = exc.exit_code
         json.dump(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
             sys.stderr,

@@ -47,8 +47,8 @@ the line iterates of the proposal, is ROADMAP item 1.
 form (``_Kernel``: plain floats and callables, with the start gap
 ``delta = phi(0)``), which the sampler runs on without rebuilding anything
 per draw.  Callers whose values already meet every check skip them: neuron
-stages are built by ``_trusted_problem``, and :func:`sample_exact_split`
-builds its stages in kernel form only.
+stages are built by ``_trusted_problem``, which builds the same frame and
+kernel, and :func:`sample_exact_split` builds its stages in kernel form only.
 
 Each call draws its randomness in blocks from its own generator: the
 exponential clock gaps, the bridge normals and the event marks come from
@@ -112,15 +112,12 @@ class BridgeState:
     """State of the event-to-event pinned-bridge recursion.
 
     ``l`` is the pinned three-dimensional Brownian bridge evaluated at the
-    current event time ``E1``; ``E0`` is the previous event time.  ``rejected``
-    is set once a thinning event falls below the rate graph, which stops the
-    inner loop immediately.
+    current event time ``E1``; ``E0`` is the previous event time.
     """
 
     l: np.ndarray
     E0: float
     E1: float
-    rejected: bool = False
 
     def __post_init__(self) -> None:
         l = np.asarray(self.l, dtype=float)
@@ -274,15 +271,16 @@ def _kernel_of(threshold: Threshold, gammas: GammaPair, proposal: Proposal,
 
 
 def _trusted_problem(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
-                     proposal: Proposal, max_proposals: int, frame: Threshold) -> ExactProblem:
+                     proposal: Proposal, max_proposals: int) -> ExactProblem:
     """An :class:`ExactProblem` of parts that already meet its checks.
 
-    It skips ``__post_init__``: the caller guarantees that ``kappa`` is set
-    and positive, ``max_proposals >= 1``, the start lies on the threshold's
-    far side, a linear proposal has a linear threshold with a positive frame
-    intercept, and ``frame`` is ``threshold.proposal_frame(x0, g)`` in value.
-    The neuron stages use it: their interval tables guarantee all of this.
+    It builds the frame as ``__post_init__`` does and skips the checks: the
+    caller guarantees that ``kappa`` is set and positive, ``max_proposals >=
+    1``, the start lies on the threshold's far side, and a linear proposal
+    has a linear threshold with a positive frame intercept.  The neuron
+    stages use it: their interval tables guarantee all of this.
     """
+    frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
     kernel = _kernel_of(threshold, gammas, proposal, max_proposals, frame)
     return _fill(ExactProblem, {"sde": sde, "threshold": threshold, "gammas": gammas,
                                 "proposal": proposal, "max_proposals": max_proposals,

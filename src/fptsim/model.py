@@ -153,16 +153,15 @@ class Threshold:
         beta_prime = self.beta_prime
         linear = self.linear
         lo, hi = (self.inf_slope, self.sup_slope) if s > 0 else (self.sup_slope, self.inf_slope)
-        # positional, in field order: beta, beta_prime, orientation, inf_slope,
-        # sup_slope, linear
-        return Threshold(
-            lambda t: s * (beta(t) - g * t - x0),
-            lambda t: s * (beta_prime(t) - g),
-            Orientation.ABOVE_START,
-            None if lo is None else s * (lo - g),
-            None if hi is None else s * (hi - g),
-            None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
-        )
+        # a Threshold has no checks, so the fill equals the constructor
+        return _fill(Threshold, {
+            "beta": lambda t: s * (beta(t) - g * t - x0),
+            "beta_prime": lambda t: s * (beta_prime(t) - g),
+            "orientation": Orientation.ABOVE_START,
+            "inf_slope": None if lo is None else s * (lo - g),
+            "sup_slope": None if hi is None else s * (hi - g),
+            "linear": None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
+        })
 
     def validate_slopes(self, ts: Sequence[float], tol: float = 1e-9) -> None:
         for t in ts:

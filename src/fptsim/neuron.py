@@ -128,7 +128,8 @@ class NeuronParams:
     the resting potential, ``sigma`` the noise amplitude, ``v0`` the initial
     voltage, ``I`` the input current, ``theta0`` the threshold baseline,
     ``tau1`` the threshold decay constant, ``delta`` the adaptation strength
-    and ``v_reset`` the post-spike voltage (defaults to ``V_r``).
+    and ``v_reset`` the post-spike voltage (defaults to ``V_r``).  Every
+    field is finite except ``tau1``, which may be ``inf`` (no decay).
     """
 
     tau_m: float = -1.0
@@ -144,6 +145,9 @@ class NeuronParams:
     def __post_init__(self) -> None:
         if self.v_reset is None:
             object.__setattr__(self, "v_reset", self.V_r)
+        for name in ("I", "V_r", "sigma", "theta0", "delta", "v_reset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not (math.isfinite(self.tau_m) and self.tau_m != 0.0):
             raise ParameterError(f"tau_m must be finite and nonzero, got {self.tau_m}")
         if not self.sigma > 0.0:
@@ -361,7 +365,8 @@ class _StageBounds:
         The stage picks the smallest admissible reference drift ``g`` (the
         cost exponent of its proposals increases with ``g``), bounds the space
         rate by its exact quadratic-in-``u`` form and the time rate piece by
-        piece, and attaches the curvy proposal.
+        piece, and attaches the curvy proposal.  The proposal frame is the
+        threshold's :meth:`~fptsim.model.Threshold.proposal_frame`.
         """
         params = self.params
         sigma, tau1, th0 = params.sigma, params.tau1, params.theta0
@@ -399,13 +404,6 @@ class _StageBounds:
             theta = th0 + dth * math.exp(-(s + w) / tau1)
             return (theta - th0) / (tau1 * sigma * theta)
 
-        # the proposal frame phi = -(beta - g*w - x_start) of
-        # Threshold.proposal_frame, as one closure: the curvy iteration
-        # evaluates it once per line draw
-        def phi(w: float) -> float:
-            return -(-math.log(th0 + dth * math.exp(-(s + w) / tau1)) / sigma + offset
-                     - g * w - x_start)
-
         # the rates of make_gamma_pair in closed form: alpha(beta(w)) is
         # c + d*u with u = theta*scale
         def gamma1(w: float) -> float:
@@ -435,49 +433,20 @@ class _StageBounds:
         # at least _KAPPA_FLOOR, the stage starts on the threshold's far
         # side, epsilon is a constant and the horizon is positive and finite
         # (simulate_spike_train checks its horizon and max_proposals once).
-        inf_slope, sup_slope = self.inf_slope, self.sup_slope
         alpha, alpha_prime, A = self.sde_parts
         return _trusted_problem(
             _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
                                      "x0": x_start}),
             _fill(Threshold, {"beta": beta, "beta_prime": beta_prime,
                               "orientation": Orientation.BELOW_START,
-                              "inf_slope": inf_slope, "sup_slope": sup_slope, "linear": None}),
+                              "inf_slope": self.inf_slope, "sup_slope": self.sup_slope,
+                              "linear": None}),
             _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2, "shift1": 0.0, "shift2": 0.0,
                               "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g}),
             _fill(Proposal, {"kind": "curvy", "curvy": _fill(
                 CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon})}),
             max_proposals,
-            _fill(Threshold, {"beta": phi, "beta_prime": lambda w: -(beta_prime(w) - g),
-                              "orientation": Orientation.ABOVE_START,
-                              "inf_slope": -(sup_slope - g), "sup_slope": -(inf_slope - g),
-                              "linear": None}),
         )
-
-
-def _stage_problem(
-    params: NeuronParams,
-    theta_plus: float,
-    *,
-    x_start: float,
-    offset: float,
-    time_shift: float,
-    prop_horizon: float,
-    max_proposals: int,
-) -> ExactProblem:
-    """Exact problem for one passage stage of an inter-spike interval.
-
-    The stage threshold is ``beta(time_shift + w) + offset`` in stage-local
-    time ``w``, where ``beta`` is the transformed interval threshold; the
-    stage starts at ``x_start`` above it.  This is the one-stage case of
-    :class:`_StageBounds`, with its piece grid over ``[time_shift,
-    time_shift + prop_horizon]``.  Both the drift constraint and ``kappa``
-    are rigorous at every stage time, not only at the piece ends.
-    """
-    bounds = _StageBounds(params, theta_plus, [offset], time_shift, prop_horizon)
-    return bounds.problem(
-        0, time_shift, x_start=x_start, horizon=prop_horizon, max_proposals=max_proposals
-    )
 
 
 def transform_neuron(
@@ -494,7 +463,8 @@ def transform_neuron(
     voltage ``v0`` under the initial threshold ``theta0 + 1``.  Returns the
     transformed SDE (``x0 = -(1/sigma) ln`` of the start voltage), the
     below-start threshold ``beta(t) = -(1/sigma) ln theta(t)`` and the rate
-    pair with its thinning bound and stage reference drift attached.
+    pair with its thinning bound and stage reference drift attached: those
+    of the one stage of :class:`_StageBounds` over ``[0, prop_horizon]``.
     """
     first = state is None
     if state is None:
@@ -503,15 +473,9 @@ def transform_neuron(
         start_voltage = params.v0 if first else params.v_reset
     if not start_voltage > 0.0:
         raise DomainError(f"start voltage must be positive, got {start_voltage}")
-    problem = _stage_problem(
-        params,
-        state.theta_plus,
-        x_start=-math.log(start_voltage) / params.sigma,
-        offset=0.0,
-        time_shift=0.0,
-        prop_horizon=prop_horizon,
-        max_proposals=10**6,
-    )
+    bounds = _StageBounds(params, state.theta_plus, [0.0], 0.0, prop_horizon)
+    problem = bounds.problem(0, 0.0, x_start=-math.log(start_voltage) / params.sigma,
+                             horizon=prop_horizon, max_proposals=10**6)
     # a start voltage at or above the threshold is the caller's, not the tables'
     problem.threshold.validate_start(problem.sde.x0)
     return problem.sde, problem.threshold, problem.gammas

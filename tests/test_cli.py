@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -344,13 +345,39 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
 def test_main_exit_code_2_on_ignored_config_keys(tmp_path, capsys, mapping):
     # the benchmark always runs the exact sampler and both grids, and grid
     # methods have no stages to split: both keys would be echoed but unused
-    with pytest.raises(ConfigurationError):
+    _assert_refused(tmp_path, capsys, mapping)
+
+
+def _assert_refused(tmp_path, capsys, mapping, match=None):
+    """``mapping`` fails ``resolve_config`` (with a message matching
+    ``match``), and ``fpt`` exits 2 on it without leaving an output
+    directory."""
+    with pytest.raises(ConfigurationError, match=match):
         resolve_config(mapping)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({**mapping, "n": 5, "out": str(tmp_path / "o")}))
     assert main([mapping["experiment"], "--config", str(cfg_file)]) == 2
     assert _stderr_error(capsys)["error"] == "ConfigurationError"
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "params, name",
+    [
+        ({"threshold_params": {"a": "x", "b": 1}}, "threshold_params.a"),
+        ({"threshold_params": {"a": True, "b": 1}}, "threshold_params.a"),
+        ({"threshold_params": {"a": math.inf, "b": 1}}, "threshold_params.a"),
+        ({"drift": "constant", "drift_params": {"c": "x"}}, "drift_params.c"),
+        ({"drift": "constant", "drift_params": {"c": math.nan}}, "drift_params.c"),
+    ],
+)
+def test_main_exit_code_2_on_registry_parameters_that_are_not_finite_numbers(
+    tmp_path, capsys, params, name
+):
+    # json reads NaN and Infinity; a registry parameter is checked like any
+    # other config number, and the message names it
+    mapping = {"experiment": "sample", "drift": "zero", "threshold": "exponential", **params}
+    _assert_refused(tmp_path, capsys, mapping, match=rf"^{name} must be a finite number")
 
 
 @pytest.mark.parametrize(

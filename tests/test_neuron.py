@@ -18,7 +18,7 @@ from fptsim.exact import (
     sample_batch,
     sample_exact_below,
 )
-from fptsim.model import Orientation, make_gamma_pair
+from fptsim.model import Orientation, Threshold, make_gamma_pair
 from fptsim.neuron import (
     PROPOSAL_SLACK,
     _RATE_PIECES,
@@ -26,7 +26,6 @@ from fptsim.neuron import (
     SpikeTrain,
     _draw_interval,
     _StageBounds,
-    _stage_problem,
     apply_spike,
     initial_state,
     inter_spike_intervals,
@@ -83,6 +82,12 @@ def test_params_validation():
         NeuronParams(v_reset=-0.5)
     with pytest.raises(ParameterError):
         NeuronParams(theta0=0.0, v0=1.0)  # initial threshold not above v0
+    for name in ("I", "V_r", "sigma", "theta0", "delta", "v_reset"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+                NeuronParams(**{name: value})
+    # a threshold that never decays
+    assert NeuronParams(tau1=math.inf).tau1 == math.inf
 
 
 def test_drift_coefficients():
@@ -133,9 +138,10 @@ _LATER_STAGES = [
 def _later_stage(theta_plus, current, tau_m):
     p = NeuronParams(I=current, tau_m=tau_m)
     theta_start = p.theta0 + (theta_plus - p.theta0) * math.exp(-_SHIFT / p.tau1)
-    prob = _stage_problem(
-        p, theta_plus, x_start=-math.log(theta_start) / p.sigma + _OFFSET + 1.0,
-        offset=_OFFSET, time_shift=_SHIFT, prop_horizon=_HORIZON, max_proposals=10**6,
+    bounds = _StageBounds(p, theta_plus, [_OFFSET], _SHIFT, _HORIZON)
+    prob = bounds.problem(
+        0, _SHIFT, x_start=-math.log(theta_start) / p.sigma + _OFFSET + 1.0,
+        horizon=_HORIZON, max_proposals=10**6,
     )
     return p, prob
 
@@ -238,10 +244,9 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
     monkeypatch.setattr(neuron, "sample_exact_below", recording)
     _draw_interval(p, 2.0, 1.0, 2.0, np.random.default_rng(5), 10**6)
     assert len(built) == 1
-    single = _stage_problem(
-        p, 2.0, x_start=0.0, offset=0.0, time_shift=0.0, prop_horizon=2.0 + PROPOSAL_SLACK,
-        max_proposals=10**6,
-    )
+    bounds = _StageBounds(p, 2.0, [0.0], 0.0, 2.0 + PROPOSAL_SLACK)
+    single = bounds.problem(0, 0.0, x_start=0.0, horizon=2.0 + PROPOSAL_SLACK,
+                            max_proposals=10**6)
     for prob in (built[0], single):
         assert prob.proposal.curvy.horizon == 2.0 + PROPOSAL_SLACK
     assert built[0].gammas.reference_drift == single.gammas.reference_drift
@@ -252,10 +257,8 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
 
 def test_stage_acceptance_identity_at_strong_current():
     p = NeuronParams(I=20.0)
-    prob = _stage_problem(
-        p, theta_plus=2.0, x_start=0.0, offset=0.0, time_shift=0.0,
-        prop_horizon=7.0, max_proposals=10**6,
-    )
+    bounds = _StageBounds(p, 2.0, [0.0], 0.0, 7.0)
+    prob = bounds.problem(0, 0.0, x_start=0.0, horizon=7.0, max_proposals=10**6)
     target = expected_proposals(prob)
     draws = sample_batch(prob, 3000, 70)
     assert all(d.finite for d in draws)
@@ -424,6 +427,29 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
                 assert mine.curvy[1] == theirs.curvy[1]
             else:
                 assert getattr(mine, name) == getattr(theirs, name), name
+
+
+def test_each_stage_builds_one_proposal_frame(monkeypatch):
+    # Threshold.proposal_frame builds every stage's frame, once per stage on
+    # its own threshold, and no frame is built while a stage samples
+    framed = []
+    stages = []
+    original = Threshold.proposal_frame
+
+    def counting(self, *args, **kwargs):
+        framed.append(self)
+        return original(self, *args, **kwargs)
+
+    def recording(problem, rng):
+        stages.append(problem)
+        return sample_exact_below(problem, rng)
+
+    monkeypatch.setattr(Threshold, "proposal_frame", counting)
+    monkeypatch.setattr(neuron, "sample_exact_below", recording)
+    simulate_trials(NeuronParams(I=20.0), 1.0, 2, 77)
+    assert len(stages) > 3
+    assert len(framed) == len(stages)
+    assert all(th is prob.threshold for th, prob in zip(framed, stages))
 
 
 def test_train_checks_its_budget_and_horizon_before_any_stage(monkeypatch):
