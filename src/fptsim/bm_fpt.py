@@ -37,6 +37,10 @@ caller that already holds streams (the exact sampler) hands them in.
 Returned times of ``sample_fpt_curvy`` equal the horizon when the iteration
 was censored; callers that need to distinguish censoring compare against the
 horizon they passed in.
+
+No sampler here needs scipy: only the two CDF test oracles,
+:func:`inverse_gaussian_cdf` and :func:`constant_level_cdf`, load
+``scipy.special`` (``ndtr``, ``log_ndtr``), on their first call.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import AssumptionViolation, ParameterError
 from .model import Orientation, Threshold, _fill
@@ -148,6 +151,8 @@ def inverse_gaussian_cdf(t, mu: float, lam: float):
     ``z = sqrt(lam / t)``; the second term is evaluated in log space to avoid
     overflow.
     """
+    from scipy.special import log_ndtr, ndtr
+
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0.0
@@ -161,6 +166,8 @@ def inverse_gaussian_cdf(t, mu: float, lam: float):
 
 def constant_level_cdf(t, level: float):
     """CDF of the Brownian passage time to a constant level (test oracle)."""
+    from scipy.special import ndtr
+
     if level < 0.0:
         raise ParameterError(f"level must be >= 0, got {level}")
     t = np.asarray(t, dtype=float)

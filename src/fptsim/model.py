@@ -32,8 +32,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import AssumptionViolation, ConfigurationError, DomainError, ParameterError
 
@@ -366,8 +364,13 @@ def lamperti_transform(sde: GeneralSDE, y_ref: float) -> UnitDiffusionSDE:
     ``alpha'`` uses a central difference of ``alpha``, and ``A`` integrates
     ``alpha`` from ``F(y_ref) = 0``.  Evaluations are not cached: this path
     is meant for validation and problem set-up, not inner sampling loops.
-    Problems with analytic transforms should supply them directly.
+    Problems with analytic transforms should supply them directly.  This is
+    the one function of the module that loads scipy (``scipy.integrate`` and
+    ``scipy.optimize``), on its first call.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     if not math.isfinite(y_ref):
         raise ParameterError(f"y_ref must be finite, got {y_ref}")
     sde.sigma_checked(y_ref)

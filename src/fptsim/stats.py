@@ -4,7 +4,8 @@ Provides the two-sample and one-sample Kolmogorov-Smirnov statistics with
 asymptotic p-values, moment-bias helpers for grid-scheme error measurement,
 and a Gaussian kernel density estimate for plotting.  Infinite passage times
 are allowed in summaries (reported through ``finite_fraction``) but must be
-filtered before KS comparisons.
+filtered before KS comparisons.  The two KS functions are the only ones
+that load scipy (``scipy.special.kolmogorov``), on their first call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .errors import ParameterError
 
@@ -95,6 +95,8 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     the p-value is the Kolmogorov survival function at
     ``D * sqrt(n*m / (n + m))``.
     """
+    from scipy.special import kolmogorov
+
     x = np.sort(_check_finite_sample(x, "x"))
     y = np.sort(_check_finite_sample(y, "y"))
     pooled = np.concatenate([x, y])
@@ -108,6 +110,8 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 def ks_one_sample(x: np.ndarray, cdf) -> tuple[float, float]:
     """One-sample KS statistic against a callable CDF, asymptotic p-value."""
+    from scipy.special import kolmogorov
+
     x = np.sort(_check_finite_sample(x, "x"))
     n = x.size
     f = np.asarray([cdf(v) for v in x], dtype=float)
