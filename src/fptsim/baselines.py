@@ -42,7 +42,7 @@ import numpy as np
 
 from .bm_fpt import FptDraw
 from .errors import ParameterError
-from .model import Threshold, UnitDiffusionSDE
+from .model import Threshold, UnitDiffusionSDE, _fill
 from .rng import block_stream, sample_many, substream
 
 __all__ = [
@@ -144,7 +144,9 @@ def _walk(
 
 
 def _draw(time: float) -> FptDraw:
-    return FptDraw(time=time, finite=time < math.inf)
+    """A grid :class:`FptDraw`, not re-checked: a walk's ``time`` is ``>= 0`` or ``inf``."""
+    return _fill(FptDraw, {"time": time, "finite": time < math.inf, "proposals": 1,
+                           "clock_events": 0, "line_draws": 0})
 
 
 def euler_fpt(

@@ -4,8 +4,9 @@ Provides the two-sample and one-sample Kolmogorov-Smirnov statistics with
 asymptotic p-values, moment-bias helpers for grid-scheme error measurement,
 and a Gaussian kernel density estimate for plotting.  Infinite passage times
 are allowed in summaries (reported through ``finite_fraction``) but must be
-filtered before KS comparisons.  The two KS functions are the only ones
-that load scipy (``scipy.special.kolmogorov``), on their first call.
+filtered before KS comparisons.  The KS p-values come from
+:func:`_kolmogorov_sf`, a plain-``math`` port of ``scipy.special.kolmogorov``
+that returns the same doubles, so no function here loads scipy.
 """
 
 from __future__ import annotations
@@ -88,6 +89,39 @@ def _check_finite_sample(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: At and below this the sf is 1 (pi^2 / (8 x^2) >= 746, where exp underflows).
+_SF_ONE_BELOW = math.pi / math.sqrt(746 * 8)
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """Kolmogorov survival function ``K(x) = 2 sum_k (-1)^(k-1) exp(-2 k^2 x^2)``.
+
+    A step-for-step port of scipy's ``kolmogorov`` (cephes/xsf; Marsaglia,
+    Tsang & Wang 2003), operations in the same order so it returns the same
+    doubles: the Jacobi-theta form ``1 - sqrt(2 pi)/x * sum_k u^((2k-1)^2)``
+    with ``u = exp(-pi^2 / (8 x^2))`` up to ``x = 0.82``, the alternating
+    series above, each cut after its last term that counts, clipped to
+    [0, 1].  NaN passes through.
+    """
+    if x <= _SF_ONE_BELOW:
+        return 1.0
+    if x <= 0.82:
+        w = _SQRT_2PI / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0.0:
+            sf = 1.0 - math.exp(logu8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(logu8)
+            sf = 1.0 - w * u * (1.0 + u8 * (1.0 + u8 * u8 * (1.0 + math.pow(u8, 3))))
+    else:
+        v = math.exp(-2.0 * x * x)
+        v3 = math.pow(v, 3)
+        sf = 2.0 * v * (1.0 - v3 * (1.0 - v3 * (v * v) * (1.0 - v3 * v3 * v)))
+    return min(max(sf, 0.0), 1.0)
+
+
 def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Two-sample KS statistic and asymptotic p-value.
 
@@ -95,8 +129,6 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     the p-value is the Kolmogorov survival function at
     ``D * sqrt(n*m / (n + m))``.
     """
-    from scipy.special import kolmogorov
-
     x = np.sort(_check_finite_sample(x, "x"))
     y = np.sort(_check_finite_sample(y, "y"))
     pooled = np.concatenate([x, y])
@@ -104,14 +136,11 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     cdf_y = np.searchsorted(y, pooled, side="right") / y.size
     d = float(np.abs(cdf_x - cdf_y).max())
     n_eff = x.size * y.size / (x.size + y.size)
-    p = float(kolmogorov(d * math.sqrt(n_eff)))
-    return d, min(1.0, p)
+    return d, _kolmogorov_sf(d * math.sqrt(n_eff))
 
 
 def ks_one_sample(x: np.ndarray, cdf) -> tuple[float, float]:
     """One-sample KS statistic against a callable CDF, asymptotic p-value."""
-    from scipy.special import kolmogorov
-
     x = np.sort(_check_finite_sample(x, "x"))
     n = x.size
     f = np.asarray([cdf(v) for v in x], dtype=float)
@@ -119,8 +148,7 @@ def ks_one_sample(x: np.ndarray, cdf) -> tuple[float, float]:
         raise ParameterError("cdf must return values in [0, 1]")
     grid = np.arange(1, n + 1) / n
     d = float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
-    p = float(kolmogorov(d * math.sqrt(n)))
-    return d, min(1.0, p)
+    return d, _kolmogorov_sf(d * math.sqrt(n))
 
 
 def moment_bias(approx: np.ndarray, exact: np.ndarray) -> tuple[float, float]:

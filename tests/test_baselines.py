@@ -17,7 +17,7 @@ from fptsim.baselines import (
     grid_batch,
     improved_euler_fpt,
 )
-from fptsim.bm_fpt import constant_level_cdf
+from fptsim.bm_fpt import FptDraw, constant_level_cdf
 from fptsim.errors import ParameterError
 from fptsim.model import Orientation, UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
@@ -135,6 +135,27 @@ def test_improved_reports_interior_hit_times():
     times = [d.time for d in draws if d.finite]
     assert any(abs(t / 0.5 - round(t / 0.5)) > 1e-9 for t in times)
     assert all(t >= 0.0 for t in times)
+
+
+def test_grid_draws_equal_constructor_built_draws():
+    # grid draws skip the FptDraw checks; they must hold the same fields and
+    # values as checked ones, over hits at 0, at grid times, at step
+    # midpoints and censored paths
+    sde = _brownian()
+    th = constant_threshold(0.05, Orientation.ABOVE_START)
+    draws = []
+    for scheme in ("euler", "improved_euler"):
+        g = GridScheme(delta=0.5, horizon=1.0, scheme=scheme)
+        draws += grid_batch(sde, th, g, 200, 12)
+        draws += coupled_euler_pair(sde, th, g, np.random.default_rng(13))
+    at_start = linear_threshold(1.0, 0.0, Orientation.BELOW_START)
+    draws.append(improved_euler_fpt(sde, at_start, GridScheme(0.5, 2.0), np.random.default_rng(11)))
+    times = {d.time for d in draws}
+    assert {0.0, 0.5, 0.25, math.inf} <= times
+    for d in draws:
+        checked = FptDraw(time=d.time, finite=d.time < math.inf)
+        assert type(d) is FptDraw
+        assert d == checked and hash(d) == hash(checked) and vars(d) == vars(checked)
 
 
 def test_grid_batch_worker_invariance():

@@ -237,6 +237,23 @@ def test_benchmark_compares_horizon_capped_times(tmp_path):
         assert (row["ks_D"], row["ks_p"]) == ks_two_sample(approx, exact)
 
 
+def test_benchmark_comparison_is_pinned(tmp_path):
+    # literal rows whose ks_p equal scipy.special.kolmogorov at D * sqrt(50):
+    # the large-x branch of the Kolmogorov sf in the first three rows, the
+    # small-x branch (x <= 0.82) in the last
+    mapping = {"experiment": "benchmark", "n": 100, "deltas": [0.0625, 0.015625], "seed": 3}
+    run_experiment(resolve_config({**mapping, "timing": False, "out": str(tmp_path)}))
+    assert (tmp_path / "comparison.csv").read_text().splitlines() == [
+        "delta,method,ks_D,ks_p,bias1,bias2,wall_time",
+        "0.0625,euler,0.29,0.00044525971383286477,0.026844977185847163,-0.014541620277416716,0.0",
+        "0.0625,improved_euler,0.14,0.28092954741988757,0.005594977185847172,0.002869995884199457,0.0",
+        "0.015625,euler,0.16000000000000003,0.15453805538450618,"
+        "-0.013623772814152835,-0.018547622684298017,0.0",
+        "0.015625,improved_euler,0.07999999999999999,0.9062063895703107,"
+        "-0.007061272814152836,0.005453965462797916,0.0",
+    ]
+
+
 def test_benchmark_with_every_grid_path_censored_exits_0(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"deltas": [2.0**-8], "horizon": 2.0**-8}))

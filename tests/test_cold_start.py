@@ -1,9 +1,9 @@
 """Cold start: which experiments and functions load scipy, seen from a fresh process.
 
 Scipy is imported inside the few functions that use it, so importing the
-package and running the sampling experiments never loads it.  The pytest
-process has usually imported scipy through other test modules already, so
-every check here runs in a new interpreter.
+package and running any CLI experiment never loads it, and neither do the KS
+tests.  The pytest process has usually imported scipy through other test
+modules already, so every check here runs in a new interpreter.
 """
 
 from __future__ import annotations
@@ -70,16 +70,18 @@ def test_sampling_experiments_never_load_scipy(tmp_path):
     assert all((tmp_path / str(i) / "summary.json").is_file() for i in range(len(_SAMPLING)))
 
 
+# The benchmark's KS p-values once needed scipy.special.kolmogorov, which
+# stats._kolmogorov_sf now ports, so not even scipy.special may load.
 def test_benchmark_loads_only_scipy_special(tmp_path):
     benchmark = [{"experiment": "benchmark", "n": 20, "deltas": [0.25]}]
     loaded = _fresh(_RUN_CONFIGS, json.dumps(benchmark), str(tmp_path))
-    assert "scipy.special" in loaded
-    assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in loaded)
+    assert loaded == []
+    assert (tmp_path / "0" / "summary.json").is_file()
     assert (tmp_path / "0" / "comparison.csv").is_file()
 
 
-# Each site is the first scipy user of its process; its value must equal the
-# value computed here, where scipy is usually loaded already.
+# Each call is the first of its process; its value must equal the value
+# computed here, where scipy is usually loaded already.
 _PRELUDE = """
 import math
 import numpy as np
@@ -103,14 +105,17 @@ _FIRST_CALLS = {
     ),
     "inverse_gaussian_cdf": "inverse_gaussian_cdf([0.0, 0.4, 1.0, 2.5], 1.5, 2.0).tolist()",
     "constant_level_cdf": "constant_level_cdf([0.0, 0.4, 1.0, 2.5], 0.7).tolist()",
+}
+
+_SCIPY_FREE_CALLS = {
     "ks_one_sample": "ks_one_sample(XS, lambda v: 1.0 - math.exp(-v))",
     "ks_two_sample": "ks_two_sample(XS, YS)",
 }
 
 
-@pytest.mark.parametrize("site", sorted(_FIRST_CALLS))
-def test_first_call_loads_scipy_and_matches_in_process_value(site):
-    expr = _FIRST_CALLS[site]
+def _first_call(expr: str) -> tuple[bool, bool]:
+    """Scipy loaded before and after ``expr`` in a fresh process, whose value
+    must equal the value of ``expr`` here."""
     code = "\n".join(
         [
             "import json, sys",
@@ -121,7 +126,17 @@ def test_first_call_loads_scipy_and_matches_in_process_value(site):
         ]
     )
     before, after, value = _fresh(code)
-    assert (before, after) == (False, True)
     namespace: dict = {}
     exec(_PRELUDE, namespace)
     assert value == json.loads(json.dumps(eval(expr, namespace)))
+    return before, after
+
+
+@pytest.mark.parametrize("site", sorted(_FIRST_CALLS))
+def test_first_call_loads_scipy_and_matches_in_process_value(site):
+    assert _first_call(_FIRST_CALLS[site]) == (False, True)
+
+
+@pytest.mark.parametrize("site", sorted(_SCIPY_FREE_CALLS))
+def test_ks_tests_load_no_scipy_and_match_in_process_value(site):
+    assert _first_call(_SCIPY_FREE_CALLS[site]) == (False, False)

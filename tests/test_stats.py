@@ -10,6 +10,7 @@ from scipy import special
 from scipy import stats as sps
 
 from fptsim.stats import (
+    _kolmogorov_sf,
     density_curve,
     ks_one_sample,
     ks_two_sample,
@@ -51,7 +52,7 @@ def test_ks_two_sample_matches_scipy():
     # scipy's asymp variant adds a small-sample correction, so only require
     # agreement at the scale that decision thresholds care about
     n_eff = x.size * y.size / (x.size + y.size)
-    assert p == pytest.approx(special.kolmogorov(d * np.sqrt(n_eff)), abs=1e-12)
+    assert p == special.kolmogorov(d * math.sqrt(n_eff))
     assert p == pytest.approx(ref.pvalue, abs=0.03)
 
 
@@ -61,7 +62,40 @@ def test_ks_one_sample_matches_scipy():
     d, p = ks_one_sample(x, sps.norm.cdf)
     ref = sps.kstest(x, sps.norm.cdf, method="asymp")
     assert d == pytest.approx(ref.statistic, abs=1e-12)
+    assert p == special.kolmogorov(d * math.sqrt(x.size))
     assert p == pytest.approx(ref.pvalue, rel=0.02, abs=1e-9)
+
+
+def _kolmogorov_points() -> np.ndarray:
+    """Both branches, their edges and the values a 100-vs-100 KS test reaches."""
+    early = math.pi / math.sqrt(746 * 8)  # the sf is 1 at and below this
+    edges = [early, 0.82]
+    near = [np.nextafter(e, direction) for e in edges for direction in (0.0, 1.0)]
+    return np.concatenate(
+        [
+            np.linspace(0.0, 12.0, 24_001),
+            np.linspace(early - 1e-3, early + 1e-3, 2_001),
+            np.linspace(0.81, 0.83, 2_001),
+            np.geomspace(1e-300, 0.1, 301),
+            np.arange(101) / 100 * math.sqrt(100 * 100 / 200),  # every D * sqrt(50)
+            edges,
+            near,
+            [-0.0, -1.0, -math.inf, 27.0, 40.0, 1e10, 1e300, math.inf],
+        ]
+    )
+
+
+def test_kolmogorov_sf_equals_scipy_bit_for_bit():
+    xs = _kolmogorov_points()
+    ours = np.array([_kolmogorov_sf(float(x)) for x in xs])
+    ref = special.kolmogorov(xs)
+    differ = ours.view(np.int64) != ref.view(np.int64)
+    assert not differ.any(), xs[differ][:5]
+    # the grid reaches the early exit, the series underflow and the full range
+    assert ours[xs <= math.pi / math.sqrt(746 * 8)].min() == 1.0
+    assert ours[xs >= 27.0].max() == 0.0
+    assert 0.0 < ours[(xs > 0.5) & (xs < 2.0)].min() < ours[(xs > 0.5) & (xs < 2.0)].max() < 1.0
+    assert math.isnan(_kolmogorov_sf(math.nan))
 
 
 def test_ks_detects_a_shift():
