@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bm_fpt import FptDraw
+from .bm_fpt import FptDraw, _draw
 from .errors import ParameterError
-from .model import Threshold, UnitDiffusionSDE, _fill
+from .model import Threshold, UnitDiffusionSDE
 from .rng import block_stream, sample_many, substream
 
 __all__ = [
@@ -141,12 +141,6 @@ def _walk(
             bridge = False  # the improved detector has fired
         gap = gap_new
     return math.inf, improved
-
-
-def _draw(time: float) -> FptDraw:
-    """A grid :class:`FptDraw`, not re-checked: a walk's ``time`` is ``>= 0`` or ``inf``."""
-    return _fill(FptDraw, {"time": time, "finite": time < math.inf, "proposals": 1,
-                           "clock_events": 0, "line_draws": 0})
 
 
 def euler_fpt(

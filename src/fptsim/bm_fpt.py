@@ -103,11 +103,17 @@ class FptDraw:
             raise ParameterError("counters must be non-negative")
 
 
-def _finite_draw(time: float, proposals: int, clock_events: int, line_draws: int = 0) -> FptDraw:
-    """A finite :class:`FptDraw` from a sampler's own values, not re-checked:
-    ``time`` is a finite float ``>= 0`` and the counts are non-negative."""
-    return _fill(FptDraw, {"time": time, "finite": True, "proposals": proposals,
+def _draw(time: float, proposals: int = 1, clock_events: int = 0, line_draws: int = 0) -> FptDraw:
+    """An :class:`FptDraw` from a sampler's own values, not re-checked:
+    ``time`` is a float ``>= 0`` or ``inf`` and the counts are non-negative."""
+    return _fill(FptDraw, {"time": time, "finite": time < math.inf, "proposals": proposals,
                            "clock_events": clock_events, "line_draws": line_draws})
+
+
+#: Default stop gap of the curvy iteration.
+CURVY_EPSILON = 2.0**-4
+#: Default horizon of the curvy iteration.
+CURVY_HORIZON = 50.0
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class CurvyParams:
 
     epsilon: float
     r: float
-    horizon: float = 50.0
+    horizon: float = CURVY_HORIZON
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
@@ -293,7 +299,7 @@ def sample_fpt_curvy(
     epsilon = params.epsilon
     horizon = params.horizon
     if b0 <= epsilon:
-        return _finite_draw(0.0, 1, 0)
+        return _draw(0.0)
     if normal is None:
         normal = block_stream(rng.standard_normal, _LINE_BLOCK)
         uniform = block_stream(rng.random, _LINE_BLOCK)
@@ -306,7 +312,7 @@ def sample_fpt_curvy(
         g = linear_time(r, H, normal, uniform)
         draws += 1
         if g == math.inf:
-            return _finite_draw(horizon, 1, draws)
+            return _draw(horizon, 1, draws)
         T += g
         beta_next = beta(T)
         H = beta_next - beta_T - r * g
@@ -317,4 +323,4 @@ def sample_fpt_curvy(
                     f"line of slope r={r} overshot the threshold at T={T} (gap {H}); "
                     "the threshold's inf_slope is not a lower bound of its slope"
                 )
-            return _finite_draw(min(T, horizon), 1, draws)
+            return _draw(min(T, horizon), 1, draws)

@@ -43,12 +43,12 @@ does not shrink with epsilon (Example 2 at epsilon = 2^-20 against improved
 Euler: two-sample KS p = 3.3e-6).  The fix, a reconstruction that follows
 the line iterates of the proposal, is ROADMAP item 1.
 
-:class:`ExactProblem` checks its parts once and builds the problem's kernel
-form (``_Kernel``: plain floats and callables, with the start gap
-``delta = phi(0)``), which the sampler runs on without rebuilding anything
-per draw.  Callers whose values already meet every check skip them: neuron
-stages are built by ``_trusted_problem``, which builds the same frame and
-kernel, and :func:`sample_exact_split` builds its stages in kernel form only.
+``_kernel_of`` alone builds the proposal frame, checks a problem's parts and
+returns its kernel form (``_Kernel``: plain floats and callables, with the
+start gap ``delta = phi(0)``), which the sampler runs on without rebuilding
+anything per draw.  :class:`ExactProblem` and the neuron stages (through
+``_trusted_problem``) store it; :func:`sample_exact_split` builds each stage
+from the problem's kernel and the stage's own line.
 
 Each call draws its randomness in blocks from its own generator: the
 exponential clock gaps, the bridge normals and the event marks come from
@@ -73,7 +73,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, _finite_draw, _linear_time, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, _draw, _linear_time, sample_fpt_curvy
 from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
@@ -83,7 +83,6 @@ from .model import (
     _fill,
     _guard_rate,
     _rate_ceiling,
-    make_gamma_pair,
 )
 from .rng import block_stream, sample_many
 
@@ -190,10 +189,11 @@ class ExactProblem:
     ``gammas`` must carry a ``kappa`` bound and must have been built from
     ``(sde, threshold)`` with the same ``reference_drift`` (or be certified
     equivalent by the caller); runtime guards abort on out-of-range rates
-    rather than silently biasing output.  ``frame`` is the threshold as the
-    reference motion sees it (:meth:`fptsim.model.Threshold.proposal_frame`
-    at ``x0`` and the reference drift), built once here for every draw,
-    together with the plain-value form the sampler runs on.
+    rather than silently biasing output.  The constructor checks the parts
+    and builds the plain-value form the sampler runs on, once for every
+    draw, in :func:`_kernel_of`; the proposal frame of a curved threshold
+    is ``_kernel.curvy[0]``.  It also refuses a curvy proposal whose start
+    gap is within its ``epsilon``, for which every draw would be 0.
     """
 
     sde: UnitDiffusionSDE
@@ -201,24 +201,15 @@ class ExactProblem:
     gammas: GammaPair
     proposal: Proposal = field(default_factory=lambda: Proposal("linear"))
     max_proposals: int = 10**6
-    frame: Threshold = field(init=False, repr=False, compare=False)
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.gammas.kappa is None:
-            raise ConfigurationError("gammas.kappa must be set for sampling")
-        if self.max_proposals < 1:
-            raise ParameterError(f"max_proposals must be >= 1, got {self.max_proposals}")
-        self.threshold.validate_start(self.sde.x0)
-        if self.proposal.kind == "linear" and self.threshold.linear is None:
-            raise ConfigurationError("linear proposals require a linear threshold")
-        frame = self.threshold.proposal_frame(self.sde.x0, self.gammas.reference_drift)
-        if frame.linear is not None and not frame.linear[1] > 0.0:
-            raise ConfigurationError(
-                f"translated proposal intercept {frame.linear[1]} must be positive"
-            )
-        object.__setattr__(self, "frame", frame)
-        kernel = _kernel_of(self.threshold, self.gammas, self.proposal, self.max_proposals, frame)
+        kernel = _kernel_of(self.sde, self.threshold, self.gammas, self.proposal,
+                            self.max_proposals)
+        if kernel.curvy is not None and kernel.delta <= kernel.curvy[1].epsilon:
+            raise ConfigurationError(f"start gap {kernel.delta} is within epsilon = "
+                                     f"{kernel.curvy[1].epsilon}: every draw would be 0; "
+                                     "lower epsilon below the gap")
         object.__setattr__(self, "_kernel", kernel)
 
 
@@ -251,40 +242,56 @@ class _Kernel(NamedTuple):
 
 
 def _line_part(slope: float, intercept: float) -> tuple:
-    """``_Kernel.line`` of the frame line ``slope * t + intercept``."""
+    """``_Kernel.line`` of the frame line ``slope * t + intercept``, ``intercept > 0``."""
+    if not intercept > 0.0:
+        raise ConfigurationError(f"translated proposal intercept {intercept} must be positive")
     if slope == 0.0:
         return intercept, None, None
     wald = (abs(intercept / slope), intercept * intercept)
     return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
 
 
-def _kernel_of(threshold: Threshold, gammas: GammaPair, proposal: Proposal,
-               max_proposals: int, frame: Threshold) -> _Kernel:
-    """The kernel of checked problem parts (see :class:`ExactProblem`)."""
+def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
+               proposal: Proposal, max_proposals: int) -> _Kernel:
+    """The checked kernel of a problem's parts (see :class:`ExactProblem`).
+
+    Checks in order: ``kappa`` is set, ``max_proposals >= 1``, the start gap
+    ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` or else passes
+    :meth:`Threshold.validate_start`, a linear proposal has a linear
+    threshold, and the frame line's intercept is positive (:func:`_line_part`).
+    """
+    kappa = gammas.kappa
+    if kappa is None:
+        raise ConfigurationError("gammas.kappa must be set for sampling")
+    if max_proposals < 1:
+        raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
+    frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
+    delta = frame.beta(0.0)
+    if not 0.0 < delta < math.inf:
+        threshold.validate_start(sde.x0)
     linear = proposal.kind == "linear"
+    if linear and threshold.linear is None:
+        raise ConfigurationError("linear proposals require a linear threshold")
     return _Kernel(
         threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
-        gammas.shift1, gammas.shift2, gammas.kappa, _rate_ceiling(gammas.kappa),
-        frame.beta(0.0), max_proposals, _line_part(*frame.linear) if linear else None,
+        gammas.shift1, gammas.shift2, kappa, _rate_ceiling(kappa), delta, max_proposals,
+        _line_part(*frame.linear) if linear else None,
         None if linear else (frame, proposal.curvy),
     )
 
 
 def _trusted_problem(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
                      proposal: Proposal, max_proposals: int) -> ExactProblem:
-    """An :class:`ExactProblem` of parts that already meet its checks.
+    """An :class:`ExactProblem` built without the frozen-dataclass constructor.
 
-    It builds the frame as ``__post_init__`` does and skips the checks: the
-    caller guarantees that ``kappa`` is set and positive, ``max_proposals >=
-    1``, the start lies on the threshold's far side, and a linear proposal
-    has a linear threshold with a positive frame intercept.  The neuron
-    stages use it: their interval tables guarantee all of this.
+    It runs every check of :func:`_kernel_of` but not the constructor's
+    refusal of a curvy start within ``epsilon``: in a chain of neuron stages
+    such a stage passes at once, the epsilon-stop of its iteration.
     """
-    frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
-    kernel = _kernel_of(threshold, gammas, proposal, max_proposals, frame)
+    kernel = _kernel_of(sde, threshold, gammas, proposal, max_proposals)
     return _fill(ExactProblem, {"sde": sde, "threshold": threshold, "gammas": gammas,
                                 "proposal": proposal, "max_proposals": max_proposals,
-                                "frame": frame, "_kernel": kernel})
+                                "_kernel": kernel})
 
 
 def expected_proposals(problem: ExactProblem) -> float:
@@ -343,7 +350,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
         if tau == math.inf:
             continue
         if tau <= 0.0:
-            return _finite_draw(0.0, attempt, total_events, line_draws)
+            return _draw(0.0, attempt, total_events, line_draws)
         e0 = 0.0
         e1 = clock_gap()
         l1 = l2 = l3 = 0.0
@@ -366,7 +373,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
             e0 = e1
             e1 += clock_gap()
         else:
-            return _finite_draw(tau, attempt, total_events, line_draws)
+            return _draw(tau, attempt, total_events, line_draws)
     raise NonTerminationError(
         f"no acceptance within {max_proposals} proposals; "
         "check kappa and the proposal horizon"
@@ -397,10 +404,11 @@ def sample_exact_split(
     Stage ``i`` runs the exact sampler from the previous hit point to the
     parallel line through level ``x0 + (beta(0) - x0) * i / k``; by the strong
     Markov property the summed stage times follow the original passage law,
-    and ``k = 1`` is the plain single-stage path.  Stage rate pairs are
-    rebuilt from the stage geometry and inherit the original shifts, bound
-    and reference drift.  Each stage is built in kernel form only: its
-    line, rates and start are the checked problem's, moved along the line.
+    and ``k = 1`` is the plain single-stage path.  Each stage is built in
+    kernel form only: it keeps the problem kernel's ``gamma2``, shifts,
+    bound, rate ceiling and proposal budget, and takes its own line, time
+    rate ``gamma1`` and start gap, with the float expressions of
+    ``linear_threshold``, ``make_gamma_pair`` and ``Threshold.proposal_frame``.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -409,11 +417,9 @@ def sample_exact_split(
     if problem.threshold.orientation is not Orientation.ABOVE_START:
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
-    gp = problem.gammas
-    g = float(gp.reference_drift)
+    _, _, _, gamma2, s1, s2, kappa, ceiling, _, max_proposals, _, _ = problem._kernel
+    g = problem.gammas.reference_drift
     alpha = problem.sde.alpha
-    gamma2 = make_gamma_pair(problem.sde, problem.threshold, g).gamma2
-    ceiling = _rate_ceiling(gp.kappa)
     x0 = problem.sde.x0
     gap = b - x0
 
@@ -424,24 +430,19 @@ def sample_exact_split(
     for i in range(1, k + 1):
         level = x0 + gap * (i / k)
         intercept = a * t_acc + level
-        # the stage problem in kernel form, with the float expressions of
-        # linear_threshold, make_gamma_pair and Threshold.proposal_frame
         delta = intercept - x_cur
-        if not delta > 0.0:
-            raise ConfigurationError(f"translated proposal intercept {delta} must be positive")
         stage = _Kernel(
             lambda t, b=intercept: a * t + b,
             1.0,
             lambda t, b=intercept: -(alpha(a * t + b) - g) * a,
-            gamma2, gp.shift1, gp.shift2, gp.kappa, ceiling, delta, problem.max_proposals,
-            _line_part(a - g, delta), None,
+            gamma2, s1, s2, kappa, ceiling, delta, max_proposals, _line_part(a - g, delta), None,
         )
         d = _sample_oriented(stage, rng)
         x_cur = a * d.time + intercept
         t_acc += d.time
         total_proposals += d.proposals
         total_events += d.clock_events
-    return _finite_draw(t_acc, total_proposals, total_events)
+    return _draw(t_acc, total_proposals, total_events)
 
 
 def sample_batch(

@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw
+from .bm_fpt import CURVY_EPSILON, CurvyParams, FptDraw
 from .errors import (
     AssumptionViolation,
     DomainError,
@@ -105,8 +105,6 @@ __all__ = [
     "write_spike_trains_csv",
 ]
 
-#: Resolution of the iterative curvy proposal sampler.
-CURVY_EPSILON = 2.0**-4
 #: Extra proposal time past the remaining simulation horizon.
 PROPOSAL_SLACK = 5.0
 #: Margin between the tangent slope and the steepest admissible slope.
@@ -429,10 +427,10 @@ class _StageBounds:
         r = (g - self.sup_slope) - TANGENT_MARGIN
         if not math.isfinite(r):
             raise ParameterError(f"r must be finite, got {r}")
-        # The tables meet every check of the public constructors: kappa is
-        # at least _KAPPA_FLOOR, the stage starts on the threshold's far
-        # side, epsilon is a constant and the horizon is positive and finite
-        # (simulate_spike_train checks its horizon and max_proposals once).
+        # The part fills skip only the part constructors' checks: kappa is
+        # at least _KAPPA_FLOOR, r is checked above, epsilon is a constant
+        # and the horizon is positive and finite (simulate_spike_train checks
+        # its horizon once).
         alpha, alpha_prime, A = self.sde_parts
         return _trusted_problem(
             _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
@@ -476,8 +474,6 @@ def transform_neuron(
     bounds = _StageBounds(params, state.theta_plus, [0.0], 0.0, prop_horizon)
     problem = bounds.problem(0, 0.0, x_start=-math.log(start_voltage) / params.sigma,
                              horizon=prop_horizon, max_proposals=10**6)
-    # a start voltage at or above the threshold is the caller's, not the tables'
-    problem.threshold.validate_start(problem.sde.x0)
     return problem.sde, problem.threshold, problem.gammas
 
 
@@ -541,8 +537,9 @@ def simulate_spike_train(
 ) -> SpikeTrain:
     """Chain exact interval draws into the spike train on ``[0, horizon)``.
 
-    ``horizon`` and ``max_proposals`` are checked here, once per train: the
-    stage problems are built without re-checking them.
+    ``horizon`` and ``max_proposals`` are checked here, before any stage is
+    built: the stages' proposal parameters are built without re-checking
+    the horizon.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be positive and finite, got {horizon}")

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bm_fpt import CurvyParams
+from .bm_fpt import CURVY_EPSILON, CURVY_HORIZON, CurvyParams
 from .errors import ConfigurationError, ParameterError
 from .exact import ExactProblem, Proposal, default_proposal
 from .model import (
@@ -157,8 +157,8 @@ def example2_problem(
     a: float = 1.0,
     b: float = 1.0,
     x0: float = 0.0,
-    epsilon: float = 2.0**-4,
-    horizon: float = 50.0,
+    epsilon: float = CURVY_EPSILON,
+    horizon: float = CURVY_HORIZON,
     max_proposals: int = 10**6,
 ) -> ExactProblem:
     """Sinusoidal drift ``K + sin(x)`` vs the threshold ``a * exp(-b*t)``.
@@ -230,15 +230,15 @@ def build_custom_problem(
     threshold_params: dict,
     x0: float = 0.0,
     epsilon: float | None = None,
-    horizon: float = 50.0,
+    horizon: float = CURVY_HORIZON,
     max_proposals: int = 10**6,
 ) -> ExactProblem:
     """Assemble a problem from registry names and parameter dicts.
 
     ``epsilon`` sets the curvy iteration's stop gap for a curved threshold
-    (2**-4 when unset); a line threshold has no such iteration and refuses
-    it.  Orientation is inferred from the threshold start relative to
-    ``x0``.  The thinning bound is estimated on a grid spanning the
+    (``CURVY_EPSILON`` when unset); a line threshold has no such iteration
+    and refuses it.  Orientation is inferred from the threshold start
+    relative to ``x0``.  The thinning bound is estimated on a grid spanning the
     threshold range padded by one sine period on each side, which covers
     the global supremum for every registered (periodic or constant) drift;
     the sampler's runtime guard still aborts if the bound is ever exceeded.
@@ -264,7 +264,7 @@ def build_custom_problem(
     lo = min(x0, b0, th.beta(horizon)) - pad
     hi = max(x0, b0, th.beta(horizon)) + pad
     kappa = estimate_kappa(gammas, t_max=horizon, x_lo=lo, x_hi=hi)
-    epsilon = 2.0**-4 if epsilon is None else epsilon
+    epsilon = CURVY_EPSILON if epsilon is None else epsilon
     proposal = default_proposal(th, CurvyParams(epsilon=epsilon, r=_tangent_slope(th), horizon=horizon))
     return ExactProblem(
         sde=sde,

@@ -436,6 +436,25 @@ def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, mapping",
+    [
+        ("example2", {"a": 0.05}),
+        ("sample", {"drift": "zero", "threshold": "exponential",
+                    "threshold_params": {"a": 0.03, "b": 1.0}}),
+    ],
+)
+def test_main_exit_code_2_on_a_curved_start_within_epsilon(tmp_path, capsys, experiment, mapping):
+    # the curvy iteration would stop at once, and every draw would be 0
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**mapping, "n": 5, "out": str(tmp_path / "o")}))
+    assert main([experiment, "--config", str(cfg_file)]) == 2
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "lower epsilon" in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_run_failing_while_it_samples_leaves_no_output_directory(tmp_path, capsys):
     # the leaky membrane at zero current fails in its first stage
     cfg_file = tmp_path / "cfg.json"

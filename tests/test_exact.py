@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fptsim.exact as exact_module
-from fptsim.bm_fpt import inverse_gaussian_cdf
+from fptsim.bm_fpt import CurvyParams, FptDraw, inverse_gaussian_cdf
 from fptsim.errors import (
     AssumptionViolation,
     ConfigurationError,
@@ -39,7 +40,12 @@ from fptsim.model import (
     linear_threshold,
     make_gamma_pair,
 )
-from fptsim.problems import example1_problem, example2_problem
+from fptsim.problems import (
+    build_custom_problem,
+    example1_problem,
+    example2_problem,
+    exponential_threshold,
+)
 from fptsim.rng import substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
@@ -451,3 +457,108 @@ def test_split_stage_kernels_match_public_stage_problems(monkeypatch):
                 assert kernel.gamma2(intercept - t) == theirs.gamma2(intercept - t)
             x_cur = a * d.time + intercept
             t_acc += d.time
+
+
+# --- refusals -----------------------------------------------------------------
+
+
+def _exactly(message: str) -> str:
+    return "^" + re.escape(message) + "$"
+
+
+def _unbounded_problem():
+    sde = _unit_sde(0.0)
+    th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+    return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th))
+
+
+def _linear_proposal_on_a_curve():
+    sde = _unit_sde(0.0)
+    th = exponential_threshold(1.0, 1.0)
+    return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th).with_kappa(1.0),
+                        proposal=Proposal("linear"))
+
+
+_REFUSALS = {
+    "kappa_unset": (_unbounded_problem, ConfigurationError,
+                    "gammas.kappa must be set for sampling"),
+    "no_budget": (lambda: example1_problem(max_proposals=0), ParameterError,
+                  "max_proposals must be >= 1, got 0"),
+    "linear_proposal_on_a_curve": (_linear_proposal_on_a_curve, ConfigurationError,
+                                   "linear proposals require a linear threshold"),
+    "sample_exact_below_start": (
+        lambda: sample_exact(_plain_float_problems()["below_start"], substream(57, 0)),
+        ConfigurationError,
+        "sample_exact handles above-start problems; use sample_exact_below",
+    ),
+    "sample_exact_below_above_start": (
+        lambda: sample_exact_below(example1_problem(), substream(57, 0)), ConfigurationError,
+        "sample_exact_below handles below-start problems; use sample_exact",
+    ),
+    "split_on_a_curve": (
+        lambda: sample_exact_split(example2_problem(), 2, substream(57, 0)),
+        ConfigurationError, "space splitting requires a linear threshold",
+    ),
+    # the first of four stages starts at level 1 + 2**-54, which rounds to x0
+    "split_stage_intercept_rounds_to_0": (
+        lambda: sample_exact_split(example1_problem(x0=1.0, b=1.0 + 2.0**-52), 4,
+                                   substream(57, 0)),
+        ConfigurationError, "translated proposal intercept 0.0 must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_each_refusal_raises_its_type_and_message(name):
+    build, error, message = _REFUSALS[name]
+    with pytest.raises(error, match=_exactly(message)):
+        build()
+
+
+@pytest.mark.parametrize("curved", [False, True])
+def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curved):
+    sde = _unit_sde(0.0, x0=2.0)
+    if curved:
+        th = exponential_threshold(1.0, 1.0)
+        proposal = Proposal("curvy", CurvyParams(epsilon=2.0**-4, r=-1.0))
+    else:
+        th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+        proposal = Proposal("linear")
+    gammas = make_gamma_pair(sde, th).with_kappa(1.0)
+    messages = []
+    for build in (ExactProblem, exact_module._trusted_problem):
+        with pytest.raises(ConfigurationError, match="wrong side") as info:
+            build(sde, th, gammas, proposal, 10)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: example2_problem(a=0.05),
+        # a gap equal to epsilon stops at once too
+        lambda: example2_problem(a=2.0**-4),
+        lambda: build_custom_problem("zero", {}, "exponential", {"a": 0.03, "b": 1.0}),
+        lambda: build_custom_problem("zero", {}, "exponential", {"a": -0.03, "b": 1.0}),
+        lambda: build_custom_problem("zero", {}, "exponential", {"a": 0.2, "b": 1.0},
+                                     epsilon=0.25),
+    ],
+    ids=["example2", "example2_at_epsilon", "sample_above", "sample_below", "sample_epsilon"],
+)
+def test_a_curved_start_within_epsilon_is_refused(build):
+    with pytest.raises(ConfigurationError, match="every draw would be 0; lower epsilon"):
+        build()
+
+
+def test_a_trusted_stage_within_epsilon_passes_at_once():
+    # inside a chain of stages a start within epsilon is the iteration's
+    # epsilon-stop, so the trusted build keeps it
+    prob = example2_problem(a=2.0**-3)
+    assert all(d.time > 0.0 for d in sample_batch(prob, 10, 58))
+    trusted = exact_module._trusted_problem(
+        replace(prob.sde, x0=0.1), prob.threshold, prob.gammas, prob.proposal,
+        prob.max_proposals,
+    )
+    assert trusted._kernel.delta <= prob.proposal.curvy.epsilon
+    assert sample_batch(trusted, 10, 58) == [FptDraw(0.0, True, 1, 0, 0)] * 10

@@ -415,13 +415,14 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
         )
         assert public == trusted
         assert trusted.gammas.kappa > 0.0
+        mine, theirs = trusted._kernel, public._kernel
+        frame, public_frame = mine.curvy[0], theirs.curvy[0]
         for name in ("orientation", "inf_slope", "sup_slope", "linear"):
-            assert getattr(public.frame, name) == getattr(trusted.frame, name)
+            assert getattr(public_frame, name) == getattr(frame, name)
         for w in np.linspace(0.0, trusted.proposal.curvy.horizon, 9):
             w = float(w)
-            assert public.frame.beta(w) == trusted.frame.beta(w)
-            assert public.frame.beta_prime(w) == trusted.frame.beta_prime(w)
-        mine, theirs = trusted._kernel, public._kernel
+            assert public_frame.beta(w) == frame.beta(w)
+            assert public_frame.beta_prime(w) == frame.beta_prime(w)
         for name in _Kernel._fields:
             if name == "curvy":
                 assert mine.curvy[1] == theirs.curvy[1]
