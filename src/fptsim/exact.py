@@ -192,8 +192,8 @@ class ExactProblem:
     rather than silently biasing output.  The constructor checks the parts
     and builds the plain-value form the sampler runs on, once for every
     draw, in :func:`_kernel_of`; the proposal frame of a curved threshold
-    is ``_kernel.curvy[0]``.  It also refuses a curvy proposal whose start
-    gap is within its ``epsilon``, for which every draw would be 0.
+    is ``_kernel.curvy[0]``.  Only :func:`sample_batch` refuses a curvy start
+    within ``epsilon``: grids ignore it, and a chain stage passes at once.
     """
 
     sde: UnitDiffusionSDE
@@ -204,13 +204,8 @@ class ExactProblem:
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        kernel = _kernel_of(self.sde, self.threshold, self.gammas, self.proposal,
-                            self.max_proposals)
-        if kernel.curvy is not None and kernel.delta <= kernel.curvy[1].epsilon:
-            raise ConfigurationError(f"start gap {kernel.delta} is within epsilon = "
-                                     f"{kernel.curvy[1].epsilon}: every draw would be 0; "
-                                     "lower epsilon below the gap")
-        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_kernel", _kernel_of(self.sde, self.threshold, self.gammas,
+                                                       self.proposal, self.max_proposals))
 
 
 class _Kernel(NamedTuple):
@@ -284,9 +279,7 @@ def _trusted_problem(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaP
                      proposal: Proposal, max_proposals: int) -> ExactProblem:
     """An :class:`ExactProblem` built without the frozen-dataclass constructor.
 
-    It runs every check of :func:`_kernel_of` but not the constructor's
-    refusal of a curvy start within ``epsilon``: in a chain of neuron stages
-    such a stage passes at once, the epsilon-stop of its iteration.
+    It runs every check of :func:`_kernel_of`, as the constructor does.
     """
     kernel = _kernel_of(sde, threshold, gammas, proposal, max_proposals)
     return _fill(ExactProblem, {"sde": sde, "threshold": threshold, "gammas": gammas,
@@ -417,7 +410,8 @@ def sample_exact_split(
     if problem.threshold.orientation is not Orientation.ABOVE_START:
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
-    _, _, _, gamma2, s1, s2, kappa, ceiling, _, max_proposals, _, _ = problem._kernel
+    kernel = problem._kernel
+    shared = kernel[3:8]  # gamma2, shift1, shift2, kappa, ceiling
     g = problem.gammas.reference_drift
     alpha = problem.sde.alpha
     x0 = problem.sde.x0
@@ -435,7 +429,7 @@ def sample_exact_split(
             lambda t, b=intercept: a * t + b,
             1.0,
             lambda t, b=intercept: -(alpha(a * t + b) - g) * a,
-            gamma2, s1, s2, kappa, ceiling, delta, max_proposals, _line_part(a - g, delta), None,
+            *shared, delta, kernel.max_proposals, _line_part(a - g, delta), None,
         )
         d = _sample_oriented(stage, rng)
         x_cur = a * d.time + intercept
@@ -458,8 +452,14 @@ def sample_batch(
     Sample ``i`` uses the generator ``substream(master_seed, *key_prefix, i)``
     and takes its randomness in blocks from that generator alone (see the
     module docstring), so it does not depend on the batch size or on which
-    indices were drawn before it.
+    indices were drawn before it.  A curvy problem whose start gap is within
+    its ``epsilon`` is refused: every draw would be 0.
     """
+    kernel = problem._kernel
+    if kernel.curvy is not None and kernel.delta <= kernel.curvy[1].epsilon:
+        raise ConfigurationError(f"start gap {kernel.delta} is within epsilon = "
+                                 f"{kernel.curvy[1].epsilon}: every draw would be 0; "
+                                 "lower epsilon below the gap")
     if split is not None:
         draw = lambda rng: sample_exact_split(problem, split, rng)
     elif problem.threshold.orientation is Orientation.ABOVE_START:

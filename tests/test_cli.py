@@ -455,6 +455,25 @@ def test_main_exit_code_2_on_a_curved_start_within_epsilon(tmp_path, capsys, exp
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, mapping",
+    [
+        ("example2", {"a": 0.05}),
+        ("sample", {"drift": "zero", "threshold": "exponential",
+                    "threshold_params": {"a": 0.03, "b": 1.0}}),
+    ],
+)
+def test_a_grid_run_on_a_curved_start_within_epsilon_succeeds(tmp_path, experiment, mapping):
+    # epsilon plays no part in a grid scheme
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**mapping, "method": "euler", "delta": 0.01, "n": 5,
+                                    "out": str(tmp_path / "o")}))
+    assert main([experiment, "--config", str(cfg_file)]) == 0
+    rows = (tmp_path / "o" / "samples.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows)
+
+
 def test_a_run_failing_while_it_samples_leaves_no_output_directory(tmp_path, capsys):
     # the leaky membrane at zero current fails in its first stage
     cfg_file = tmp_path / "cfg.json"

@@ -546,14 +546,16 @@ def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curv
     ],
     ids=["example2", "example2_at_epsilon", "sample_above", "sample_below", "sample_epsilon"],
 )
-def test_a_curved_start_within_epsilon_is_refused(build):
+def test_a_batch_on_a_curved_start_within_epsilon_is_refused(build):
+    # the problem itself is kept: grid schemes run on its sde and threshold
+    prob = build()
     with pytest.raises(ConfigurationError, match="every draw would be 0; lower epsilon"):
-        build()
+        sample_batch(prob, 5, 58)
 
 
-def test_a_trusted_stage_within_epsilon_passes_at_once():
+def test_a_stage_within_epsilon_passes_at_once():
     # inside a chain of stages a start within epsilon is the iteration's
-    # epsilon-stop, so the trusted build keeps it
+    # epsilon-stop, so the one-draw sampler keeps it
     prob = example2_problem(a=2.0**-3)
     assert all(d.time > 0.0 for d in sample_batch(prob, 10, 58))
     trusted = exact_module._trusted_problem(
@@ -561,4 +563,5 @@ def test_a_trusted_stage_within_epsilon_passes_at_once():
         prob.max_proposals,
     )
     assert trusted._kernel.delta <= prob.proposal.curvy.epsilon
-    assert sample_batch(trusted, 10, 58) == [FptDraw(0.0, True, 1, 0, 0)] * 10
+    draws = [sample_exact(trusted, substream(58, i)) for i in range(10)]
+    assert draws == [FptDraw(0.0, True, 1, 0, 0)] * 10
