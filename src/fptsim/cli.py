@@ -3,7 +3,6 @@
 Usage::
 
     fpt <experiment> [--config cfg.json] [--n N] [--seed S] [--out DIR]
-        [--workers W]
 
 with ``experiment`` one of ``example1``, ``example2``, ``neuron``,
 ``benchmark`` or ``sample``.  The JSON config supplies experiment parameters
@@ -30,11 +29,10 @@ failures); 4 iteration-budget exhaustion.  Each error class of
 machine-readable JSON object on standard error.
 
 Sample ``i`` is drawn on its own substream of ``(seed, i)``, so a run is a
-function of its config.  ``--workers`` (config key ``workers``) is accepted
-and checked (an integer >= 1) but has no effect: sampling is serial, and
-the key is left out of the echoed config.  Wall-clock fields are the only
-non-deterministic output; set ``"timing": false`` in the config
-to zero them when byte-stable artifacts are required.
+function of its config, and every key but ``out`` changes what it writes.
+Wall-clock fields are the only non-deterministic output; set
+``"timing": false`` in the config to zero them when byte-stable artifacts
+are required.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -82,18 +80,14 @@ DEFAULT_DELTAS = tuple(2.0**-k for k in range(4, 11))
 class ExperimentConfig:
     """Fully-resolved run description; serialized into summaries.
 
-    ``values`` holds the experiment's own keys that are set.  Each key reads
-    as an attribute too, ``None`` when unset (``cfg.epsilon is None``).
+    ``values`` holds every key that is set, the run keys of ``_RUN``
+    (``n``, ``seed``, ``method``, ``out``, ``timing``) included, under its
+    stored name.  Each key reads as an attribute too, ``None`` when unset
+    (``cfg.epsilon is None``).
     """
 
     experiment: str
-    n: int = 1000
-    seed: int = 0
-    method: str = "exact"
-    workers: int = 1
-    out: str = "."
-    timing: bool = True
-    values: dict = field(default_factory=dict)
+    values: dict
 
     def __getattr__(self, name: str) -> Any:
         if name in _NAMES:
@@ -101,14 +95,13 @@ class ExperimentConfig:
         raise AttributeError(name)
 
     def as_dict(self) -> dict:
-        """Provenance echo: every field that can affect the written data.
+        """Provenance echo: every value that can affect the written data.
 
-        The output directory and the worker count (accepted, with no effect)
-        do not influence results, so they are omitted to keep artifacts
-        byte-identical across them.
+        The output directory cannot, so it is left out, and artifacts are
+        byte-identical across directories.
         """
-        run = {"n": self.n, "seed": self.seed, "method": self.method, "timing": self.timing}
-        return {"experiment": self.experiment, **run, **self.values}
+        echo = {key: value for key, value in self.values.items() if key != "out"}
+        return {"experiment": self.experiment, **echo}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -196,7 +189,6 @@ _RUN = {
     "n": _Key(_integer, 1000),
     "seed": _Key(partial(_integer, minimum=0), 0),
     "method": _Key(_method, "exact"),
-    "workers": _Key(_integer, 1),
     "out": _Key(_of_type(str, "a string path"), "."),
     "timing": _Key(_of_type(bool, "a boolean"), True),
 }
@@ -231,7 +223,7 @@ _KEYS: dict[tuple[str, str], dict[str, _Key]] = {
     # the neuron counts trials, and its `delta` is the adaptation strength
     # of the threshold, not a grid width
     ("neuron", "exact"): {
-        **{key: _RUN[key] for key in ("seed", "workers", "out", "timing")},
+        **{key: _RUN[key] for key in ("seed", "method", "out", "timing")},
         "trials": _Key(_integer, 5, name="n"),
         "horizon": _Key(_positive, 2.0),
         "current": _Key(_number, NeuronParams.I, "I"),
@@ -281,8 +273,7 @@ def resolve_config(mapping: dict) -> ExperimentConfig:
     )
     if experiment == "sample" and "epsilon" in values:
         _registry_threshold(values["threshold"], values["threshold_params"], values["epsilon"])
-    run = {f.name: values.pop(f.name) for f in fields(ExperimentConfig) if f.name in values}
-    return ExperimentConfig(experiment, **run, values=values)
+    return ExperimentConfig(experiment, values)
 
 
 def _model_args(cfg: ExperimentConfig) -> dict:
@@ -491,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="sample count (trials for neuron)")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out", type=str, help="output directory")
-    parser.add_argument("--workers", type=int, help="accepted, no effect (sampling is serial)")
     return parser
 
 
@@ -518,8 +508,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             mapping["seed"] = args.seed
         if args.out is not None:
             mapping["out"] = args.out
-        if args.workers is not None:
-            mapping["workers"] = args.workers
         cfg = resolve_config(mapping)
         run_experiment(cfg)
     except FptsimError as exc:

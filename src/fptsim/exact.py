@@ -251,9 +251,10 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
     Checks in order: ``kappa`` is set, ``max_proposals >= 1``, the start gap
-    ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` or else passes
-    :meth:`Threshold.validate_start`, a linear proposal has a linear
-    threshold, and the frame line's intercept is positive (:func:`_line_part`).
+    ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
+    it fails :meth:`Threshold.validate_start` or is refused as not finite),
+    a linear proposal has a linear threshold, and the frame line's intercept
+    is positive (:func:`_line_part`).
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -264,6 +265,8 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     delta = frame.beta(0.0)
     if not 0.0 < delta < math.inf:
         threshold.validate_start(sde.x0)
+        raise ParameterError(f"start gap {delta} is not a positive finite number: "
+                             f"x0 = {sde.x0}, reference drift = {gammas.reference_drift}")
     linear = proposal.kind == "linear"
     if linear and threshold.linear is None:
         raise ConfigurationError("linear proposals require a linear threshold")
@@ -445,15 +448,14 @@ def sample_batch(
     master_seed: int,
     *,
     split: int | None = None,
-    key_prefix: tuple[int, ...] = (),
 ) -> list[FptDraw]:
     """Draw ``n`` exact passage times on per-index substreams.
 
-    Sample ``i`` uses the generator ``substream(master_seed, *key_prefix, i)``
-    and takes its randomness in blocks from that generator alone (see the
-    module docstring), so it does not depend on the batch size or on which
-    indices were drawn before it.  A curvy problem whose start gap is within
-    its ``epsilon`` is refused: every draw would be 0.
+    Sample ``i`` uses the generator ``substream(master_seed, i)`` and takes
+    its randomness in blocks from that generator alone (see the module
+    docstring), so it does not depend on the batch size or on which indices
+    were drawn before it.  A curvy problem whose start gap is within its
+    ``epsilon`` is refused: every draw would be 0.
     """
     kernel = problem._kernel
     if kernel.curvy is not None and kernel.delta <= kernel.curvy[1].epsilon:
@@ -466,7 +468,7 @@ def sample_batch(
         draw = lambda rng: sample_exact(problem, rng)
     else:
         draw = lambda rng: sample_exact_below(problem, rng)
-    return sample_many(draw, n, master_seed, key_prefix=key_prefix)
+    return sample_many(draw, n, master_seed)
 
 
 def iteration_bound_linear(a: float, b: float, kappa: float) -> float:

@@ -87,7 +87,7 @@ from .errors import (
 )
 from .exact import ExactProblem, Proposal, _trusted_problem, sample_exact_below
 from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
-from .rng import derive_seed, sample_many_indexed
+from .rng import sample_many
 
 __all__ = [
     "NeuronParams",
@@ -218,7 +218,6 @@ class SpikeTrain:
     times: tuple[float, ...]
     horizon: float
     params: NeuronParams
-    trial_seed: int = 0
     stages: int = 0
     proposals: int = 0
     clock_events: int = 0
@@ -530,7 +529,6 @@ def simulate_spike_train(
     params: NeuronParams,
     horizon: float,
     rng: np.random.Generator,
-    trial_seed: int = 0,
     *,
     max_spikes: int = 10_000,
     max_proposals: int = 10**6,
@@ -576,7 +574,6 @@ def simulate_spike_train(
         times=tuple(times),
         horizon=horizon,
         params=params,
-        trial_seed=trial_seed,
         stages=stages,
         proposals=proposals,
         clock_events=clock_events,
@@ -588,21 +585,14 @@ def simulate_trials(
     horizon: float,
     n_trials: int,
     master_seed: int,
-    *,
-    key_prefix: Sequence[int] = (),
 ) -> list[SpikeTrain]:
     """Independent spike trains on per-trial substreams.
 
-    Trial ``i`` is ``simulate_spike_train`` on ``substream(master_seed,
-    *key_prefix, i)`` with ``trial_seed=derive_seed(master_seed, *key_prefix, i)``.
+    Trial ``i`` is ``simulate_spike_train`` on ``substream(master_seed, i)``.
     """
-
-    def draw(i: int, rng: np.random.Generator) -> SpikeTrain:
-        return simulate_spike_train(
-            params, horizon, rng, trial_seed=derive_seed(master_seed, *key_prefix, i)
-        )
-
-    return sample_many_indexed(draw, n_trials, master_seed, key_prefix=key_prefix)
+    return sample_many(
+        lambda rng: simulate_spike_train(params, horizon, rng), n_trials, master_seed
+    )
 
 
 def inter_spike_intervals(train: SpikeTrain) -> np.ndarray:

@@ -37,7 +37,6 @@ def test_resolve_example1_defaults():
     assert cfg.n == 1000
     assert cfg.seed == 0
     assert cfg.method == "exact"
-    assert cfg.workers == 1
     assert cfg.timing is True
     assert (cfg.K, cfg.a, cfg.b, cfg.x0) == (1.6, -1.0, 0.5, 0.0)
 
@@ -103,11 +102,45 @@ def test_parse_config_rejects_bad_bytes():
 
 
 def test_config_echo_excludes_invocation_details():
-    cfg = resolve_config({"experiment": "example1", "workers": 4, "out": "/tmp/x"})
+    cfg = resolve_config({"experiment": "example1", "out": "/tmp/x"})
     echoed = cfg.as_dict()
-    assert "workers" not in echoed
     assert "out" not in echoed
     assert echoed["experiment"] == "example1"
+
+
+_RUN_ECHO = {"n": 1000, "seed": 0, "method": "exact", "timing": True}
+_EX1_ECHO = {"K": 1.6, "a": -1.0, "b": 0.5, "x0": 0.0}
+_NEURON_ECHO = {"n": 5, "seed": 0, "method": "exact", "timing": True, "horizon": 2.0,
+                "current": 0.0}
+
+
+@pytest.mark.parametrize(
+    "mapping, echo",
+    [
+        ({"experiment": "example1"},
+         {**_RUN_ECHO, **_EX1_ECHO, "max_proposals": 10**6}),
+        ({"experiment": "example1", "method": "euler", "delta": 0.05},
+         {**_RUN_ECHO, **_EX1_ECHO, "method": "euler", "delta": 0.05, "horizon": 20.0}),
+        ({"experiment": "example2"},
+         {**_RUN_ECHO, "K": 1.6, "a": 1.0, "b": 1.0, "x0": 0.0, "max_proposals": 10**6}),
+        ({"experiment": "sample", "drift": "zero", "threshold": "linear",
+          "threshold_params": {"a": -0.5, "b": 1.0}},
+         {**_RUN_ECHO, "drift": "zero", "threshold": "linear", "drift_params": {},
+          "threshold_params": {"a": -0.5, "b": 1.0}, "max_proposals": 10**6}),
+        ({"experiment": "benchmark"},
+         {**_RUN_ECHO, **_EX1_ECHO, "max_proposals": 10**6,
+          "deltas": (2**-4, 2**-5, 2**-6, 2**-7, 2**-8, 2**-9, 2**-10), "horizon": 20.0}),
+        ({"experiment": "neuron"}, _NEURON_ECHO),
+        # the neuron's one method may be named
+        ({"experiment": "neuron", "method": "exact"}, _NEURON_ECHO),
+    ],
+    ids=["example1", "example1_euler", "example2", "sample", "benchmark", "neuron",
+         "neuron_exact"],
+)
+def test_config_echo_is_pinned(mapping, echo):
+    # every resolved key but `out` is echoed, run keys included
+    cfg = resolve_config({**mapping, "out": "o"})
+    assert cfg.as_dict() == {"experiment": mapping["experiment"], **echo}
 
 
 # --- runner and artifacts --------------------------------------------------------
@@ -331,9 +364,18 @@ def test_main_exit_code_2_on_config_errors(tmp_path, capsys):
     assert _stderr_error(capsys)["error"] == "ConfigurationError"
     assert main(["example1", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
-    # --workers has no effect but is still checked
-    assert main(["example1", "--workers", "0", "--out", str(tmp_path / "w0")]) == 2
-    assert _stderr_error(capsys)["error"] == "ConfigurationError"
+    # sampling is serial: `workers` is neither a config key nor a flag
+    workers = tmp_path / "workers.json"
+    workers.write_text(json.dumps({"workers": 1, "out": str(tmp_path / "w")}))
+    assert main(["example1", "--config", str(workers)]) == 2
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "ConfigurationError"
+    assert "'workers'" in payload["message"]
+    assert not (tmp_path / "w").exists()
+    with pytest.raises(SystemExit) as info:
+        main(["example1", "--workers", "2", "--out", str(tmp_path / "w")])
+    assert info.value.code == 2
+    assert not (tmp_path / "w").exists()
 
 
 @pytest.mark.parametrize(
@@ -523,7 +565,7 @@ def test_main_exit_code_4_on_budget_exhaustion(tmp_path, capsys):
     assert payload["error"] == "NonTerminationError"
 
 
-# --- determinism across workers ---------------------------------------------------
+# --- determinism -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -546,15 +588,10 @@ def test_main_exit_code_4_on_budget_exhaustion(tmp_path, capsys):
         },
     ],
 )
-def test_artifacts_are_worker_count_invariant(tmp_path, mapping):
-    outputs = {}
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        cfg = resolve_config(
-            {**mapping, "timing": False, "workers": workers, "out": str(out)}
-        )
-        run_experiment(cfg)
-        outputs[workers] = {
-            p.name: p.read_bytes() for p in sorted(out.iterdir())
-        }
-    assert outputs[1] == outputs[2]
+def test_artifacts_are_output_directory_invariant(tmp_path, mapping):
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        run_experiment(resolve_config({**mapping, "timing": False, "out": str(out)}))
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]

@@ -232,20 +232,12 @@ def test_kappa_too_small_is_caught_not_silently_biased():
 # --- batching ---------------------------------------------------------------
 
 
-def test_sample_batch_worker_invariance():
-    """Batch entry i is the direct draw on substream (seed, *prefix, i)."""
+def test_sample_batch_entry_i_is_the_draw_on_substream_i():
     prob = example1_problem()
     batch = sample_batch(prob, 60, 47)
     assert batch == [sample_exact(prob, substream(47, i)) for i in range(60)]
-    split = sample_batch(prob, 20, 47, split=3, key_prefix=(5,))
-    assert split == [sample_exact_split(prob, 3, substream(47, 5, i)) for i in range(20)]
-
-
-def test_sample_batch_key_prefix_decorrelates():
-    prob = example1_problem()
-    a = sample_batch(prob, 10, 47)
-    b = sample_batch(prob, 10, 47, key_prefix=(9,))
-    assert a != b
+    split = sample_batch(prob, 20, 47, split=3)
+    assert split == [sample_exact_split(prob, 3, substream(47, i)) for i in range(20)]
 
 
 def _plain_float_problems():
@@ -479,6 +471,13 @@ def _linear_proposal_on_a_curve():
                         proposal=Proposal("linear"))
 
 
+def _drifted_problem(g: float) -> ExactProblem:
+    sde = _unit_sde(0.0)
+    th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+    return ExactProblem(sde=sde, threshold=th,
+                        gammas=make_gamma_pair(sde, th, reference_drift=g).with_kappa(1.0))
+
+
 _REFUSALS = {
     "kappa_unset": (_unbounded_problem, ConfigurationError,
                     "gammas.kappa must be set for sampling"),
@@ -504,6 +503,20 @@ _REFUSALS = {
         lambda: sample_exact_split(example1_problem(x0=1.0, b=1.0 + 2.0**-52), 4,
                                    substream(57, 0)),
         ConfigurationError, "translated proposal intercept 0.0 must be positive",
+    ),
+    # a start gap that is not finite would burn the budget, fail in numpy's
+    # Wald draw or return time 0 for every draw
+    "nan_reference_drift": (
+        lambda: _drifted_problem(math.nan), ParameterError,
+        "start gap nan is not a positive finite number: x0 = 0.0, reference drift = nan",
+    ),
+    "inf_reference_drift": (
+        lambda: _drifted_problem(math.inf), ParameterError,
+        "start gap nan is not a positive finite number: x0 = 0.0, reference drift = inf",
+    ),
+    "start_at_minus_inf": (
+        lambda: example1_problem(x0=-math.inf), ParameterError,
+        "start gap inf is not a positive finite number: x0 = -inf, reference drift = 0.0",
     ),
 }
 

@@ -37,7 +37,7 @@ from fptsim.neuron import (
     transform_neuron,
     write_spike_trains_csv,
 )
-from fptsim.rng import derive_seed, substream
+from fptsim.rng import substream
 
 
 # --- adaptive threshold --------------------------------------------------------
@@ -303,15 +303,10 @@ def test_trains_count_their_stage_draws():
     assert s["clock_events"] == sum(t.clock_events for t in trains)
 
 
-def test_simulate_trials_worker_invariance():
-    """Trial i is the direct train on substream (seed, *prefix, i)."""
+def test_simulate_trials_trial_i_is_the_train_on_substream_i():
     p = NeuronParams(I=20.0)
-    trains = simulate_trials(p, 1.0, 6, 72, key_prefix=(4,))
-    direct = [
-        simulate_spike_train(p, 1.0, substream(72, 4, i), trial_seed=derive_seed(72, 4, i))
-        for i in range(6)
-    ]
-    assert trains == direct
+    trains = simulate_trials(p, 1.0, 6, 72)
+    assert trains == [simulate_spike_train(p, 1.0, substream(72, i)) for i in range(6)]
 
 
 def test_stronger_current_spikes_more():
