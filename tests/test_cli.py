@@ -527,16 +527,31 @@ def test_a_run_failing_while_it_samples_leaves_no_output_directory(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("theta0, v0", [(-0.1, 0.5), (-0.5, 0.2), (0.0, 0.5)])
+def test_main_exit_code_2_on_a_nonpositive_theta0(tmp_path, capsys, theta0, v0):
+    # the threshold would decay to a baseline the log transform cannot take
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(
+        json.dumps({"theta0": theta0, "v0": v0, "trials": 1, "out": str(tmp_path / "o")})
+    )
+    assert main(["neuron", "--config", str(cfg_file)]) == 2
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"] == f"theta0 must be positive, got {theta0}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    # parameters pass static validation (theta0 + 1 > v0) but the threshold
-    # decays to a non-positive baseline, which the log transform rejects
+    # parameters pass static validation, but a negative adaptation drops the
+    # threshold below the reset voltage at the first spike
     cfg_file.write_text(
-        json.dumps({"theta0": -0.1, "v0": 0.5, "trials": 1, "out": str(tmp_path / "o")})
+        json.dumps({"delta": -3.0, "current": 20, "trials": 1, "out": str(tmp_path / "o")})
     )
     code = main(["neuron", "--config", str(cfg_file)])
     assert code == 3
     payload = _stderr_error(capsys)
+    assert payload["error"] == "DomainError"
     assert payload["exit_code"] == 3
 
 

@@ -80,8 +80,11 @@ def test_params_validation():
         NeuronParams(v0=0.0)
     with pytest.raises(ParameterError):
         NeuronParams(v_reset=-0.5)
-    with pytest.raises(ParameterError):
-        NeuronParams(theta0=0.0, v0=1.0)  # initial threshold not above v0
+    with pytest.raises(ParameterError, match="^initial threshold theta0 \\+ 1 = 2.0 must exceed"):
+        NeuronParams(theta0=1.0, v0=2.5)
+    for theta0 in (0.0, -0.1, -0.5):
+        with pytest.raises(ParameterError, match="^theta0 must be positive"):
+            NeuronParams(theta0=theta0, v0=0.2)
     for name in ("I", "V_r", "sigma", "theta0", "delta", "v_reset"):
         for value in (math.inf, -math.inf, math.nan):
             with pytest.raises(ParameterError, match=f"^{name} must be finite"):
@@ -253,6 +256,53 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
     assert built[0].gammas.kappa == single.gammas.kappa
     assert built[0].proposal.curvy.r == single.proposal.curvy.r
     assert built[0].sde.x0 == single.sde.x0
+
+
+def _recording_stages(monkeypatch):
+    """Make ``neuron`` record each stage problem and its draw."""
+    stages = []
+
+    def recording(problem, rng):
+        draw = sample_exact_below(problem, rng)
+        stages.append((problem, draw))
+        return draw
+
+    monkeypatch.setattr(neuron, "sample_exact_below", recording)
+    return stages
+
+
+def test_stages_are_two_units_wide(monkeypatch):
+    # theta_plus - v = 4 with |d| = sigma = 1 took four stages one unit wide
+    stages = _recording_stages(monkeypatch)
+    t_local, draws = _draw_interval(NeuronParams(I=20.0), 5.0, 1.0, 100.0,
+                                    np.random.default_rng(6), 10**6)
+    assert t_local is not None
+    assert len(stages) == len(draws) == 2
+    # the intermediate threshold sits halfway in u (u = 3 at interval time 0),
+    # and the second stage, started at the first passage, ends on theta itself
+    assert stages[0][0].threshold.beta(0.0) == pytest.approx(-math.log(3.0), abs=1e-12)
+    theta = 1.0 + 4.0 * math.exp(-draws[0].time)
+    assert stages[1][0].threshold.beta(0.0) == pytest.approx(-math.log(theta), abs=1e-12)
+
+
+def test_stage_width_leaves_the_spike_count_law_unchanged(monkeypatch):
+    # every stage is an exact passage, so the width moves cost, not the law
+    p = NeuronParams(I=20.0)
+    wide = np.array([t.count for t in simulate_trials(p, 2.0, 400, 81)], dtype=float)
+    monkeypatch.setattr(neuron, "_STAGE_WIDTH", 1.0)
+    narrow = np.array([t.count for t in simulate_trials(p, 2.0, 400, 82)], dtype=float)
+    se = math.sqrt(wide.var(ddof=1) / wide.size + narrow.var(ddof=1) / narrow.size)
+    assert abs(wide.mean() - narrow.mean()) < 4.0 * se
+
+
+def test_stage_proposals_follow_the_cost_model(monkeypatch):
+    # the width rests on exp(A_g(beta) - A_g(x0)) proposals per stage
+    stages = _recording_stages(monkeypatch)
+    simulate_trials(NeuronParams(I=20.0), 2.0, 30, 83)
+    expected = np.array([expected_proposals(problem) for problem, _ in stages])
+    observed = np.array([draw.proposals for _, draw in stages], dtype=float)
+    se = observed.std(ddof=1) / math.sqrt(observed.size)
+    assert abs(observed.mean() - expected.mean()) < 4.0 * se
 
 
 def test_stage_acceptance_identity_at_strong_current():

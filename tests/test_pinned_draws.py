@@ -81,11 +81,11 @@ def test_batch_draws_are_pinned(name):
 def test_spike_train_is_pinned():
     train = simulate_spike_train(NeuronParams(I=20.0), 2.0, substream(_SEED, 0))
     assert train.times == (
-        0.037766282816641156, 0.09284685386697211, 0.1487546027819005, 0.2129708668494389,
-        0.2715729809273128, 0.3495126138410285, 0.43017285545669615, 0.5183665813543956,
-        0.6166235001664104, 0.6972697141923664, 0.8062537325066412, 0.9051430549702679,
-        0.9861526026485132, 1.0853121093370532, 1.1769436691541872, 1.2824547641297597,
-        1.3721685750215586, 1.478731378690688, 1.571956525761274, 1.681773246683615,
-        1.7837745190552878, 1.8868822767476108, 1.9925598907865836,
+        0.037766282816641156, 0.08429544850481754, 0.15303910997614942, 0.22209264412312082,
+        0.31498590171507135, 0.38561444176382054, 0.4758520262100291, 0.5531574502951359,
+        0.6440956547332363, 0.7600938712662882, 0.8371766695887397, 0.9305728662574086,
+        0.9982036954661067, 1.0753268800255467, 1.174293820699984, 1.2766437467303682,
+        1.3478979972255833, 1.4620094401638084, 1.5591289179463927, 1.6729223319527968,
+        1.796003541642149, 1.9030494664256077,
     )
-    assert (train.stages, train.proposals, train.clock_events) == (172, 420, 300)
+    assert (train.stages, train.proposals, train.clock_events) == (88, 441, 459)
