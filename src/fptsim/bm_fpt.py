@@ -32,7 +32,8 @@ normal stream and a uniform stream.  Its Wald draws use the Michael-Schucany-Haa
 transform, the algorithm of numpy's ``Generator.wald``: one normal, then one
 uniform.  The curvy iteration carries ``beta(T)`` from one step to the next,
 so each line draw evaluates the threshold once and makes no numpy call; a
-caller that already holds streams (the exact sampler) hands them in.
+caller that already holds streams and a checked frame (the exact sampler)
+hands in the streams and the frame's start gap.
 
 Returned times of ``sample_fpt_curvy`` equal the horizon when the iteration
 was censored; callers that need to distinguish censoring compare against the
@@ -256,6 +257,13 @@ def sample_fpt_linear(a: float, b: float, rng: np.random.Generator) -> FptDraw:
     return FptDraw(time=t, finite=True)
 
 
+def _check_slope(frame: Threshold, r: float) -> None:
+    """Refuse a line slope ``r`` above the frame's ``inf_slope``."""
+    if frame.inf_slope is not None and r > frame.inf_slope + 1e-12:
+        raise ParameterError(f"line slope r={r} exceeds the threshold slope infimum "
+                             f"{frame.inf_slope}; the iteration would overshoot")
+
+
 def sample_fpt_curvy(
     threshold: Threshold,
     params: CurvyParams,
@@ -263,6 +271,7 @@ def sample_fpt_curvy(
     *,
     normal: Callable[[], float] | None = None,
     uniform: Callable[[], float] | None = None,
+    gap: float | None = None,
 ) -> FptDraw:
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
@@ -279,37 +288,36 @@ def sample_fpt_curvy(
     The line draws take their normals and uniforms from the scalar streams
     ``normal`` and ``uniform`` when both are given (``rng`` is then unused),
     and otherwise from block streams of 16 values built on ``rng``.
+
+    With ``gap``, ``threshold`` is a checked above-start frame (as in the
+    exact sampler's kernel) with start gap ``beta(0) = gap``: the call does
+    not reflect it, read ``beta(0)`` or check it again.
     """
     if (normal is None) != (uniform is None):
         raise ParameterError("pass both the normal and the uniform stream, or neither")
-    if threshold.orientation is Orientation.BELOW_START:
-        threshold = threshold.proposal_frame()
-    beta = threshold.beta
-    b0 = beta(0.0)
-    if not (b0 > 0.0 and math.isfinite(b0)):
-        raise ParameterError(
-            f"threshold must start strictly away from the process, got gap {b0}"
-        )
     r = params.r
-    if threshold.inf_slope is not None and r > threshold.inf_slope + 1e-12:
-        raise ParameterError(
-            f"line slope r={r} exceeds the threshold slope infimum "
-            f"{threshold.inf_slope}; the iteration would overshoot"
-        )
+    if gap is None:
+        if threshold.orientation is Orientation.BELOW_START:
+            threshold = threshold.proposal_frame()
+        gap = threshold.beta(0.0)
+        if not (gap > 0.0 and math.isfinite(gap)):
+            raise ParameterError(f"threshold must start strictly away from the process, got gap {gap}")
+        _check_slope(threshold, r)
+    beta = threshold.beta
     epsilon = params.epsilon
     horizon = params.horizon
-    if b0 <= epsilon:
+    if gap <= epsilon:
         return _draw(0.0)
     if normal is None:
         normal = block_stream(rng.standard_normal, _LINE_BLOCK)
         uniform = block_stream(rng.random, _LINE_BLOCK)
     linear_time = _linear_time
+    falling = r < 0.0
     T = 0.0
-    beta_T = b0
-    H = b0
+    beta_T = H = gap
     draws = 0
     while True:
-        g = linear_time(r, H, normal, uniform)
+        g = _wald(-H / r, H * H, normal, uniform) if falling else linear_time(r, H, normal, uniform)
         draws += 1
         if g == math.inf:
             return _draw(horizon, 1, draws)

@@ -46,17 +46,19 @@ the line iterates of the proposal, is ROADMAP item 1.
 ``_kernel_of`` alone builds the proposal frame, checks a problem's parts and
 returns its kernel form (``_Kernel``: plain floats and callables, with the
 start gap ``delta = phi(0)``), which the sampler runs on without rebuilding
-anything per draw.  :class:`ExactProblem` and the neuron stages (through
-``_trusted_problem``) store it; :func:`sample_exact_split` builds each stage
-from the problem's kernel and the stage's own line.
+or re-checking anything per draw.  :class:`ExactProblem` and the neuron
+stages (through ``_trusted_problem``) store it; :func:`sample_exact_split`
+builds each stage from the problem's kernel and the stage's own line.
 
-Each call draws its randomness in blocks from its own generator: the
-exponential clock gaps, the bridge normals and the event marks come from
-per-call streams of 16 values (:func:`fptsim.rng.block_stream`), and so do
-the Wald draws of linear proposals.  Curved proposals take the normals and
-uniforms of their line draws from the draw's own normal and uniform streams,
-so a line draw makes no numpy call.  Nothing is carried from one call to the
-next, so a draw is a function of the generator it is handed.
+Each call draws its randomness in blocks from its own generator: the clock
+gaps (``1/kappa`` times standard exponentials, as numpy's ``exponential``
+computes them), the bridge normals and the event marks come from per-call
+streams of 16 values (:func:`draw_streams`), and so do the Wald draws of
+linear proposals.  Curved proposals take their line draws from the same
+normal and uniform streams and their start gap from the kernel, so a line
+draw makes no numpy call.  Nothing is carried from one call to the next,
+except across the stages of a spike train, which share the train's streams
+(the ``streams`` keyword of :func:`sample_exact_below`).
 
 For distant linear thresholds, :func:`sample_exact_split` chains ``k``
 intermediate sub-problems (strong Markov property), turning a cost that is
@@ -73,7 +75,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, _draw, _linear_time, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, _check_slope, _draw, _linear_time, sample_fpt_curvy
 from .errors import ConfigurationError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
@@ -100,6 +102,7 @@ __all__ = [
     "expected_proposals",
     "run_thinning_trial",
     "default_proposal",
+    "draw_streams",
 ]
 
 #: Values per block of the per-call random streams of the sampler.
@@ -253,8 +256,9 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     Checks in order: ``kappa`` is set, ``max_proposals >= 1``, the start gap
     ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
     it fails :meth:`Threshold.validate_start` or is refused as not finite),
-    a linear proposal has a linear threshold, and the frame line's intercept
-    is positive (:func:`_line_part`).
+    a linear proposal has a linear threshold, a curved one a line slope at
+    most the frame's ``inf_slope``, and the frame line's intercept is
+    positive (:func:`_line_part`).
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -270,6 +274,8 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     linear = proposal.kind == "linear"
     if linear and threshold.linear is None:
         raise ConfigurationError("linear proposals require a linear threshold")
+    if not linear:
+        _check_slope(frame, proposal.curvy.r)
     return _Kernel(
         threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
         gammas.shift1, gammas.shift2, kappa, _rate_ceiling(kappa), delta, max_proposals,
@@ -304,20 +310,26 @@ def expected_proposals(problem: ExactProblem) -> float:
     return math.exp((A(b0) - g * b0) - (A(x0) - g * x0))
 
 
-def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
+def draw_streams(rng: np.random.Generator, size: int = _EVENT_BLOCK) -> tuple:
+    """The ``(normal, uniform, standard exponential)`` block streams of exact draws."""
+    return (block_stream(rng.standard_normal, size), block_stream(rng.random, size),
+            block_stream(rng.standard_exponential, size))
+
+
+def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None = None) -> FptDraw:
     """One exact draw of the problem ``k``.
 
     Proposals are reference passage times to the frame (``inf`` for
     non-hitting or horizon-censored ones, which count as rejections).  A
     line draws its flat passage from ``normal``, its rising-line hit test
-    from ``uniform`` and its Wald times from their own block stream; a curve
-    calls :func:`sample_fpt_curvy` on the ``normal`` and ``uniform`` streams
-    and adds its line draws to the draw's ``line_draws``.
+    from ``uniform`` and its Wald times from their own block stream on
+    ``rng``; a curve calls :func:`sample_fpt_curvy` on the ``normal`` and
+    ``uniform`` streams with the kernel's start gap, and adds its line draws
+    to the draw's ``line_draws``.  ``streams`` default to new ones on ``rng``.
     """
     beta, sign, gamma1, gamma2, s1, s2, kappa, ceiling, delta, max_proposals, line, curvy = k
-    normal = block_stream(rng.standard_normal, _EVENT_BLOCK)
-    uniform = block_stream(rng.random, _EVENT_BLOCK)
-    clock_gap = block_stream(partial(rng.exponential, 1.0 / kappa), _EVENT_BLOCK)
+    normal, uniform, exponential = draw_streams(rng) if streams is None else streams
+    scale = 1.0 / kappa
     if curvy is None:
         intercept, wald_params, hit = line
         if wald_params is not None:
@@ -334,7 +346,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
     total_events = 0
     for attempt in range(1, max_proposals + 1):
         if curvy is not None:
-            d = sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform)
+            d = sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform, gap=delta)
             line_draws += d.clock_events
             tau = d.time if d.time < horizon else math.inf
         elif wald_params is None:
@@ -348,7 +360,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
         if tau <= 0.0:
             return _draw(0.0, attempt, total_events, line_draws)
         e0 = 0.0
-        e1 = clock_gap()
+        e1 = scale * exponential()
         l1 = l2 = l3 = 0.0
         while e1 <= tau:
             c1, c2 = bridge_coeffs(tau, e0, e1)
@@ -367,7 +379,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator) -> FptDraw:
             if kappa * uniform() <= v:
                 break
             e0 = e1
-            e1 += clock_gap()
+            e1 += scale * exponential()
         else:
             return _draw(tau, attempt, total_events, line_draws)
     raise NonTerminationError(
@@ -384,12 +396,14 @@ def sample_exact(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
     return _sample_oriented(problem._kernel, rng)
 
 
-def sample_exact_below(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
-    """Draw one exact passage time for a below-start problem."""
+def sample_exact_below(problem: ExactProblem, rng: np.random.Generator, *,
+                       streams: tuple | None = None) -> FptDraw:
+    """Draw one exact passage time for a below-start problem, from ``streams``
+    (:func:`draw_streams`) when given, where the last draw on them stopped."""
     if problem.threshold.orientation is not Orientation.BELOW_START:
         raise ConfigurationError("sample_exact_below handles below-start problems; "
                                  "use sample_exact")
-    return _sample_oriented(problem._kernel, rng)
+    return _sample_oriented(problem._kernel, rng, streams)
 
 
 def sample_exact_split(

@@ -56,7 +56,8 @@ keep each interval draw both correct and affordable:
   uniformly in ``u``, one exact draw per stage (the passage hits the ordered
   thresholds in sequence, so the summed stage times follow the interval law).
   A stage spans ``_STAGE_WIDTH = 2`` units of ``sigma/|d|`` in ``u``, which
-  balances its set-up against its proposals (about five per stage).
+  balances its set-up against its proposals (about five per stage).  The
+  stages of a train share one set of block streams, so none builds its own.
 
 Caveat: for parameterizations where the voltage may decay toward zero and
 never spike (small input current), an interval's passage law is defective.
@@ -87,7 +88,7 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .exact import ExactProblem, Proposal, _trusted_problem, sample_exact_below
+from .exact import ExactProblem, Proposal, _trusted_problem, draw_streams, sample_exact_below
 from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
 from .rng import sample_many
 
@@ -123,6 +124,8 @@ _KAPPA_FLOOR = 1e-9
 #: (set-up ``C0``, ``C1`` per proposal) is least at ``e^x (x - 1) = C0/C1``, about 4.6: ``x``
 #: about 1.8, twice the ``x`` of width 1, and flat (within 5% for ``x`` in [1.4, 2.2]).
 _STAGE_WIDTH = 2.0
+#: Values per block of the random streams a spike train shares among its stage draws.
+_TRAIN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -431,7 +434,8 @@ class _StageBounds:
         # space rate is an exact endpoint value of a convex quadratic, the
         # time rate (g - alpha)*beta' is bounded piece by piece
         sup2 = max(0.0, 0.5 * (max(c * c, _q(c, d, sigma, u_cap)) - gg))
-        sup1 = max(0.0, float((g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:]).max()))
+        sup1 = max(0.0, float(np.maximum.reduce(g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:],
+                                                axis=None)))
         r = (g - self.sup_slope) - TANGENT_MARGIN
         if not math.isfinite(r):
             raise ParameterError(f"r must be finite, got {r}")
@@ -492,6 +496,7 @@ def _draw_interval(
     remaining: float,
     rng: np.random.Generator,
     max_proposals: int,
+    streams: tuple | None = None,
 ) -> tuple[float | None, list[FptDraw]]:
     """One inter-spike passage time (interval-local), or None past the horizon,
     with the stage draws it took.
@@ -500,6 +505,7 @@ def _draw_interval(
     in ``u = exp(-sigma*x)`` between the start voltage and the peak threshold
     level, at most ``_STAGE_WIDTH * sigma/|d|`` apart, so that each stage's
     proposals cost about as much as its set-up (see ``_STAGE_WIDTH``).
+    The stages draw from ``streams``, by default new ones per stage on ``rng``.
     """
     sigma = params.sigma
     _, d = params.drift_coefficients()
@@ -526,7 +532,7 @@ def _draw_interval(
         problem = bounds.problem(
             i, s, x_start=x_cur, horizon=stage_horizon, max_proposals=max_proposals
         )
-        draw = sample_exact_below(problem, rng)
+        draw = sample_exact_below(problem, rng, streams=streams)
         draws.append(draw)
         if draw.time >= stage_horizon - 1e-12:
             return None, draws
@@ -547,7 +553,7 @@ def simulate_spike_train(
 
     ``horizon`` and ``max_proposals`` are checked here, before any stage is
     built: the stages' proposal parameters are built without re-checking
-    the horizon.
+    the horizon.  Its stage draws share one set of streams on ``rng``.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be positive and finite, got {horizon}")
@@ -555,6 +561,7 @@ def simulate_spike_train(
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     state = initial_state(params)
     voltage = params.v0
+    streams = draw_streams(rng, _TRAIN_BLOCK)
     times: list[float] = []
     stages = proposals = clock_events = 0
     while True:
@@ -567,7 +574,7 @@ def simulate_spike_train(
         if remaining <= 0.0:
             break
         t_local, draws = _draw_interval(
-            params, state.theta_plus, voltage, remaining, rng, max_proposals
+            params, state.theta_plus, voltage, remaining, rng, max_proposals, streams
         )
         stages += len(draws)
         proposals += sum(d.proposals for d in draws)

@@ -324,6 +324,24 @@ def test_curvy_slope_precondition_enforced():
         sample_fpt_curvy(th, CurvyParams(epsilon=2.0**-4, r=-0.5, horizon=50.0), rng)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_curvy_with_the_start_gap_draws_the_same_time(sign):
+    # a caller that hands in the frame's start gap gets the same draw on
+    # equal streams; the below-start case hands in the reflected frame
+    th = _exp_threshold(sign)
+    frame = th.proposal_frame()
+    params = CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        checked = sample_fpt_curvy(th, params, rng, normal=block_stream(rng.standard_normal, 16),
+                                   uniform=block_stream(rng.random, 16))
+        rng = np.random.default_rng(seed)
+        given = sample_fpt_curvy(frame, params, rng, normal=block_stream(rng.standard_normal, 16),
+                                 uniform=block_stream(rng.random, 16), gap=frame.beta(0.0))
+        assert given == checked
+        assert checked.clock_events >= 1
+
+
 def test_curvy_overstated_inf_slope_raises_instead_of_returning_a_time():
     # beta' runs over [-1, 0), but the threshold claims it never falls: each
     # flat line ends above the falling threshold, a negative final gap

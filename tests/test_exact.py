@@ -311,6 +311,36 @@ def test_line_draws_count_the_curved_proposals_line_draws(monkeypatch, name):
             assert calls == [] and d.line_draws == 0
 
 
+def test_curved_draws_read_the_threshold_at_0_only_at_build():
+    # the kernel holds the start gap phi(0), so curved proposals take it
+    # from there and sampling never evaluates the threshold at 0
+    prob = example2_problem(epsilon=2.0**-20)
+    at_zero = []
+    beta = prob.threshold.beta
+
+    def recording(t):
+        if t == 0.0:
+            at_zero.append(t)
+        return beta(t)
+
+    prob = replace(prob, threshold=replace(prob.threshold, beta=recording))
+    built = len(at_zero)
+    assert built >= 1
+    draws = sample_batch(prob, 20, 59)
+    assert sum(d.proposals for d in draws) > 20
+    assert len(at_zero) == built
+
+
+def test_scaled_standard_exponentials_are_numpy_exponentials():
+    # clock gaps are 1/kappa times standard exponentials; batch draws keep
+    # the bytes of numpy's exponential(1/kappa) only while these agree
+    for seed in (0, 1, 60):
+        for scale in (1.0, 0.25, 1.0 / 3.0, 1.0 / 4.690885899694682, 7.5):
+            scaled = scale * np.random.default_rng(seed).standard_exponential(64)
+            direct = np.random.default_rng(seed).exponential(scale, 64)
+            assert scaled.tolist() == direct.tolist()
+
+
 # --- space splitting ---------------------------------------------------------
 
 
@@ -513,6 +543,16 @@ _REFUSALS = {
     "inf_reference_drift": (
         lambda: _drifted_problem(math.inf), ParameterError,
         "start gap nan is not a positive finite number: x0 = 0.0, reference drift = inf",
+    ),
+    # the frame's inf_slope is -1: a line of slope -0.5 would overshoot
+    "curvy_slope_above_the_frame": (
+        lambda: ExactProblem(
+            sde=_unit_sde(0.0), threshold=exponential_threshold(1.0, 1.0),
+            gammas=make_gamma_pair(_unit_sde(0.0), exponential_threshold(1.0, 1.0)).with_kappa(1.0),
+            proposal=Proposal("curvy", CurvyParams(epsilon=2.0**-4, r=-0.5)),
+        ),
+        ParameterError,
+        "line slope r=-0.5 exceeds the threshold slope infimum -1.0; the iteration would overshoot",
     ),
     "start_at_minus_inf": (
         lambda: example1_problem(x0=-math.inf), ParameterError,

@@ -240,9 +240,9 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
     p = NeuronParams(I=20.0)
     built = []
 
-    def recording(problem, rng):
+    def recording(problem, rng, *, streams=None):
         built.append(problem)
-        return sample_exact_below(problem, rng)
+        return sample_exact_below(problem, rng, streams=streams)
 
     monkeypatch.setattr(neuron, "sample_exact_below", recording)
     _draw_interval(p, 2.0, 1.0, 2.0, np.random.default_rng(5), 10**6)
@@ -262,8 +262,8 @@ def _recording_stages(monkeypatch):
     """Make ``neuron`` record each stage problem and its draw."""
     stages = []
 
-    def recording(problem, rng):
-        draw = sample_exact_below(problem, rng)
+    def recording(problem, rng, *, streams=None):
+        draw = sample_exact_below(problem, rng, streams=streams)
         stages.append((problem, draw))
         return draw
 
@@ -443,9 +443,9 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
     # frame and the sampler's kernel come out equal
     built = []
 
-    def recording(problem, rng):
+    def recording(problem, rng, *, streams=None):
         built.append(problem)
-        return sample_exact_below(problem, rng)
+        return sample_exact_below(problem, rng, streams=streams)
 
     monkeypatch.setattr(neuron, "sample_exact_below", recording)
     simulate_trials(NeuronParams(I=current, tau_m=tau_m), 1.0, 3, 76)
@@ -486,9 +486,9 @@ def test_each_stage_builds_one_proposal_frame(monkeypatch):
         framed.append(self)
         return original(self, *args, **kwargs)
 
-    def recording(problem, rng):
+    def recording(problem, rng, *, streams=None):
         stages.append(problem)
-        return sample_exact_below(problem, rng)
+        return sample_exact_below(problem, rng, streams=streams)
 
     monkeypatch.setattr(Threshold, "proposal_frame", counting)
     monkeypatch.setattr(neuron, "sample_exact_below", recording)
@@ -496,6 +496,65 @@ def test_each_stage_builds_one_proposal_frame(monkeypatch):
     assert len(stages) > 3
     assert len(framed) == len(stages)
     assert all(th is prob.threshold for th, prob in zip(framed, stages))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its numpy block calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def _count(self, draw, *args, **kwargs):
+        self.calls += 1
+        return draw(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self._count(super().standard_normal, *args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._count(super().random, *args, **kwargs)
+
+    def standard_exponential(self, *args, **kwargs):
+        return self._count(super().standard_exponential, *args, **kwargs)
+
+    def exponential(self, *args, **kwargs):
+        return self._count(super().exponential, *args, **kwargs)
+
+    def wald(self, *args, **kwargs):
+        return self._count(super().wald, *args, **kwargs)
+
+
+def test_a_train_builds_its_streams_once():
+    # stages share the train's block streams, so a train makes fewer numpy
+    # calls than it has stages; with three streams per stage it made more
+    rng = _CountingGenerator(84)
+    train = simulate_spike_train(NeuronParams(I=20.0), 2.0, rng)
+    assert train.stages > 20
+    assert 0 < rng.calls < train.stages
+
+
+def test_stage_draws_read_the_threshold_at_0_only_at_build():
+    # the kernel holds the start gap phi(0), so curved proposals take it
+    # from there and sampling never evaluates the threshold at 0
+    stage = _StageBounds(NeuronParams(I=20.0), 2.0, [0.0], 0.0, 7.0).problem(
+        0, 0.0, x_start=0.0, horizon=7.0, max_proposals=10**6)
+    at_zero = []
+    beta = stage.threshold.beta
+
+    def recording(w):
+        if w == 0.0:
+            at_zero.append(w)
+        return beta(w)
+
+    prob = ExactProblem(sde=stage.sde, threshold=replace(stage.threshold, beta=recording),
+                        gammas=stage.gammas, proposal=stage.proposal,
+                        max_proposals=stage.max_proposals)
+    built = len(at_zero)
+    assert built >= 1
+    draws = [sample_exact_below(prob, substream(85, i)) for i in range(20)]
+    assert sum(d.proposals for d in draws) > 20
+    assert len(at_zero) == built
 
 
 def test_train_checks_its_budget_and_horizon_before_any_stage(monkeypatch):

@@ -3,17 +3,20 @@ stream or a reordered float expression fails a test rather than only a
 hand-checked artifact hash.
 
 The values were recorded with the sampler of the one-frame-per-problem
-change; a change that means to alter the streams updates them and says so.
+change, and the spike train again when its stages came to share one set of
+block streams; a change that means to alter the streams updates them and
+says so.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from fptsim.baselines import GridScheme, grid_batch
 from fptsim.exact import ExactProblem, Proposal, sample_batch
 from fptsim.model import Orientation, UnitDiffusionSDE, linear_threshold, make_gamma_pair
 from fptsim.neuron import NeuronParams, simulate_spike_train
-from fptsim.problems import example1_problem, example2_problem
+from fptsim.problems import build_custom_problem, example1_problem, example2_problem
 from fptsim.rng import substream
 
 _SEED = 1213
@@ -57,6 +60,17 @@ _PINNED = {
             (0.382054106945046, 2, 7, 8),
         ],
     ),
+    # the registry's exponential threshold below its start: a reflected frame
+    "exponential_below_start": (
+        lambda: build_custom_problem("sinusoidal", {}, "exponential", {"a": 0.5, "b": 1.0},
+                                     x0=1.0),
+        None,
+        [
+            (0.06504999158289251, 7, 5, 12),
+            (0.10139345559823057, 2, 2, 3),
+            (0.1441100252447408, 2, 0, 3),
+        ],
+    ),
     "example1_split3": (
         lambda: example1_problem(),
         3,
@@ -78,14 +92,29 @@ def test_batch_draws_are_pinned(name):
     assert got == expected
 
 
+# grid times of entries 0, 3 and 7 of an 8-path batch on Example 1 at delta = 2^-6
+_GRID_PINNED = {
+    "euler": [0.296875, 0.53125, 0.125],
+    "improved_euler": [0.296875, 0.53125, 0.125],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_GRID_PINNED))
+def test_grid_draws_are_pinned(scheme):
+    problem = example1_problem()
+    draws = grid_batch(problem.sde, problem.threshold, GridScheme(2.0**-6, 8.0, scheme), 8, _SEED)
+    assert [draws[i].time for i in _INDICES] == _GRID_PINNED[scheme]
+    assert all(draws[i].finite for i in _INDICES)
+
+
 def test_spike_train_is_pinned():
     train = simulate_spike_train(NeuronParams(I=20.0), 2.0, substream(_SEED, 0))
     assert train.times == (
-        0.037766282816641156, 0.08429544850481754, 0.15303910997614942, 0.22209264412312082,
-        0.31498590171507135, 0.38561444176382054, 0.4758520262100291, 0.5531574502951359,
-        0.6440956547332363, 0.7600938712662882, 0.8371766695887397, 0.9305728662574086,
-        0.9982036954661067, 1.0753268800255467, 1.174293820699984, 1.2766437467303682,
-        1.3478979972255833, 1.4620094401638084, 1.5591289179463927, 1.6729223319527968,
-        1.796003541642149, 1.9030494664256077,
+        0.030334553920415952, 0.08493764916403959, 0.16139810343367078, 0.23584611123801646,
+        0.3166456774976524, 0.40831064839751763, 0.4878959035984226, 0.5753725366449283,
+        0.6907533829773213, 0.7941368127482993, 0.8798191065791974, 0.9877550711524097,
+        1.0886392163021896, 1.187082917370892, 1.2938691287583632, 1.4112099247920915,
+        1.5148025498761157, 1.627795416275763, 1.711437273519774, 1.807992324648582,
+        1.8938583719189668, 1.9974885029386689,
     )
-    assert (train.stages, train.proposals, train.clock_events) == (88, 441, 459)
+    assert (train.stages, train.proposals, train.clock_events) == (85, 481, 504)
