@@ -37,7 +37,7 @@ hands in the streams and the frame's start gap.
 
 Returned times of ``sample_fpt_curvy`` equal the horizon when the iteration
 was censored; callers that need to distinguish censoring compare against the
-horizon they passed in.
+horizon they passed in.  The threshold is read on ``[0, horizon]`` only.
 
 No sampler here needs scipy: only the two CDF test oracles,
 :func:`inverse_gaussian_cdf` and :func:`constant_level_cdf`, load
@@ -281,9 +281,10 @@ def sample_fpt_curvy(
     iteration runs on ``-beta``; ``params.r`` always refers to that frame.
     The returned time is ``min(T, horizon)`` with ``clock_events`` equal to
     the number of line draws consumed; a returned time equal to the horizon
-    means the run was censored.  A final gap below
-    ``-1e-12 * max(1, |beta(T)|)`` (more than round-off) means a line
-    overshot the threshold, and raises :class:`AssumptionViolation`.
+    means the run was censored (a line past it is checked at the horizon).
+    A final gap below ``-1e-12 * max(1, |beta(T)|)`` (more than round-off)
+    means a line overshot the threshold, and raises
+    :class:`AssumptionViolation`.
 
     The line draws take their normals and uniforms from the scalar streams
     ``normal`` and ``uniform`` when both are given (``rng`` is then unused),
@@ -322,13 +323,16 @@ def sample_fpt_curvy(
         if g == math.inf:
             return _draw(horizon, 1, draws)
         T += g
+        censored = T >= horizon
+        if censored:
+            g, T = g - (T - horizon), horizon
         beta_next = beta(T)
         H = beta_next - beta_T - r * g
         beta_T = beta_next
-        if H <= epsilon or T >= horizon:
+        if H <= epsilon or censored:
             if H < 0.0 and H < -_OVERSHOOT_TOL * max(1.0, abs(beta_T)):
                 raise AssumptionViolation(
                     f"line of slope r={r} overshot the threshold at T={T} (gap {H}); "
                     "the threshold's inf_slope is not a lower bound of its slope"
                 )
-            return _draw(min(T, horizon), 1, draws)
+            return _draw(T, 1, draws)

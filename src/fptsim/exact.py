@@ -15,8 +15,9 @@ rate-``kappa`` exponential clock places no event below the graph of the
 integrand.  Proposals are passage times of standard Brownian motion from 0
 to the threshold's proposal frame (:meth:`fptsim.model.Threshold.proposal_frame`:
 start shifted to 0, drift ``g`` removed, below-start problems reflected),
-which :class:`ExactProblem` builds once per problem.  At a clock event ``E``
-in ``[0, tau_W]`` the path state enters as
+which :class:`ExactProblem` builds once per problem; :func:`sample_exact`
+draws it on either side of the threshold.  At a clock event ``E`` in
+``[0, tau_W]`` the path state enters as
 
     x_rec = beta(E) -/+ || (E/tau_W) * delta * e1 + l_E ||,
 
@@ -58,7 +59,7 @@ linear proposals.  Curved proposals take their line draws from the same
 normal and uniform streams and their start gap from the kernel, so a line
 draw makes no numpy call.  Nothing is carried from one call to the next,
 except across the stages of a spike train, which share the train's streams
-(the ``streams`` keyword of :func:`sample_exact_below`).
+(the ``streams`` keyword of :func:`sample_exact`).
 
 For distant linear thresholds, :func:`sample_exact_split` chains ``k``
 intermediate sub-problems (strong Markov property), turning a cost that is
@@ -195,7 +196,8 @@ class ExactProblem:
     rather than silently biasing output.  The constructor checks the parts
     and builds the plain-value form the sampler runs on, once for every
     draw, in :func:`_kernel_of`; the proposal frame of a curved threshold
-    is ``_kernel.curvy[0]``.  Only :func:`sample_batch` refuses a curvy start
+    is ``_kernel.curvy[0]``, and :func:`sample_exact` draws it on either
+    side of the threshold.  Only :func:`sample_batch` refuses a curvy start
     within ``epsilon``: grids ignore it, and a chain stage passes at once.
     """
 
@@ -214,23 +216,21 @@ class ExactProblem:
 class _Kernel(NamedTuple):
     """An exact problem as :func:`_sample_oriented` runs it: plain values only.
 
-    ``beta`` and ``sign`` are the threshold and its orientation sign, the
-    rate is ``gamma1(t) - shift1 + gamma2(x) - shift2`` under the clock rate
-    ``kappa`` and its guard ``ceiling``, and ``delta`` is the start gap
-    ``phi(0)`` of the proposal frame ``phi``.  Exactly one of ``line`` and
-    ``curvy`` is set.  ``line = (intercept, wald, hit)`` draws the passage of
-    standard Brownian motion to the frame line: ``wald`` is the ``(mean,
-    shape)`` of a sloped line's inverse Gaussian time (None for a flat line)
-    and ``hit`` the hit probability of a rising line (None when every path
-    hits).  ``curvy = (phi, params)`` runs :func:`sample_fpt_curvy`.
+    ``beta`` and ``sign`` are the threshold and its orientation sign, the rate
+    is ``gamma1(t) + gamma2(x)`` under the clock rate ``kappa`` and its guard
+    ``ceiling``, and ``delta`` is the start gap ``phi(0)`` of the proposal
+    frame ``phi``.  Exactly one of ``line`` and ``curvy`` is set.
+    ``line = (intercept, wald, hit)`` draws the passage of standard Brownian
+    motion to the frame line: ``wald`` is the ``(mean, shape)`` of a sloped
+    line's inverse Gaussian time (None for a flat line) and ``hit`` the hit
+    probability of a rising line (None when every path hits).
+    ``curvy = (phi, params)`` runs :func:`sample_fpt_curvy`.
     """
 
     beta: Callable[[float], float]
     sign: float
     gamma1: Callable[[float], float]
     gamma2: Callable[[float], float]
-    shift1: float
-    shift2: float
     kappa: float
     ceiling: float
     delta: float
@@ -253,7 +253,9 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
                proposal: Proposal, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
-    Checks in order: ``kappa`` is set, ``max_proposals >= 1``, the start gap
+    Checks in order: ``kappa`` is set, the rate shifts net to zero (others
+    change the law; the kernel runs on the unshifted sum, which a net-zero
+    pair keeps), ``max_proposals >= 1``, the start gap
     ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
     it fails :meth:`Threshold.validate_start` or is refused as not finite),
     a linear proposal has a linear threshold, a curved one a line slope at
@@ -263,6 +265,9 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     kappa = gammas.kappa
     if kappa is None:
         raise ConfigurationError("gammas.kappa must be set for sampling")
+    if gammas.shift1 + gammas.shift2 != 0.0:
+        raise ParameterError(f"rate shifts shift1={gammas.shift1}, shift2={gammas.shift2} do not "
+                             "net to zero: they would change the sampled law")
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
@@ -278,7 +283,7 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
         _check_slope(frame, proposal.curvy.r)
     return _Kernel(
         threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
-        gammas.shift1, gammas.shift2, kappa, _rate_ceiling(kappa), delta, max_proposals,
+        kappa, _rate_ceiling(kappa), delta, max_proposals,
         _line_part(*frame.linear) if linear else None,
         None if linear else (frame, proposal.curvy),
     )
@@ -300,8 +305,8 @@ def expected_proposals(problem: ExactProblem) -> float:
     """Expected proposals per acceptance, ``exp(A_g(beta(0)) - A_g(x0))``.
 
     ``A_g(x) = A(x) - g*x`` is the drift antiderivative relative to the
-    reference measure.  Valid when the target passage is almost surely finite
-    and the rate pair is unshifted (``shift1 + shift2 = 0``).
+    reference measure.  Valid when the target passage is almost surely finite;
+    the sampler refuses rate shifts that do not net to zero.
     """
     g = problem.gammas.reference_drift
     A = problem.sde.A
@@ -327,7 +332,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     ``uniform`` streams with the kernel's start gap, and adds its line draws
     to the draw's ``line_draws``.  ``streams`` default to new ones on ``rng``.
     """
-    beta, sign, gamma1, gamma2, s1, s2, kappa, ceiling, delta, max_proposals, line, curvy = k
+    beta, sign, gamma1, gamma2, kappa, ceiling, delta, max_proposals, line, curvy = k
     normal, uniform, exponential = draw_streams(rng) if streams is None else streams
     scale = 1.0 / kappa
     if curvy is None:
@@ -375,7 +380,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
             t_fwd = tau - e1
             m = (e1 / tau) * delta + l1
             x_rec = beta(t_fwd) - sign * math.sqrt(m * m + l2 * l2 + l3 * l3)
-            v = guard_rate(gamma1(t_fwd) - s1 + gamma2(x_rec) - s2, ceiling, t_fwd, x_rec)
+            v = guard_rate(gamma1(t_fwd) + gamma2(x_rec), ceiling, t_fwd, x_rec)
             if kappa * uniform() <= v:
                 break
             e0 = e1
@@ -388,22 +393,14 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     )
 
 
-def sample_exact(problem: ExactProblem, rng: np.random.Generator) -> FptDraw:
-    """Draw one exact passage time for an above-start problem."""
-    if problem.threshold.orientation is not Orientation.ABOVE_START:
-        raise ConfigurationError("sample_exact handles above-start problems; "
-                                 "use sample_exact_below")
-    return _sample_oriented(problem._kernel, rng)
-
-
-def sample_exact_below(problem: ExactProblem, rng: np.random.Generator, *,
-                       streams: tuple | None = None) -> FptDraw:
-    """Draw one exact passage time for a below-start problem, from ``streams``
+def sample_exact(problem: ExactProblem, rng: np.random.Generator, *,
+                 streams: tuple | None = None) -> FptDraw:
+    """One exact passage time, either side of the threshold, from ``streams``
     (:func:`draw_streams`) when given, where the last draw on them stopped."""
-    if problem.threshold.orientation is not Orientation.BELOW_START:
-        raise ConfigurationError("sample_exact_below handles below-start problems; "
-                                 "use sample_exact")
     return _sample_oriented(problem._kernel, rng, streams)
+
+
+sample_exact_below = sample_exact  # the name the neuron's stages call; not a wrapper
 
 
 def sample_exact_split(
@@ -415,8 +412,8 @@ def sample_exact_split(
     parallel line through level ``x0 + (beta(0) - x0) * i / k``; by the strong
     Markov property the summed stage times follow the original passage law,
     and ``k = 1`` is the plain single-stage path.  Each stage is built in
-    kernel form only: it keeps the problem kernel's ``gamma2``, shifts,
-    bound, rate ceiling and proposal budget, and takes its own line, time
+    kernel form only: it keeps the problem kernel's ``gamma2``, bound, rate
+    ceiling and proposal budget, and takes its own line, time
     rate ``gamma1`` and start gap, with the float expressions of
     ``linear_threshold``, ``make_gamma_pair`` and ``Threshold.proposal_frame``.
     """
@@ -428,7 +425,7 @@ def sample_exact_split(
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
     kernel = problem._kernel
-    shared = kernel[3:8]  # gamma2, shift1, shift2, kappa, ceiling
+    shared = kernel[3:6]  # gamma2, kappa, ceiling
     g = problem.gammas.reference_drift
     alpha = problem.sde.alpha
     x0 = problem.sde.x0
@@ -476,12 +473,8 @@ def sample_batch(
         raise ConfigurationError(f"start gap {kernel.delta} is within epsilon = "
                                  f"{kernel.curvy[1].epsilon}: every draw would be 0; "
                                  "lower epsilon below the gap")
-    if split is not None:
-        draw = lambda rng: sample_exact_split(problem, split, rng)
-    elif problem.threshold.orientation is Orientation.ABOVE_START:
-        draw = lambda rng: sample_exact(problem, rng)
-    else:
-        draw = lambda rng: sample_exact_below(problem, rng)
+    draw = (partial(sample_exact, problem) if split is None
+            else partial(sample_exact_split, problem, split))
     return sample_many(draw, n, master_seed)
 
 

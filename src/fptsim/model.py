@@ -245,9 +245,9 @@ class GammaPair:
     effective sum.  ``reference_drift`` records the constant drift ``g`` of
     the reference measure the pair was built against; the sampler must draw
     its proposals from the first-passage law of a Brownian motion with that
-    drift.  Only net-zero shifts (``k1 + k2 = 0``) preserve the sampled
-    distribution for a fixed reference drift; changing the reference drift is
-    the distribution-preserving way to remove a constant from ``gamma2``.
+    drift.  Only net-zero shifts (``k1 + k2 = 0``) preserve the sampled law,
+    and the exact sampler refuses any other pair; changing the reference
+    drift is the law-preserving way to remove a constant from ``gamma2``.
     """
 
     gamma1: Callable[[float], float]

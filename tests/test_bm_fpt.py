@@ -317,6 +317,25 @@ def test_curvy_horizon_censoring_returns_the_horizon():
     assert censored > 0
 
 
+def test_curvy_reads_a_growing_threshold_on_its_horizon_only():
+    # beta = exp(t/2) grows without bound, and a heavy-tailed flat-line draw
+    # can end far past the horizon, where math.exp would overflow; the line
+    # is checked at the horizon instead
+    horizon = 2.0
+
+    def beta(t):
+        if t > horizon:
+            raise AssertionError(f"threshold read at t={t}, past the horizon")
+        return math.exp(0.5 * t)
+
+    th = Threshold(beta=beta, beta_prime=lambda t: 0.5 * math.exp(0.5 * t),
+                   orientation=Orientation.ABOVE_START, inf_slope=0.5, sup_slope=None)
+    params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=horizon)
+    times = [sample_fpt_curvy(th, params, np.random.default_rng(seed)).time for seed in range(200)]
+    assert all(0.0 < t <= horizon for t in times)
+    assert 0 < times.count(horizon) < len(times)
+
+
 def test_curvy_slope_precondition_enforced():
     th = _exp_threshold()
     rng = np.random.default_rng(13)

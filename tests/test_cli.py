@@ -478,6 +478,25 @@ def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("drift, code", [("zero", 0), ("sinusoidal", 3)])
+def test_sample_on_a_threshold_that_grows_past_its_horizon_exits_typed(
+    tmp_path, capsys, drift, code
+):
+    # beta = exp(t/2) above x0 = 0: a proposal's line draw can end far past
+    # the curvy horizon, where the threshold overflows; the sinusoidal drift
+    # then meets a negative rate, a typed error of its own
+    mapping = {"drift": drift, "threshold": "exponential",
+               "threshold_params": {"a": 1.0, "b": -0.5}, "n": 50, "out": str(tmp_path / "o")}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(mapping))
+    assert main(["sample", "--config", str(cfg_file)]) == code
+    if code == 0:
+        assert (tmp_path / "o" / "samples.csv").is_file()
+        assert json.loads((tmp_path / "o" / "summary.json").read_text())["n"] == 50
+    else:
+        assert _stderr_error(capsys)["error"] == "AssumptionViolation"
+
+
 @pytest.mark.parametrize(
     "experiment, mapping",
     [

@@ -39,6 +39,7 @@ from fptsim.model import (
     UnitDiffusionSDE,
     linear_threshold,
     make_gamma_pair,
+    shift_gamma_pair,
 )
 from fptsim.problems import (
     build_custom_problem,
@@ -470,7 +471,7 @@ def test_split_stage_kernels_match_public_stage_problems(monkeypatch):
             public = ExactProblem(sde=sde, threshold=th, gammas=gammas,
                                   proposal=Proposal("linear"), max_proposals=prob.max_proposals)
             theirs = public._kernel
-            for name in ("sign", "shift1", "shift2", "kappa", "ceiling", "delta",
+            for name in ("sign", "kappa", "ceiling", "delta",
                          "max_proposals", "line", "curvy"):
                 assert getattr(kernel, name) == getattr(theirs, name), name
             for t in (0.0, 0.3, 1.7):
@@ -515,15 +516,6 @@ _REFUSALS = {
                   "max_proposals must be >= 1, got 0"),
     "linear_proposal_on_a_curve": (_linear_proposal_on_a_curve, ConfigurationError,
                                    "linear proposals require a linear threshold"),
-    "sample_exact_below_start": (
-        lambda: sample_exact(_plain_float_problems()["below_start"], substream(57, 0)),
-        ConfigurationError,
-        "sample_exact handles above-start problems; use sample_exact_below",
-    ),
-    "sample_exact_below_above_start": (
-        lambda: sample_exact_below(example1_problem(), substream(57, 0)), ConfigurationError,
-        "sample_exact_below handles below-start problems; use sample_exact",
-    ),
     "split_on_a_curve": (
         lambda: sample_exact_split(example2_problem(), 2, substream(57, 0)),
         ConfigurationError, "space splitting requires a linear threshold",
@@ -566,6 +558,41 @@ def test_each_refusal_raises_its_type_and_message(name):
     build, error, message = _REFUSALS[name]
     with pytest.raises(error, match=_exactly(message)):
         build()
+
+
+def _exponential_below_start() -> ExactProblem:
+    return build_custom_problem("sinusoidal", {}, "exponential", {"a": 0.5, "b": 1.0}, x0=1.0)
+
+
+@pytest.mark.parametrize("build", [lambda: _plain_float_problems()["below_start"],
+                                   _exponential_below_start], ids=["line", "exponential"])
+def test_one_draw_function_serves_both_sides_of_the_threshold(build):
+    # the problem decides how its draw runs: sample_exact takes a below-start
+    # problem, and the neuron's name for it is the same function object
+    prob = build()
+    assert prob.threshold.orientation is Orientation.BELOW_START
+    assert sample_exact_below is sample_exact
+    batch = sample_batch(prob, 8, 1213)
+    for i in (0, 3, 7):
+        assert sample_exact(prob, substream(1213, i)) == batch[i]
+        assert sample_exact_below(prob, substream(1213, i)) == batch[i]
+
+
+@pytest.mark.parametrize("shifts", [(0.0, -0.5), (0.3, 0.0)])
+def test_rate_shifts_that_do_not_net_to_zero_are_refused(shifts):
+    # a shift of the rate sum changes the sampled law: Example 1 with
+    # shifts (0, -0.5) drew mean 0.184 against 0.203
+    prob = example1_problem()
+    with pytest.raises(ParameterError, match="do not net to zero: they would change the sampled law"):
+        ExactProblem(sde=prob.sde, threshold=prob.threshold,
+                     gammas=shift_gamma_pair(prob.gammas, *shifts), proposal=prob.proposal)
+
+
+def test_a_net_zero_rate_shift_draws_the_unshifted_values():
+    prob = example1_problem()
+    shifted = replace(prob, gammas=shift_gamma_pair(prob.gammas, 0.5, -0.5))
+    assert shifted.gammas.kappa == prob.gammas.kappa
+    assert sample_batch(shifted, 40, 59) == sample_batch(prob, 40, 59)
 
 
 @pytest.mark.parametrize("curved", [False, True])
