@@ -47,9 +47,9 @@ the line iterates of the proposal, is ROADMAP item 1.
 ``_kernel_of`` alone builds the proposal frame, checks a problem's parts and
 returns its kernel form (``_Kernel``: plain floats and callables, with the
 start gap ``delta = phi(0)``), which the sampler runs on without rebuilding
-or re-checking anything per draw.  :class:`ExactProblem` and the neuron
-stages (through ``_trusted_problem``) store it; :func:`sample_exact_split`
-builds each stage from the problem's kernel and the stage's own line.
+or re-checking anything per draw.  :class:`ExactProblem` stores it, neuron
+stages included, and :func:`sample_exact_split` builds each stage's kernel
+through it from the stage's own line and start.
 
 Each call draws its randomness in blocks from its own generator: the clock
 gaps (``1/kappa`` times standard exponentials, as numpy's ``exponential``
@@ -83,9 +83,11 @@ from .model import (
     Orientation,
     Threshold,
     UnitDiffusionSDE,
-    _fill,
+    _check_kappa,
     _guard_rate,
     _rate_ceiling,
+    linear_threshold,
+    make_gamma_pair,
 )
 from .rng import block_stream, sample_many
 
@@ -253,9 +255,8 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
                proposal: Proposal, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
-    Checks in order: ``kappa`` is set, the rate shifts net to zero (others
-    change the law; the kernel runs on the unshifted sum, which a net-zero
-    pair keeps), ``max_proposals >= 1``, the start gap
+    Checks in order: ``kappa`` is set, finite and positive,
+    ``max_proposals >= 1``, the start gap
     ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
     it fails :meth:`Threshold.validate_start` or is refused as not finite),
     a linear proposal has a linear threshold, a curved one a line slope at
@@ -265,9 +266,7 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     kappa = gammas.kappa
     if kappa is None:
         raise ConfigurationError("gammas.kappa must be set for sampling")
-    if gammas.shift1 + gammas.shift2 != 0.0:
-        raise ParameterError(f"rate shifts shift1={gammas.shift1}, shift2={gammas.shift2} do not "
-                             "net to zero: they would change the sampled law")
+    _check_kappa(kappa)
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
     frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
@@ -289,24 +288,11 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     )
 
 
-def _trusted_problem(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
-                     proposal: Proposal, max_proposals: int) -> ExactProblem:
-    """An :class:`ExactProblem` built without the frozen-dataclass constructor.
-
-    It runs every check of :func:`_kernel_of`, as the constructor does.
-    """
-    kernel = _kernel_of(sde, threshold, gammas, proposal, max_proposals)
-    return _fill(ExactProblem, {"sde": sde, "threshold": threshold, "gammas": gammas,
-                                "proposal": proposal, "max_proposals": max_proposals,
-                                "_kernel": kernel})
-
-
 def expected_proposals(problem: ExactProblem) -> float:
     """Expected proposals per acceptance, ``exp(A_g(beta(0)) - A_g(x0))``.
 
     ``A_g(x) = A(x) - g*x`` is the drift antiderivative relative to the
-    reference measure.  Valid when the target passage is almost surely finite;
-    the sampler refuses rate shifts that do not net to zero.
+    reference measure.  Valid when the target passage is almost surely finite.
     """
     g = problem.gammas.reference_drift
     A = problem.sde.A
@@ -411,11 +397,10 @@ def sample_exact_split(
     Stage ``i`` runs the exact sampler from the previous hit point to the
     parallel line through level ``x0 + (beta(0) - x0) * i / k``; by the strong
     Markov property the summed stage times follow the original passage law,
-    and ``k = 1`` is the plain single-stage path.  Each stage is built in
-    kernel form only: it keeps the problem kernel's ``gamma2``, bound, rate
-    ceiling and proposal budget, and takes its own line, time
-    rate ``gamma1`` and start gap, with the float expressions of
-    ``linear_threshold``, ``make_gamma_pair`` and ``Threshold.proposal_frame``.
+    and ``k = 1`` is the plain single-stage path.  Each stage's kernel comes
+    from :func:`_kernel_of`, with the stage's line, its start at the previous
+    hit and that line's ``gamma1``; ``gamma2``, ``kappa``, the proposal and
+    the budget are the problem's.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -424,29 +409,21 @@ def sample_exact_split(
     if problem.threshold.orientation is not Orientation.ABOVE_START:
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
-    kernel = problem._kernel
-    shared = kernel[3:6]  # gamma2, kappa, ceiling
-    g = problem.gammas.reference_drift
-    alpha = problem.sde.alpha
-    x0 = problem.sde.x0
-    gap = b - x0
+    sde, gammas = problem.sde, problem.gammas
+    x0 = sde.x0
 
     t_acc = 0.0
     x_cur = x0
     total_proposals = 0
     total_events = 0
     for i in range(1, k + 1):
-        level = x0 + gap * (i / k)
-        intercept = a * t_acc + level
-        delta = intercept - x_cur
-        stage = _Kernel(
-            lambda t, b=intercept: a * t + b,
-            1.0,
-            lambda t, b=intercept: -(alpha(a * t + b) - g) * a,
-            *shared, delta, kernel.max_proposals, _line_part(a - g, delta), None,
-        )
-        d = _sample_oriented(stage, rng)
-        x_cur = a * d.time + intercept
+        line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)), Orientation.ABOVE_START)
+        stage_sde = replace(sde, x0=x_cur)
+        stage_gammas = replace(
+            gammas, gamma1=make_gamma_pair(stage_sde, line, gammas.reference_drift).gamma1)
+        d = _sample_oriented(_kernel_of(stage_sde, line, stage_gammas, problem.proposal,
+                                        problem.max_proposals), rng)
+        x_cur = line.beta(d.time)
         t_acc += d.time
         total_proposals += d.proposals
         total_events += d.clock_events
@@ -481,14 +458,13 @@ def sample_batch(
 def iteration_bound_linear(a: float, b: float, kappa: float) -> float:
     """Upper bound on expected proposals per acceptance for the line ``a t + b``.
 
-    Requires ``a*b < 0`` (almost-surely hitting line) and ``kappa > 0``::
+    Requires ``a*b < 0`` (almost-surely hitting line) and a finite ``kappa > 0``::
 
         E[I] <= exp( a*b * (1 - sqrt(1 + 2*kappa / a^2)) ).
     """
     if not (math.isfinite(a) and math.isfinite(b) and a * b < 0.0):
         raise ParameterError(f"need a*b < 0, got a={a}, b={b}")
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     ab = a * b
     return math.exp(ab - ab * math.sqrt(1.0 + 2.0 * kappa / (a * a)))
 
@@ -502,8 +478,7 @@ def choose_split_count(a: float, b: float, kappa_max: float) -> int:
     """
     if not (math.isfinite(a) and math.isfinite(b) and a * b < 0.0):
         raise ParameterError(f"need a*b < 0, got a={a}, b={b}")
-    if not kappa_max > 0.0:
-        raise ParameterError(f"kappa_max must be positive, got {kappa_max}")
+    _check_kappa(kappa_max, "kappa_max")
     ab = a * b
     k = math.floor(ab * (1.0 - math.sqrt(1.0 + 2.0 * kappa_max / (a * a)))) + 1
     return max(1, k)
@@ -521,8 +496,7 @@ def run_thinning_trial(
     the acceptance mechanism of the exact sampler in isolation (validation
     rig).  ``intensity`` values must lie in ``[0, kappa]``.
     """
-    if not kappa > 0.0:
-        raise ParameterError(f"kappa must be positive, got {kappa}")
+    _check_kappa(kappa)
     if not horizon >= 0.0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     scale = 1.0 / kappa

@@ -20,7 +20,7 @@ measures against (``g = 0`` means plain Brownian motion; a nonzero ``g``
 trades a constant part of ``gamma2`` for a tilted proposal and must be used
 consistently by the sampler).  Acceptance requires ``gamma1(t) + gamma2(x)``
 to stay within ``[0, kappa]`` at every evaluation point; this module builds
-the pair, applies constant shifts, and estimates ``kappa`` on a grid.
+the pair and estimates ``kappa`` on a grid.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "GammaPair",
     "lamperti_transform",
     "make_gamma_pair",
-    "shift_gamma_pair",
     "estimate_kappa",
     "linear_threshold",
     "constant_threshold",
@@ -213,6 +212,13 @@ def _rate_ceiling(kappa: float | None) -> float:
     return kappa + GAMMA_UPPER_SLACK * max(1.0, kappa)
 
 
+def _check_kappa(kappa: float, name: str = "kappa") -> float:
+    """``kappa`` when it is a finite positive clock rate; else :class:`ParameterError`."""
+    if not math.isfinite(kappa) or kappa <= 0.0:
+        raise ParameterError(f"{name} must be finite and positive, got {kappa}")
+    return kappa
+
+
 def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None) -> float:
     """Check a rejection rate ``v`` evaluated at time ``t`` (and state ``x``).
 
@@ -238,40 +244,28 @@ def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None) -> f
 
 @dataclass(frozen=True)
 class GammaPair:
-    """Rejection-rate pair with shift metadata and optional upper bound.
+    """Rejection-rate pair with an optional upper bound.
 
-    ``gamma1``/``gamma2`` are the base rate functions; the effective rates are
-    ``gamma1 - shift1`` and ``gamma2 - shift2``.  ``kappa`` bounds the
-    effective sum.  ``reference_drift`` records the constant drift ``g`` of
-    the reference measure the pair was built against; the sampler must draw
-    its proposals from the first-passage law of a Brownian motion with that
-    drift.  Only net-zero shifts (``k1 + k2 = 0``) preserve the sampled law,
-    and the exact sampler refuses any other pair; changing the reference
-    drift is the law-preserving way to remove a constant from ``gamma2``.
+    ``gamma1``/``gamma2`` are the rate functions and ``kappa`` bounds their
+    sum.  ``reference_drift`` records the constant drift ``g`` of the
+    reference measure the pair was built against; the sampler must draw its
+    proposals from the first-passage law of a Brownian motion with that
+    drift.  Changing the reference drift is the law-preserving way to remove
+    a constant from ``gamma2``.
     """
 
     gamma1: Callable[[float], float]
     gamma2: Callable[[float], float]
-    shift1: float = 0.0
-    shift2: float = 0.0
     kappa: float | None = None
     reference_drift: float = 0.0
 
-    def gamma1_at(self, t: float) -> float:
-        return self.gamma1(t) - self.shift1
-
-    def gamma2_at(self, x: float) -> float:
-        return self.gamma2(x) - self.shift2
-
     def evaluate(self, t: float, x: float) -> float:
-        """Effective rate ``gamma1_at(t) + gamma2_at(x)``, checked by
-        :func:`_guard_rate` against ``kappa`` (when set) plus round-off slack."""
-        return _guard_rate(self.gamma1_at(t) + self.gamma2_at(x), _rate_ceiling(self.kappa), t, x)
+        """Rate ``gamma1(t) + gamma2(x)``, checked by :func:`_guard_rate`
+        against ``kappa`` (when set) plus round-off slack."""
+        return _guard_rate(self.gamma1(t) + self.gamma2(x), _rate_ceiling(self.kappa), t, x)
 
     def with_kappa(self, kappa: float) -> "GammaPair":
-        if not math.isfinite(kappa) or kappa <= 0.0:
-            raise ParameterError(f"kappa must be finite and positive, got {kappa}")
-        return replace(self, kappa=kappa)
+        return replace(self, kappa=_check_kappa(kappa))
 
 
 def make_gamma_pair(
@@ -303,27 +297,6 @@ def make_gamma_pair(
     return GammaPair(gamma1=gamma1, gamma2=gamma2, reference_drift=g)
 
 
-def shift_gamma_pair(pair: GammaPair, k1: float, k2: float) -> GammaPair:
-    """Shift the effective rates down by constants ``(k1, k2)``.
-
-    The caller asserts ``k1 <= inf gamma1`` and ``k2 <= inf gamma2`` over the
-    ranges the sampler will visit (runtime guards catch violations).  ``kappa``
-    shrinks by ``k1 + k2``; shifting an attached bound to a non-positive value
-    is rejected.
-    """
-    for name, k in (("k1", k1), ("k2", k2)):
-        if not math.isfinite(k):
-            raise ParameterError(f"{name} must be finite, got {k}")
-    kappa = pair.kappa
-    if kappa is not None:
-        kappa = kappa - (k1 + k2)
-        if kappa <= 0.0:
-            raise ParameterError(
-                f"shift (k1={k1}, k2={k2}) would reduce kappa to {kappa} <= 0"
-            )
-    return replace(pair, shift1=pair.shift1 + k1, shift2=pair.shift2 + k2, kappa=kappa)
-
-
 def estimate_kappa(
     pair: GammaPair,
     t_max: float,
@@ -331,9 +304,9 @@ def estimate_kappa(
     x_hi: float,
     n_grid: int = 2001,
 ) -> float:
-    """Grid estimate of an upper bound for the effective rate sum.
+    """Grid estimate of an upper bound for the rate sum.
 
-    Returns ``(1 + KAPPA_MARGIN) * (max gamma1_at + max gamma2_at)`` over
+    Returns ``(1 + KAPPA_MARGIN) * (max gamma1 + max gamma2)`` over
     uniform grids on ``[0, t_max]`` and ``[x_lo, x_hi]``.  The sum of the two
     maxima bounds the maximum of the sum because the rates are separable.  A
     user-supplied analytic bound always beats this estimate; the margin only
@@ -345,8 +318,8 @@ def estimate_kappa(
         raise ParameterError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if n_grid < 2:
         raise ParameterError(f"n_grid must be >= 2, got {n_grid}")
-    g1 = np.array([pair.gamma1_at(t) for t in np.linspace(0.0, t_max, n_grid)])
-    g2 = np.array([pair.gamma2_at(x) for x in np.linspace(x_lo, x_hi, n_grid)])
+    g1 = np.array([pair.gamma1(t) for t in np.linspace(0.0, t_max, n_grid)])
+    g2 = np.array([pair.gamma2(x) for x in np.linspace(x_lo, x_hi, n_grid)])
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
         raise DomainError("gamma evaluation produced non-finite values on the grid")
     bound = (1.0 + KAPPA_MARGIN) * (float(g1.max()) + float(g2.max()))

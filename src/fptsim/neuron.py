@@ -88,7 +88,7 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .exact import ExactProblem, Proposal, _trusted_problem, draw_streams, sample_exact_below
+from .exact import ExactProblem, Proposal, draw_streams, sample_exact_below
 from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
 from .rng import sample_many
 
@@ -444,14 +444,14 @@ class _StageBounds:
         # and the horizon is positive and finite (simulate_spike_train checks
         # its horizon once).
         alpha, alpha_prime, A = self.sde_parts
-        return _trusted_problem(
+        return ExactProblem(
             _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
                                      "x0": x_start}),
             _fill(Threshold, {"beta": beta, "beta_prime": beta_prime,
                               "orientation": Orientation.BELOW_START,
                               "inf_slope": self.inf_slope, "sup_slope": self.sup_slope,
                               "linear": None}),
-            _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2, "shift1": 0.0, "shift2": 0.0,
+            _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2,
                               "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g}),
             _fill(Proposal, {"kind": "curvy", "curvy": _fill(
                 CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon})}),

@@ -39,7 +39,6 @@ from fptsim.model import (
     UnitDiffusionSDE,
     linear_threshold,
     make_gamma_pair,
-    shift_gamma_pair,
 )
 from fptsim.problems import (
     build_custom_problem,
@@ -138,6 +137,24 @@ def test_thinning_rejects_intensity_above_kappa(intensity, error):
     with pytest.raises(error):
         for _ in range(200):
             run_thinning_trial(intensity, 1.0, 1.0, rng)
+
+
+_CLOCK_RATE_USERS = {
+    "run_thinning_trial": ("kappa", lambda kappa: run_thinning_trial(
+        lambda t: 0.0, 1.0, kappa, np.random.default_rng(34))),
+    "iteration_bound_linear": ("kappa", lambda kappa: iteration_bound_linear(-1.0, 1.0, kappa)),
+    "choose_split_count": ("kappa_max", lambda kappa: choose_split_count(-1.0, 1.0, kappa)),
+}
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "minus_1"])
+@pytest.mark.parametrize("function", sorted(_CLOCK_RATE_USERS))
+def test_clock_rate_users_refuse_a_kappa_that_is_not_finite_and_positive(function, kappa):
+    # at kappa = inf the thinning trial would never return and the split
+    # count would overflow
+    name, call = _CLOCK_RATE_USERS[function]
+    with pytest.raises(ParameterError, match=_exactly(f"{name} must be finite and positive, got {kappa}")):
+        call(kappa)
 
 
 # --- end-to-end closed-form laws --------------------------------------------
@@ -438,47 +455,38 @@ def test_each_problem_builds_one_proposal_frame(monkeypatch, name):
     assert built == []
 
 
-def test_split_stage_kernels_match_public_stage_problems(monkeypatch):
-    # each split stage is built in kernel form only; rebuilt as a checked
-    # public problem (start on the far side, positive line intercept), it
-    # must give the same kernel values
-    stages = []
-    original = exact_module._sample_oriented
+def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
+    # every stage is checked and framed by the one kernel builder: one frame
+    # of the stage's own line before its draw, none while it samples
+    events = []
+    original_frame = Threshold.proposal_frame
+    original_sample = exact_module._sample_oriented
 
-    def recording(kernel, rng):
-        d = original(kernel, rng)
-        stages.append((kernel, d))
+    def counting(self, *args, **kwargs):
+        events.append(("frame", self))
+        return original_frame(self, *args, **kwargs)
+
+    def recording(kernel, rng, streams=None):
+        events.append(("draw", kernel))
+        d = original_sample(kernel, rng, streams)
+        events.append(("drawn", d))
         return d
 
+    monkeypatch.setattr(Threshold, "proposal_frame", counting)
     monkeypatch.setattr(exact_module, "_sample_oriented", recording)
     prob = example1_problem()
+    a, b = prob.threshold.linear
+    x0 = prob.sde.x0
     k = 3
     for i in range(4):
-        stages.clear()
+        events.clear()
         sample_exact_split(prob, k, substream(56, i))
-        assert len(stages) == k
-        a, b = prob.threshold.linear
-        x0 = prob.sde.x0
-        t_acc, x_cur = 0.0, x0
-        for j, (kernel, d) in enumerate(stages, start=1):
-            intercept = a * t_acc + (x0 + (b - x0) * (j / k))
-            th = linear_threshold(a, intercept, Orientation.ABOVE_START)
-            sde = replace(prob.sde, x0=x_cur)
-            gammas = replace(
-                make_gamma_pair(sde, th, prob.gammas.reference_drift),
-                shift1=prob.gammas.shift1, shift2=prob.gammas.shift2, kappa=prob.gammas.kappa,
-            )
-            public = ExactProblem(sde=sde, threshold=th, gammas=gammas,
-                                  proposal=Proposal("linear"), max_proposals=prob.max_proposals)
-            theirs = public._kernel
-            for name in ("sign", "kappa", "ceiling", "delta",
-                         "max_proposals", "line", "curvy"):
-                assert getattr(kernel, name) == getattr(theirs, name), name
-            for t in (0.0, 0.3, 1.7):
-                assert kernel.beta(t) == theirs.beta(t)
-                assert kernel.gamma1(t) == theirs.gamma1(t)
-                assert kernel.gamma2(intercept - t) == theirs.gamma2(intercept - t)
-            x_cur = a * d.time + intercept
+        assert [kind for kind, _ in events] == ["frame", "draw", "drawn"] * k
+        t_acc = 0.0
+        for j in range(k):
+            (_, line), (_, kernel), (_, d) = events[3 * j:3 * j + 3]
+            assert line.linear == (a, a * t_acc + (x0 + (b - x0) * ((j + 1) / k)))
+            assert kernel.beta is line.beta
             t_acc += d.time
 
 
@@ -509,6 +517,12 @@ def _drifted_problem(g: float) -> ExactProblem:
                         gammas=make_gamma_pair(sde, th, reference_drift=g).with_kappa(1.0))
 
 
+def _with_kappa(kappa: float) -> ExactProblem:
+    prob = example1_problem()
+    return ExactProblem(sde=prob.sde, threshold=prob.threshold,
+                        gammas=replace(prob.gammas, kappa=kappa), proposal=prob.proposal)
+
+
 _REFUSALS = {
     "kappa_unset": (_unbounded_problem, ConfigurationError,
                     "gammas.kappa must be set for sampling"),
@@ -521,10 +535,12 @@ _REFUSALS = {
         ConfigurationError, "space splitting requires a linear threshold",
     ),
     # the first of four stages starts at level 1 + 2**-54, which rounds to x0
+    # a stage passes the start check of every problem
     "split_stage_intercept_rounds_to_0": (
         lambda: sample_exact_split(example1_problem(x0=1.0, b=1.0 + 2.0**-52), 4,
                                    substream(57, 0)),
-        ConfigurationError, "translated proposal intercept 0.0 must be positive",
+        ConfigurationError,
+        "above_start threshold lies on the wrong side of the start: beta(0)=1.0, x0=1.0",
     ),
     # a start gap that is not finite would burn the budget, fail in numpy's
     # Wald draw or return time 0 for every draw
@@ -546,6 +562,11 @@ _REFUSALS = {
         ParameterError,
         "line slope r=-0.5 exceeds the threshold slope infimum -1.0; the iteration would overshoot",
     ),
+    # a kappa of nan would accept every proposal, inf would never return,
+    # and 0 or -1 would fail in the clock's arithmetic
+    **{f"kappa_{name}": (lambda kappa=kappa: _with_kappa(kappa), ParameterError,
+                         f"kappa must be finite and positive, got {kappa}")
+       for name, kappa in (("nan", math.nan), ("inf", math.inf), ("0", 0.0), ("minus_1", -1.0))},
     "start_at_minus_inf": (
         lambda: example1_problem(x0=-math.inf), ParameterError,
         "start gap inf is not a positive finite number: x0 = -inf, reference drift = 0.0",
@@ -578,23 +599,6 @@ def test_one_draw_function_serves_both_sides_of_the_threshold(build):
         assert sample_exact_below(prob, substream(1213, i)) == batch[i]
 
 
-@pytest.mark.parametrize("shifts", [(0.0, -0.5), (0.3, 0.0)])
-def test_rate_shifts_that_do_not_net_to_zero_are_refused(shifts):
-    # a shift of the rate sum changes the sampled law: Example 1 with
-    # shifts (0, -0.5) drew mean 0.184 against 0.203
-    prob = example1_problem()
-    with pytest.raises(ParameterError, match="do not net to zero: they would change the sampled law"):
-        ExactProblem(sde=prob.sde, threshold=prob.threshold,
-                     gammas=shift_gamma_pair(prob.gammas, *shifts), proposal=prob.proposal)
-
-
-def test_a_net_zero_rate_shift_draws_the_unshifted_values():
-    prob = example1_problem()
-    shifted = replace(prob, gammas=shift_gamma_pair(prob.gammas, 0.5, -0.5))
-    assert shifted.gammas.kappa == prob.gammas.kappa
-    assert sample_batch(shifted, 40, 59) == sample_batch(prob, 40, 59)
-
-
 @pytest.mark.parametrize("curved", [False, True])
 def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curved):
     sde = _unit_sde(0.0, x0=2.0)
@@ -605,12 +609,11 @@ def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curv
         th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
         proposal = Proposal("linear")
     gammas = make_gamma_pair(sde, th).with_kappa(1.0)
-    messages = []
-    for build in (ExactProblem, exact_module._trusted_problem):
-        with pytest.raises(ConfigurationError, match="wrong side") as info:
-            build(sde, th, gammas, proposal, 10)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    # neuron stages are built by the constructor too, so this is every path
+    with pytest.raises(ConfigurationError, match=_exactly(
+            f"above_start threshold lies on the wrong side of the start: beta(0)={th.beta(0.0)}, "
+            "x0=2.0")):
+        ExactProblem(sde, th, gammas, proposal, 10)
 
 
 @pytest.mark.parametrize(
@@ -638,10 +641,8 @@ def test_a_stage_within_epsilon_passes_at_once():
     # epsilon-stop, so the one-draw sampler keeps it
     prob = example2_problem(a=2.0**-3)
     assert all(d.time > 0.0 for d in sample_batch(prob, 10, 58))
-    trusted = exact_module._trusted_problem(
-        replace(prob.sde, x0=0.1), prob.threshold, prob.gammas, prob.proposal,
-        prob.max_proposals,
-    )
-    assert trusted._kernel.delta <= prob.proposal.curvy.epsilon
-    draws = [sample_exact(trusted, substream(58, i)) for i in range(10)]
+    stage = ExactProblem(replace(prob.sde, x0=0.1), prob.threshold, prob.gammas, prob.proposal,
+                         prob.max_proposals)
+    assert stage._kernel.delta <= prob.proposal.curvy.epsilon
+    draws = [sample_exact(stage, substream(58, i)) for i in range(10)]
     assert draws == [FptDraw(0.0, True, 1, 0, 0)] * 10

@@ -26,7 +26,6 @@ from fptsim.model import (
     lamperti_transform,
     linear_threshold,
     make_gamma_pair,
-    shift_gamma_pair,
     validate_unit_sde,
 )
 from fptsim.problems import exponential_threshold, sinusoidal_sde
@@ -131,8 +130,8 @@ def test_make_gamma_pair_matches_definitions(g, t, x):
     pair = make_gamma_pair(sde, th, reference_drift=g)
     expected1 = -(sde.alpha(th.beta(t)) - g) * th.beta_prime(t)
     expected2 = (sde.alpha_prime(x) + sde.alpha(x) ** 2 - g * g) / 2.0
-    assert pair.gamma1_at(t) == pytest.approx(expected1, abs=1e-12)
-    assert pair.gamma2_at(x) == pytest.approx(expected2, abs=1e-12)
+    assert pair.gamma1(t) == pytest.approx(expected1, abs=1e-12)
+    assert pair.gamma2(x) == pytest.approx(expected2, abs=1e-12)
     assert pair.reference_drift == g
 
 
@@ -165,22 +164,6 @@ def test_with_kappa_validation():
         pair.with_kappa(math.nan)
 
 
-def test_net_zero_shift_preserves_the_effective_sum():
-    pair = GammaPair(gamma1=lambda t: 2.0 + t, gamma2=lambda x: x * x, kappa=10.0)
-    shifted = shift_gamma_pair(pair, 1.5, -1.5)
-    for t, x in [(0.0, 0.0), (1.0, 2.0), (3.0, -1.0)]:
-        assert shifted.evaluate(t, x) == pytest.approx(pair.evaluate(t, x), abs=1e-12)
-    assert shifted.kappa == pytest.approx(10.0)
-
-
-def test_shift_rejects_kappa_collapse_and_non_finite():
-    pair = GammaPair(gamma1=lambda t: 5.0, gamma2=lambda x: 5.0, kappa=1.0)
-    with pytest.raises(ParameterError):
-        shift_gamma_pair(pair, 0.5, 0.6)
-    with pytest.raises(ParameterError):
-        shift_gamma_pair(pair, math.inf, 0.0)
-
-
 def test_estimate_kappa_dominates_grid_sup_with_margin():
     sde = sinusoidal_sde(1.6, 0.0)
     th = linear_threshold(-1.0, 0.5, Orientation.ABOVE_START)
@@ -188,7 +171,7 @@ def test_estimate_kappa_dominates_grid_sup_with_margin():
     kappa = estimate_kappa(pair, t_max=10.0, x_lo=-4.0, x_hi=4.0)
     ts = np.linspace(0.0, 10.0, 4001)
     xs = np.linspace(-4.0, 4.0, 4001)
-    sup = max(pair.gamma1_at(t) for t in ts) + max(pair.gamma2_at(x) for x in xs)
+    sup = max(pair.gamma1(t) for t in ts) + max(pair.gamma2(x) for x in xs)
     assert kappa >= sup
     assert kappa <= sup * 1.10 + 1e-6
 
