@@ -84,10 +84,10 @@ from .model import (
     Threshold,
     UnitDiffusionSDE,
     _check_kappa,
+    _gamma1,
     _guard_rate,
     _rate_ceiling,
     linear_threshold,
-    make_gamma_pair,
 )
 from .rng import block_stream, sample_many
 
@@ -179,12 +179,15 @@ class Proposal:
             raise ConfigurationError("curvy proposals need CurvyParams")
 
 
+_LINE_PROPOSAL = Proposal("linear")
+
+
 def default_proposal(
     threshold: Threshold, curvy: CurvyParams | None = None
 ) -> Proposal:
     """Pick the natural proposal for a threshold shape."""
     if threshold.linear is not None:
-        return Proposal("linear")
+        return _LINE_PROPOSAL
     return Proposal("curvy", curvy)
 
 
@@ -211,7 +214,7 @@ class ExactProblem:
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_kernel", _kernel_of(self.sde, self.threshold, self.gammas,
+        object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.threshold, self.gammas,
                                                        self.proposal, self.max_proposals))
 
 
@@ -251,9 +254,11 @@ def _line_part(slope: float, intercept: float) -> tuple:
     return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
 
 
-def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
+def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
                proposal: Proposal, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
+
+    The SDE enters through its start ``x0`` and the rates alone.
 
     Checks in order: ``kappa`` is set, finite and positive,
     ``max_proposals >= 1``, the start gap
@@ -269,12 +274,12 @@ def _kernel_of(sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
     _check_kappa(kappa)
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
-    frame = threshold.proposal_frame(sde.x0, gammas.reference_drift)
+    frame = threshold.proposal_frame(x0, gammas.reference_drift)
     delta = frame.beta(0.0)
     if not 0.0 < delta < math.inf:
-        threshold.validate_start(sde.x0)
+        threshold.validate_start(x0)
         raise ParameterError(f"start gap {delta} is not a positive finite number: "
-                             f"x0 = {sde.x0}, reference drift = {gammas.reference_drift}")
+                             f"x0 = {x0}, reference drift = {gammas.reference_drift}")
     linear = proposal.kind == "linear"
     if linear and threshold.linear is None:
         raise ConfigurationError("linear proposals require a linear threshold")
@@ -399,8 +404,11 @@ def sample_exact_split(
     Markov property the summed stage times follow the original passage law,
     and ``k = 1`` is the plain single-stage path.  Each stage's kernel comes
     from :func:`_kernel_of`, with the stage's line, its start at the previous
-    hit and that line's ``gamma1``; ``gamma2``, ``kappa``, the proposal and
-    the budget are the problem's.
+    hit and that line's ``gamma1`` (as :func:`make_gamma_pair` builds it);
+    ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage draws
+    line proposals, whatever the problem's proposal kind.  A stage line whose
+    intercept rounds onto its start fails the start check of every problem,
+    as a wrong-side start.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -410,7 +418,7 @@ def sample_exact_split(
         raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
     sde, gammas = problem.sde, problem.gammas
-    x0 = sde.x0
+    x0, g = sde.x0, gammas.reference_drift
 
     t_acc = 0.0
     x_cur = x0
@@ -418,10 +426,8 @@ def sample_exact_split(
     total_events = 0
     for i in range(1, k + 1):
         line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)), Orientation.ABOVE_START)
-        stage_sde = replace(sde, x0=x_cur)
-        stage_gammas = replace(
-            gammas, gamma1=make_gamma_pair(stage_sde, line, gammas.reference_drift).gamma1)
-        d = _sample_oriented(_kernel_of(stage_sde, line, stage_gammas, problem.proposal,
+        stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
+        d = _sample_oriented(_kernel_of(x_cur, line, stage_gammas, _LINE_PROPOSAL,
                                         problem.max_proposals), rng)
         x_cur = line.beta(d.time)
         t_acc += d.time

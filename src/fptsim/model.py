@@ -175,14 +175,10 @@ class Threshold:
 
 def linear_threshold(a: float, b: float, orientation: Orientation) -> Threshold:
     """Threshold ``beta(t) = a*t + b``."""
-    return Threshold(
-        beta=lambda t: a * t + b,
-        beta_prime=lambda t: a,
-        orientation=orientation,
-        inf_slope=a,
-        sup_slope=a,
-        linear=(a, b),
-    )
+    # a Threshold has no checks, so the fill equals the constructor
+    return _fill(Threshold, {"beta": lambda t: a * t + b, "beta_prime": lambda t: a,
+                             "orientation": orientation, "inf_slope": a, "sup_slope": a,
+                             "linear": (a, b)})
 
 
 def constant_threshold(level: float, orientation: Orientation) -> Threshold:
@@ -268,6 +264,16 @@ class GammaPair:
         return replace(self, kappa=_check_kappa(kappa))
 
 
+def _gamma1(alpha: Callable[[float], float], threshold: Threshold, g: float) -> Callable:
+    """``gamma1(t) = -(alpha(beta(t)) - g) * beta'(t)``; a line ``(a, b)`` enters
+    as ``a*t + b`` and ``a``, the same floats without two calls per rate."""
+    if threshold.linear is None:
+        beta, beta_prime = threshold.beta, threshold.beta_prime
+        return lambda t: -(alpha(beta(t)) - g) * beta_prime(t)
+    a, b = threshold.linear
+    return lambda t: -(alpha(a * t + b) - g) * a
+
+
 def make_gamma_pair(
     sde: UnitDiffusionSDE, threshold: Threshold, reference_drift: float = 0.0
 ) -> GammaPair:
@@ -284,17 +290,12 @@ def make_gamma_pair(
     g = float(reference_drift)
     alpha = sde.alpha
     alpha_prime = sde.alpha_prime
-    beta = threshold.beta
-    beta_prime = threshold.beta_prime
-
-    def gamma1(t: float) -> float:
-        return -(alpha(beta(t)) - g) * beta_prime(t)
 
     def gamma2(x: float) -> float:
         a = alpha(x)
         return 0.5 * (alpha_prime(x) + a * a - g * g)
 
-    return GammaPair(gamma1=gamma1, gamma2=gamma2, reference_drift=g)
+    return GammaPair(gamma1=_gamma1(alpha, threshold, g), gamma2=gamma2, reference_drift=g)
 
 
 def estimate_kappa(

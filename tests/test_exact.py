@@ -379,6 +379,16 @@ def test_split_requires_above_start_linear():
         sample_exact_split(example1_problem(), 0, np.random.default_rng(50))
 
 
+def test_split_stages_draw_line_proposals_whatever_the_problem_proposal():
+    # every stage is a line, so it draws closed-form line passages even when
+    # the problem was built with curved proposals
+    prob = example1_problem()
+    curvy = replace(prob, proposal=Proposal("curvy", CurvyParams(epsilon=2.0**-10, r=-1.0)))
+    for i in range(20):
+        assert (sample_exact_split(curvy, 3, substream(57, i))
+                == sample_exact_split(prob, 3, substream(57, i)))
+
+
 def test_split_reduces_proposals_for_far_thresholds():
     far = example1_problem(b=3.0)
     k = choose_split_count(-1.0, 3.0, far.gammas.kappa)
