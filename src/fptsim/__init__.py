@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .exact import ExactProblem, Proposal, expected_proposals, sample_batch, sample_exact
+from .exact import ExactProblem, expected_proposals, sample_batch, sample_exact
 from .model import (
     GammaPair,
     GeneralSDE,
@@ -63,7 +63,6 @@ __all__ = [
     "NonTerminationError",
     "Orientation",
     "ParameterError",
-    "Proposal",
     "SequencingError",
     "SpikeTrain",
     "Threshold",

@@ -16,7 +16,10 @@ integrand.  Proposals are passage times of standard Brownian motion from 0
 to the threshold's proposal frame (:meth:`fptsim.model.Threshold.proposal_frame`:
 start shifted to 0, drift ``g`` removed, below-start problems reflected),
 which :class:`ExactProblem` builds once per problem; :func:`sample_exact`
-draws it on either side of the threshold.  At a clock event ``E`` in
+draws it on either side of the threshold.  The threshold picks the proposal:
+closed-form for a line (inverse Gaussian, or Lévy for a flat frame), the line
+iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy` with the problem's
+``curvy`` parameters for a curve.  At a clock event ``E`` in
 ``[0, tau_W]`` the path state enters as
 
     x_rec = beta(E) -/+ || (E/tau_W) * delta * e1 + l_E ||,
@@ -44,10 +47,11 @@ does not shrink with epsilon (Example 2 at epsilon = 2^-20 against improved
 Euler: two-sample KS p = 3.3e-6).  The fix, a reconstruction that follows
 the line iterates of the proposal, is ROADMAP item 1.
 
-``_kernel_of`` alone builds the proposal frame, checks a problem's parts and
-returns its kernel form (``_Kernel``: plain floats and callables, with the
-start gap ``delta = phi(0)``), which the sampler runs on without rebuilding
-or re-checking anything per draw.  :class:`ExactProblem` stores it, neuron
+``_kernel_of`` alone builds the proposal frame, checks a problem's parts,
+picks the proposal from ``threshold.linear`` and returns its kernel form
+(``_Kernel``: plain floats and callables, with the start gap
+``delta = phi(0)``), which the sampler runs on without rebuilding or
+re-checking anything per draw.  :class:`ExactProblem` stores it, neuron
 stages included, and :func:`sample_exact_split` builds each stage's kernel
 through it from the stage's own line and start.
 
@@ -93,7 +97,6 @@ from .rng import block_stream, sample_many
 
 __all__ = [
     "BridgeState",
-    "Proposal",
     "ExactProblem",
     "bridge_step",
     "sample_exact",
@@ -104,7 +107,6 @@ __all__ = [
     "choose_split_count",
     "expected_proposals",
     "run_thinning_trial",
-    "default_proposal",
     "draw_streams",
 ]
 
@@ -161,61 +163,32 @@ def bridge_step(state: BridgeState, tau_w: float, G: np.ndarray) -> BridgeState:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """Proposal-sampler selection: ``linear`` or ``curvy``.
-
-    ``linear`` draws the reference passage time to a line (flat lines
-    included, with or without a reference drift) in closed form; ``curvy``
-    runs the line iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy`.
-    """
-
-    kind: str
-    curvy: CurvyParams | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "curvy"):
-            raise ConfigurationError(f"unknown proposal kind {self.kind!r}")
-        if self.kind == "curvy" and self.curvy is None:
-            raise ConfigurationError("curvy proposals need CurvyParams")
-
-
-_LINE_PROPOSAL = Proposal("linear")
-
-
-def default_proposal(
-    threshold: Threshold, curvy: CurvyParams | None = None
-) -> Proposal:
-    """Pick the natural proposal for a threshold shape."""
-    if threshold.linear is not None:
-        return _LINE_PROPOSAL
-    return Proposal("curvy", curvy)
-
-
-@dataclass(frozen=True)
 class ExactProblem:
     """Everything the exact sampler needs for one threshold problem.
 
     ``gammas`` must carry a ``kappa`` bound and must have been built from
     ``(sde, threshold)`` with the same ``reference_drift`` (or be certified
     equivalent by the caller); runtime guards abort on out-of-range rates
-    rather than silently biasing output.  The constructor checks the parts
-    and builds the plain-value form the sampler runs on, once for every
-    draw, in :func:`_kernel_of`; the proposal frame of a curved threshold
-    is ``_kernel.curvy[0]``, and :func:`sample_exact` draws it on either
-    side of the threshold.  Only :func:`sample_batch` refuses a curvy start
-    within ``epsilon``: grids ignore it, and a chain stage passes at once.
+    rather than silently biasing output.  ``curvy`` holds a curved
+    threshold's line-iteration parameters and is ``None`` for a line.  The
+    constructor checks the parts and builds the plain-value form the sampler
+    runs on, once for every draw, in :func:`_kernel_of`; the proposal frame
+    of a curved threshold is ``_kernel.curvy[0]``, and :func:`sample_exact`
+    draws it on either side of the threshold.  Only :func:`sample_batch`
+    refuses a curvy start within ``epsilon``: grids ignore it, and a chain
+    stage passes at once.
     """
 
     sde: UnitDiffusionSDE
     threshold: Threshold
     gammas: GammaPair
-    proposal: Proposal = field(default_factory=lambda: Proposal("linear"))
+    curvy: CurvyParams | None = None
     max_proposals: int = 10**6
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.threshold, self.gammas,
-                                                       self.proposal, self.max_proposals))
+                                                       self.curvy, self.max_proposals))
 
 
 class _Kernel(NamedTuple):
@@ -255,18 +228,19 @@ def _line_part(slope: float, intercept: float) -> tuple:
 
 
 def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
-               proposal: Proposal, max_proposals: int) -> _Kernel:
+               curvy: CurvyParams | None, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
-    The SDE enters through its start ``x0`` and the rates alone.
+    The SDE enters through its start ``x0`` and the rates alone, and
+    ``threshold.linear`` alone picks the proposal.
 
     Checks in order: ``kappa`` is set, finite and positive,
     ``max_proposals >= 1``, the start gap
     ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
     it fails :meth:`Threshold.validate_start` or is refused as not finite),
-    a linear proposal has a linear threshold, a curved one a line slope at
-    most the frame's ``inf_slope``, and the frame line's intercept is
-    positive (:func:`_line_part`).
+    ``curvy`` is ``None`` for a line and set for a curve, a curve's line
+    slope is at most the frame's ``inf_slope``, and a line's frame intercept
+    is positive (:func:`_line_part`).
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -280,16 +254,18 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
         threshold.validate_start(x0)
         raise ParameterError(f"start gap {delta} is not a positive finite number: "
                              f"x0 = {x0}, reference drift = {gammas.reference_drift}")
-    linear = proposal.kind == "linear"
-    if linear and threshold.linear is None:
-        raise ConfigurationError("linear proposals require a linear threshold")
+    linear = threshold.linear is not None
+    if linear and curvy is not None:
+        raise ConfigurationError("CurvyParams apply to curved thresholds only; this one is a line")
     if not linear:
-        _check_slope(frame, proposal.curvy.r)
+        if curvy is None:
+            raise ConfigurationError("a curved threshold needs CurvyParams for its proposals")
+        _check_slope(frame, curvy.r)
     return _Kernel(
         threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
         kappa, _rate_ceiling(kappa), delta, max_proposals,
         _line_part(*frame.linear) if linear else None,
-        None if linear else (frame, proposal.curvy),
+        None if linear else (frame, curvy),
     )
 
 
@@ -405,8 +381,8 @@ def sample_exact_split(
     and ``k = 1`` is the plain single-stage path.  Each stage's kernel comes
     from :func:`_kernel_of`, with the stage's line, its start at the previous
     hit and that line's ``gamma1`` (as :func:`make_gamma_pair` builds it);
-    ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage draws
-    line proposals, whatever the problem's proposal kind.  A stage line whose
+    ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage is a
+    line, so it draws closed-form line proposals.  A stage line whose
     intercept rounds onto its start fails the start check of every problem,
     as a wrong-side start.
     """
@@ -427,7 +403,7 @@ def sample_exact_split(
     for i in range(1, k + 1):
         line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)), Orientation.ABOVE_START)
         stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
-        d = _sample_oriented(_kernel_of(x_cur, line, stage_gammas, _LINE_PROPOSAL,
+        d = _sample_oriented(_kernel_of(x_cur, line, stage_gammas, None,
                                         problem.max_proposals), rng)
         x_cur = line.beta(d.time)
         t_acc += d.time
@@ -461,6 +437,16 @@ def sample_batch(
     return sample_many(draw, n, master_seed)
 
 
+def _split_exponent(a: float, b: float, kappa: float, name: str = "kappa") -> float:
+    """``a*b * (1 - sqrt(1 + 2*kappa / a^2))``, the log of the bound of
+    :func:`iteration_bound_linear`, once ``a*b < 0`` and ``kappa`` (named
+    ``name`` in the refusal) are checked."""
+    if not (math.isfinite(a) and math.isfinite(b) and a * b < 0.0):
+        raise ParameterError(f"need a*b < 0, got a={a}, b={b}")
+    _check_kappa(kappa, name)
+    return a * b * (1.0 - math.sqrt(1.0 + 2.0 * kappa / (a * a)))
+
+
 def iteration_bound_linear(a: float, b: float, kappa: float) -> float:
     """Upper bound on expected proposals per acceptance for the line ``a t + b``.
 
@@ -468,11 +454,7 @@ def iteration_bound_linear(a: float, b: float, kappa: float) -> float:
 
         E[I] <= exp( a*b * (1 - sqrt(1 + 2*kappa / a^2)) ).
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a * b < 0.0):
-        raise ParameterError(f"need a*b < 0, got a={a}, b={b}")
-    _check_kappa(kappa)
-    ab = a * b
-    return math.exp(ab - ab * math.sqrt(1.0 + 2.0 * kappa / (a * a)))
+    return math.exp(_split_exponent(a, b, kappa))
 
 
 def choose_split_count(a: float, b: float, kappa_max: float) -> int:
@@ -482,12 +464,7 @@ def choose_split_count(a: float, b: float, kappa_max: float) -> int:
     1): with this many stages the exponent of :func:`iteration_bound_linear`
     per stage is below 1, so total expected proposals are at most ``k * e``.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a * b < 0.0):
-        raise ParameterError(f"need a*b < 0, got a={a}, b={b}")
-    _check_kappa(kappa_max, "kappa_max")
-    ab = a * b
-    k = math.floor(ab * (1.0 - math.sqrt(1.0 + 2.0 * kappa_max / (a * a)))) + 1
-    return max(1, k)
+    return max(1, math.floor(_split_exponent(a, b, kappa_max, "kappa_max")) + 1)
 
 
 def run_thinning_trial(

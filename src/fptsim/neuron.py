@@ -88,7 +88,7 @@ from .errors import (
     ParameterError,
     SequencingError,
 )
-from .exact import ExactProblem, Proposal, draw_streams, sample_exact_below
+from .exact import ExactProblem, draw_streams, sample_exact_below
 from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
 from .rng import sample_many
 
@@ -453,8 +453,7 @@ class _StageBounds:
                               "linear": None}),
             _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2,
                               "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g}),
-            _fill(Proposal, {"kind": "curvy", "curvy": _fill(
-                CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon})}),
+            _fill(CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon}),
             max_proposals,
         )
 

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .bm_fpt import CURVY_EPSILON, CURVY_HORIZON, CurvyParams
-from .errors import ConfigurationError, ParameterError
-from .exact import ExactProblem, Proposal, default_proposal
+from .errors import ConfigurationError, DomainError, ParameterError
+from .exact import ExactProblem
 from .model import (
     Orientation,
     Threshold,
@@ -73,7 +73,15 @@ def example1_kappa(K: float = 1.6, a: float = -1.0) -> float:
         raise ParameterError(f"the bound requires a falling line (a < 0), got a={a}")
     if not K >= 1.0:
         raise ParameterError(f"the rates need K >= 1 for non-negativity, got K={K}")
-    return -a * (K + 1.0) + ((K + 1.0) ** 2 + 1.0) / 2.0
+    return -a * (K + 1.0) + _space_rate_bound(K)
+
+
+def _space_rate_bound(K: float) -> float:
+    """``((K + 1)^2 + 1) / 2`` bounds ``gamma2`` of the drift ``K + sin(x)``."""
+    try:
+        return ((K + 1.0) ** 2 + 1.0) / 2.0
+    except OverflowError:
+        raise ParameterError(f"K={K} is too large: (K + 1)^2 overflows") from None
 
 
 def example1_problem(
@@ -89,13 +97,7 @@ def example1_problem(
     sde = sinusoidal_sde(K, x0)
     threshold = linear_threshold(a, b, Orientation.ABOVE_START)
     gammas = make_gamma_pair(sde, threshold).with_kappa(example1_kappa(K, a))
-    return ExactProblem(
-        sde=sde,
-        threshold=threshold,
-        gammas=gammas,
-        proposal=default_proposal(threshold),
-        max_proposals=max_proposals,
-    )
+    return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, max_proposals=max_proposals)
 
 
 def exponential_threshold(
@@ -149,7 +151,7 @@ def example2_kappa(K: float = 1.6, a: float = 1.0, b: float = 1.0) -> float:
         kappa1 = a * b * (K + math.sin(a))
     else:
         kappa1 = a * b * (K + 1.0)
-    return kappa1 + ((K + 1.0) ** 2 + 1.0) / 2.0
+    return kappa1 + _space_rate_bound(K)
 
 
 def example2_problem(
@@ -171,14 +173,9 @@ def example2_problem(
     sde = sinusoidal_sde(K, x0)
     threshold = exponential_threshold(a, b)
     gammas = make_gamma_pair(sde, threshold).with_kappa(example2_kappa(K, a, b))
-    params = CurvyParams(epsilon=epsilon, r=-a * b, horizon=horizon)
-    return ExactProblem(
-        sde=sde,
-        threshold=threshold,
-        gammas=gammas,
-        proposal=Proposal("curvy", params),
-        max_proposals=max_proposals,
-    )
+    curvy = CurvyParams(epsilon=epsilon, r=-a * b, horizon=horizon)
+    return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, curvy=curvy,
+                        max_proposals=max_proposals)
 
 
 # --- registries backing the config-driven "sample" experiment ---------------
@@ -259,20 +256,21 @@ def build_custom_problem(
     elif not b0 > x0:
         raise ConfigurationError(f"threshold starts exactly at x0 = {x0}")
 
+    try:
+        b_end = th.beta(horizon)
+    except OverflowError:
+        raise DomainError(f"threshold {threshold!r} overflows at the horizon {horizon}") from None
     gammas = make_gamma_pair(sde, th)
     pad = 2.0 * math.pi
-    lo = min(x0, b0, th.beta(horizon)) - pad
-    hi = max(x0, b0, th.beta(horizon)) + pad
+    lo = min(x0, b0, b_end) - pad
+    hi = max(x0, b0, b_end) + pad
     kappa = estimate_kappa(gammas, t_max=horizon, x_lo=lo, x_hi=hi)
-    epsilon = CURVY_EPSILON if epsilon is None else epsilon
-    proposal = default_proposal(th, CurvyParams(epsilon=epsilon, r=_tangent_slope(th), horizon=horizon))
-    return ExactProblem(
-        sde=sde,
-        threshold=th,
-        gammas=gammas.with_kappa(kappa),
-        proposal=proposal,
-        max_proposals=max_proposals,
-    )
+    curvy = None
+    if th.linear is None:
+        curvy = CurvyParams(epsilon=CURVY_EPSILON if epsilon is None else epsilon,
+                            r=_tangent_slope(th), horizon=horizon)
+    return ExactProblem(sde=sde, threshold=th, gammas=gammas.with_kappa(kappa), curvy=curvy,
+                        max_proposals=max_proposals)
 
 
 def _tangent_slope(th: Threshold) -> float:

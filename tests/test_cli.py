@@ -478,23 +478,54 @@ def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("drift, code", [("zero", 0), ("sinusoidal", 3)])
+@pytest.mark.parametrize(
+    "drift, extra, code, error",
+    [
+        pytest.param("zero", {}, 0, None, id="zero-0"),
+        pytest.param("sinusoidal", {}, 3, "AssumptionViolation", id="sinusoidal-3"),
+        # the threshold overflows at the horizon itself: exp(20 * 50) and
+        # exp(0.5 * 2000) exceed the largest double
+        pytest.param("zero", {"threshold_params": {"a": 1.0, "b": -20.0}, "n": 5}, 3,
+                     "DomainError", id="steep-3"),
+        pytest.param("zero", {"horizon": 2000}, 3, "DomainError", id="long_horizon-3"),
+    ],
+)
 def test_sample_on_a_threshold_that_grows_past_its_horizon_exits_typed(
-    tmp_path, capsys, drift, code
+    tmp_path, capsys, drift, extra, code, error
 ):
     # beta = exp(t/2) above x0 = 0: a proposal's line draw can end far past
     # the curvy horizon, where the threshold overflows; the sinusoidal drift
     # then meets a negative rate, a typed error of its own
     mapping = {"drift": drift, "threshold": "exponential",
-               "threshold_params": {"a": 1.0, "b": -0.5}, "n": 50, "out": str(tmp_path / "o")}
+               "threshold_params": {"a": 1.0, "b": -0.5}, "n": 50, "out": str(tmp_path / "o"),
+               **extra}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(mapping))
     assert main(["sample", "--config", str(cfg_file)]) == code
     if code == 0:
         assert (tmp_path / "o" / "samples.csv").is_file()
         assert json.loads((tmp_path / "o" / "summary.json").read_text())["n"] == 50
-    else:
-        assert _stderr_error(capsys)["error"] == "AssumptionViolation"
+        return
+    payload = _stderr_error(capsys)
+    assert payload["error"] == error
+    if error == "DomainError":
+        horizon = float(extra.get("horizon", 50.0))
+        assert payload["message"] == f"threshold 'exponential' overflows at the horizon {horizon}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["example1", "example2"])
+def test_main_exit_code_2_on_a_drift_constant_whose_square_overflows(
+    tmp_path, capsys, experiment
+):
+    # the rate bound holds (K + 1)^2, which overflows a double at K = 1e300
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"K": 1e300, "n": 5, "out": str(tmp_path / "o")}))
+    assert main([experiment, "--config", str(cfg_file)]) == 2
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"] == "K=1e+300 is too large: (K + 1)^2 overflows"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -21,10 +21,8 @@ from fptsim.errors import (
 from fptsim.exact import (
     BridgeState,
     ExactProblem,
-    Proposal,
     bridge_step,
     choose_split_count,
-    default_proposal,
     expected_proposals,
     iteration_bound_linear,
     run_thinning_trial,
@@ -64,10 +62,7 @@ def _problem(c: float, a: float, b: float, orientation: Orientation, kappa: floa
     sde = _unit_sde(c)
     th = linear_threshold(a, b, orientation)
     gammas = make_gamma_pair(sde, th).with_kappa(kappa)
-    return ExactProblem(
-        sde=sde, threshold=th, gammas=gammas,
-        proposal=default_proposal(th), max_proposals=max_proposals,
-    )
+    return ExactProblem(sde=sde, threshold=th, gammas=gammas, max_proposals=max_proposals)
 
 
 # --- bridge recursion --------------------------------------------------------
@@ -186,14 +181,14 @@ def test_constant_drift_to_constant_level_is_inverse_gaussian():
 @pytest.mark.parametrize("c", [0.8, 1.2])
 def test_flat_threshold_with_reference_drift_is_a_linear_proposal(c):
     # dX = c dt + dB to level 1 measured against BM with drift g = 0.8: the
-    # default proposal of a flat threshold is the falling line 1 - g t, and
-    # the passage law is IG(1/c, 1) whatever g is
+    # proposal of a flat threshold is the falling line 1 - g t, and the
+    # passage law is IG(1/c, 1) whatever g is
     g, level = 0.8, 1.0
     sde = _unit_sde(c)
     th = linear_threshold(0.0, level, Orientation.ABOVE_START)
-    assert default_proposal(th) == Proposal("linear")
     gammas = make_gamma_pair(sde, th, reference_drift=g).with_kappa(0.5)  # gamma2 = (c^2 - g^2)/2
-    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas, proposal=default_proposal(th))
+    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
+    assert prob.curvy is None and prob._kernel.line is not None
     draws = sample_batch(prob, 20000, 44)
     x = np.array([d.time for d in draws])
     _, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, level / c, level * level))
@@ -240,7 +235,7 @@ def test_kappa_too_small_is_caught_not_silently_biased():
         sde=prob.sde,
         threshold=prob.threshold,
         gammas=prob.gammas.with_kappa(0.5),
-        proposal=prob.proposal,
+        curvy=prob.curvy,
         max_proposals=prob.max_proposals,
     )
     with pytest.raises(AssumptionViolation):
@@ -379,16 +374,6 @@ def test_split_requires_above_start_linear():
         sample_exact_split(example1_problem(), 0, np.random.default_rng(50))
 
 
-def test_split_stages_draw_line_proposals_whatever_the_problem_proposal():
-    # every stage is a line, so it draws closed-form line passages even when
-    # the problem was built with curved proposals
-    prob = example1_problem()
-    curvy = replace(prob, proposal=Proposal("curvy", CurvyParams(epsilon=2.0**-10, r=-1.0)))
-    for i in range(20):
-        assert (sample_exact_split(curvy, 3, substream(57, i))
-                == sample_exact_split(prob, 3, substream(57, i)))
-
-
 def test_split_reduces_proposals_for_far_thresholds():
     far = example1_problem(b=3.0)
     k = choose_split_count(-1.0, 3.0, far.gammas.kappa)
@@ -416,19 +401,9 @@ def test_expected_proposals_accounts_for_reference_drift():
     sde = _unit_sde(c)
     th = linear_threshold(0.0, b, Orientation.ABOVE_START)
     gammas = make_gamma_pair(sde, th, reference_drift=g).with_kappa(1.0)
-    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas,
-                        proposal=Proposal("linear"))
+    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
     manual = math.exp((c * b - g * b) - 0.0)
     assert expected_proposals(prob) == pytest.approx(manual, rel=1e-12)
-
-
-def test_proposal_kind_validation():
-    with pytest.raises(ConfigurationError):
-        Proposal("bogus")
-    with pytest.raises(ConfigurationError):
-        Proposal("constant")  # flat lines are linear proposals
-    with pytest.raises(ConfigurationError):
-        Proposal("curvy")  # needs CurvyParams
 
 
 def test_linear_intercept_on_the_wrong_side_is_refused_at_construction():
@@ -445,7 +420,7 @@ def test_linear_intercept_on_the_wrong_side_is_refused_at_construction():
     )
     gammas = make_gamma_pair(sde, th).with_kappa(1.0)
     with pytest.raises(ConfigurationError, match="intercept"):
-        ExactProblem(sde=sde, threshold=th, gammas=gammas, proposal=Proposal("linear"))
+        ExactProblem(sde=sde, threshold=th, gammas=gammas)
 
 
 @pytest.mark.parametrize("name", ["falling_line", "below_start", "curved"])
@@ -513,11 +488,16 @@ def _unbounded_problem():
     return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th))
 
 
-def _linear_proposal_on_a_curve():
+def _curve_without_curvy_params():
     sde = _unit_sde(0.0)
     th = exponential_threshold(1.0, 1.0)
-    return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th).with_kappa(1.0),
-                        proposal=Proposal("linear"))
+    return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th).with_kappa(1.0))
+
+
+def _line_with_curvy_params():
+    prob = example1_problem()
+    return ExactProblem(sde=prob.sde, threshold=prob.threshold, gammas=prob.gammas,
+                        curvy=CurvyParams(epsilon=2.0**-10, r=-1.0))
 
 
 def _drifted_problem(g: float) -> ExactProblem:
@@ -530,7 +510,7 @@ def _drifted_problem(g: float) -> ExactProblem:
 def _with_kappa(kappa: float) -> ExactProblem:
     prob = example1_problem()
     return ExactProblem(sde=prob.sde, threshold=prob.threshold,
-                        gammas=replace(prob.gammas, kappa=kappa), proposal=prob.proposal)
+                        gammas=replace(prob.gammas, kappa=kappa), curvy=prob.curvy)
 
 
 _REFUSALS = {
@@ -538,8 +518,12 @@ _REFUSALS = {
                     "gammas.kappa must be set for sampling"),
     "no_budget": (lambda: example1_problem(max_proposals=0), ParameterError,
                   "max_proposals must be >= 1, got 0"),
-    "linear_proposal_on_a_curve": (_linear_proposal_on_a_curve, ConfigurationError,
-                                   "linear proposals require a linear threshold"),
+    # the threshold's shape picks the proposal, so CurvyParams come with a
+    # curve and never with a line
+    "curve_without_curvy_params": (_curve_without_curvy_params, ConfigurationError,
+                                   "a curved threshold needs CurvyParams for its proposals"),
+    "curvy_params_on_a_line": (_line_with_curvy_params, ConfigurationError,
+                               "CurvyParams apply to curved thresholds only; this one is a line"),
     "split_on_a_curve": (
         lambda: sample_exact_split(example2_problem(), 2, substream(57, 0)),
         ConfigurationError, "space splitting requires a linear threshold",
@@ -567,7 +551,7 @@ _REFUSALS = {
         lambda: ExactProblem(
             sde=_unit_sde(0.0), threshold=exponential_threshold(1.0, 1.0),
             gammas=make_gamma_pair(_unit_sde(0.0), exponential_threshold(1.0, 1.0)).with_kappa(1.0),
-            proposal=Proposal("curvy", CurvyParams(epsilon=2.0**-4, r=-0.5)),
+            curvy=CurvyParams(epsilon=2.0**-4, r=-0.5),
         ),
         ParameterError,
         "line slope r=-0.5 exceeds the threshold slope infimum -1.0; the iteration would overshoot",
@@ -614,16 +598,16 @@ def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curv
     sde = _unit_sde(0.0, x0=2.0)
     if curved:
         th = exponential_threshold(1.0, 1.0)
-        proposal = Proposal("curvy", CurvyParams(epsilon=2.0**-4, r=-1.0))
+        curvy = CurvyParams(epsilon=2.0**-4, r=-1.0)
     else:
         th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
-        proposal = Proposal("linear")
+        curvy = None
     gammas = make_gamma_pair(sde, th).with_kappa(1.0)
     # neuron stages are built by the constructor too, so this is every path
     with pytest.raises(ConfigurationError, match=_exactly(
             f"above_start threshold lies on the wrong side of the start: beta(0)={th.beta(0.0)}, "
             "x0=2.0")):
-        ExactProblem(sde, th, gammas, proposal, 10)
+        ExactProblem(sde, th, gammas, curvy, 10)
 
 
 @pytest.mark.parametrize(
@@ -651,8 +635,8 @@ def test_a_stage_within_epsilon_passes_at_once():
     # epsilon-stop, so the one-draw sampler keeps it
     prob = example2_problem(a=2.0**-3)
     assert all(d.time > 0.0 for d in sample_batch(prob, 10, 58))
-    stage = ExactProblem(replace(prob.sde, x0=0.1), prob.threshold, prob.gammas, prob.proposal,
+    stage = ExactProblem(replace(prob.sde, x0=0.1), prob.threshold, prob.gammas, prob.curvy,
                          prob.max_proposals)
-    assert stage._kernel.delta <= prob.proposal.curvy.epsilon
+    assert stage._kernel.delta <= prob.curvy.epsilon
     draws = [sample_exact(stage, substream(58, i)) for i in range(10)]
     assert draws == [FptDraw(0.0, True, 1, 0, 0)] * 10

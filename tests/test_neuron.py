@@ -12,7 +12,6 @@ from fptsim import neuron
 from fptsim.errors import ConfigurationError, ParameterError, SequencingError
 from fptsim.exact import (
     ExactProblem,
-    Proposal,
     _Kernel,
     expected_proposals,
     sample_batch,
@@ -251,10 +250,10 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
     single = bounds.problem(0, 0.0, x_start=0.0, horizon=2.0 + PROPOSAL_SLACK,
                             max_proposals=10**6)
     for prob in (built[0], single):
-        assert prob.proposal.curvy.horizon == 2.0 + PROPOSAL_SLACK
+        assert prob.curvy.horizon == 2.0 + PROPOSAL_SLACK
     assert built[0].gammas.reference_drift == single.gammas.reference_drift
     assert built[0].gammas.kappa == single.gammas.kappa
-    assert built[0].proposal.curvy.r == single.proposal.curvy.r
+    assert built[0].curvy.r == single.curvy.r
     assert built[0].sde.x0 == single.sde.x0
 
 
@@ -455,7 +454,7 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
             sde=replace(trusted.sde),
             threshold=replace(trusted.threshold),
             gammas=replace(trusted.gammas),
-            proposal=Proposal("curvy", replace(trusted.proposal.curvy)),
+            curvy=replace(trusted.curvy),
             max_proposals=trusted.max_proposals,
         )
         assert public == trusted
@@ -464,7 +463,7 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
         frame, public_frame = mine.curvy[0], theirs.curvy[0]
         for name in ("orientation", "inf_slope", "sup_slope", "linear"):
             assert getattr(public_frame, name) == getattr(frame, name)
-        for w in np.linspace(0.0, trusted.proposal.curvy.horizon, 9):
+        for w in np.linspace(0.0, trusted.curvy.horizon, 9):
             w = float(w)
             assert public_frame.beta(w) == frame.beta(w)
             assert public_frame.beta_prime(w) == frame.beta_prime(w)
@@ -548,7 +547,7 @@ def test_stage_draws_read_the_threshold_at_0_only_at_build():
         return beta(w)
 
     prob = ExactProblem(sde=stage.sde, threshold=replace(stage.threshold, beta=recording),
-                        gammas=stage.gammas, proposal=stage.proposal,
+                        gammas=stage.gammas, curvy=stage.curvy,
                         max_proposals=stage.max_proposals)
     built = len(at_zero)
     assert built >= 1

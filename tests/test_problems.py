@@ -43,7 +43,7 @@ def test_example1_problem_wiring():
     prob = example1_problem()
     assert prob.threshold.linear == (-1.0, 0.5)
     assert prob.threshold.orientation is Orientation.ABOVE_START
-    assert prob.proposal.kind == "linear"
+    assert prob.curvy is None
     assert prob.gammas.kappa == pytest.approx(example1_kappa(), rel=1e-15)
     assert prob.sde.x0 == 0.0
     assert prob.max_proposals == 10**6
@@ -61,8 +61,7 @@ def test_example2_problem_wiring():
     assert prob.threshold.linear is None
     assert prob.threshold.orientation is Orientation.ABOVE_START
     assert prob.threshold.beta(0.0) == pytest.approx(1.0, rel=1e-15)
-    assert prob.proposal.kind == "curvy"
-    cp = prob.proposal.curvy
+    cp = prob.curvy
     assert cp is not None
     assert cp.epsilon == 2.0**-4
     assert cp.r == -1.0  # steepest threshold slope, attained at t = 0
