@@ -35,7 +35,6 @@ from .exact import ExactProblem, expected_proposals, sample_batch, sample_exact
 from .model import (
     GammaPair,
     GeneralSDE,
-    Orientation,
     Threshold,
     UnitDiffusionSDE,
     constant_threshold,
@@ -61,7 +60,6 @@ __all__ = [
     "GeneralSDE",
     "NeuronParams",
     "NonTerminationError",
-    "Orientation",
     "ParameterError",
     "SequencingError",
     "SpikeTrain",

@@ -2,7 +2,8 @@
 
 Both schemes integrate ``dX = alpha(X) dt + dW`` with the Euler-Maruyama
 recursion on a fixed grid of step ``delta`` and report the first grid time at
-which the path is at or past the threshold.  The improved variant adds the
+which the path is at or past the threshold, seen from the start's side (a
+start on ``beta(0)`` passes at time 0).  The improved variant adds the
 classical Brownian-bridge correction: when neither endpoint of a step has
 crossed, the bridge over the step crosses a (locally linear) threshold with
 probability ``exp(-2 * d1 * d2 / delta)`` where ``d1``/``d2`` are the signed
@@ -113,11 +114,12 @@ def _walk(
     time, so a plain time not reached by then reads ``inf``.  A detector that
     does not fire before the horizon reports ``inf``.
     """
-    sign = th.orientation.sign
     alpha = sde.alpha
     beta = th.beta
     delta = g.delta
-    gap = sign * (beta(0.0) - sde.x0)
+    b0 = beta(0.0)
+    sign = 1.0 if b0 > sde.x0 else -1.0
+    gap = sign * (b0 - sde.x0)
     if gap <= 0.0:
         return 0.0, 0.0
     sqrt_dt = math.sqrt(delta)
@@ -235,7 +237,6 @@ def coupled_grid_times(
         raise ParameterError(f"n must be non-negative, got {n}")
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
-    sign = th.orientation.sign
     alpha = sde.alpha
     beta = th.beta
     delta = g.delta
@@ -245,7 +246,9 @@ def coupled_grid_times(
 
     plain = np.full(n, math.inf)
     improved = np.full(n, math.inf)
-    if sign * (beta(0.0) - sde.x0) <= 0.0:
+    b0 = beta(0.0)
+    sign = 1.0 if b0 > sde.x0 else -1.0
+    if sign * (b0 - sde.x0) <= 0.0:
         plain[:] = 0.0
         improved[:] = 0.0
         return plain, improved
@@ -258,7 +261,7 @@ def coupled_grid_times(
         t_improved = np.full(m, math.inf)
         alive = np.arange(m)
         x = np.full(m, float(sde.x0))
-        gap = np.full(m, sign * (beta(0.0) - sde.x0))
+        gap = np.full(m, sign * (b0 - sde.x0))
         imp_open = np.ones(m, dtype=bool)
         for i in range(1, steps + 1):
             z = rng.standard_normal(alive.size)

@@ -19,7 +19,7 @@ shapes are covered:
   stopping when ``H <= epsilon`` or ``T`` exceeds the horizon.  Every iterate
   is an exact passage time to a piecewise-linear lower approximation, so the
   returned time under-approximates and converges as ``epsilon -> 0``.
-  Thresholds the process approaches from above are reflected through
+  A threshold that starts below 0 is reflected through
   :meth:`fptsim.model.Threshold.proposal_frame`, the one place that maps a
   threshold into the frame of the line iteration.  A final gap below zero
   means a line crossed the threshold, so a stated slope bound was false;
@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AssumptionViolation, ParameterError
-from .model import Orientation, Threshold, _fill
+from .model import Threshold, _fill
 from .rng import block_stream
 
 __all__ = [
@@ -123,7 +123,7 @@ class CurvyParams:
 
     ``r`` is the tilted-line slope in the proposal frame the iteration runs
     in (:meth:`fptsim.model.Threshold.proposal_frame`: reflected for
-    thresholds approached from above, tilted by the reference drift of the
+    thresholds below the start, tilted by the reference drift of the
     exact sampler); it must not exceed the frame's ``inf_slope``.
     ``epsilon`` is the gap at which the iteration stops; ``horizon`` censors
     non-convergent runs.
@@ -276,7 +276,7 @@ def sample_fpt_curvy(
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
     The threshold is given in the Brownian frame (process starts at 0).
-    Thresholds with ``Orientation.BELOW_START`` are reflected by their
+    One that starts below 0 is reflected by its
     :meth:`~fptsim.model.Threshold.proposal_frame` and the above-start
     iteration runs on ``-beta``; ``params.r`` always refers to that frame.
     The returned time is ``min(T, horizon)`` with ``clock_events`` equal to
@@ -298,9 +298,10 @@ def sample_fpt_curvy(
         raise ParameterError("pass both the normal and the uniform stream, or neither")
     r = params.r
     if gap is None:
-        if threshold.orientation is Orientation.BELOW_START:
-            threshold = threshold.proposal_frame()
         gap = threshold.beta(0.0)
+        if gap < 0.0:
+            threshold = threshold.proposal_frame()
+            gap = -gap
         if not (gap > 0.0 and math.isfinite(gap)):
             raise ParameterError(f"threshold must start strictly away from the process, got gap {gap}")
         _check_slope(threshold, r)

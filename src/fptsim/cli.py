@@ -22,11 +22,11 @@ and a ``null`` value, is refused.  Every run writes its artifacts into
   experiment's keys that were given or have a default here.  Keys left to
   the library's own defaults (such as ``epsilon``) are not echoed.
 
-Exit codes: 0 success; 2 configuration errors; 3 violated mathematical
-assumptions (negative rate, rate above its stated bound, log-domain
-failures); 4 iteration-budget exhaustion.  Each error class of
-:mod:`fptsim.errors` carries its code as ``exit_code``.  Failures print a
-machine-readable JSON object on standard error.
+Exit codes: 0 success; 2 configuration errors (an unusable output directory
+too); 3 violated mathematical assumptions (negative rate, rate above its
+stated bound, log-domain failures); 4 iteration-budget exhaustion.  Each
+error class of :mod:`fptsim.errors` carries its code as ``exit_code``.
+Failures print a machine-readable JSON object on standard error.
 
 Sample ``i`` is drawn on its own substream of ``(seed, i)``, so a run is a
 function of its config, and every key but ``out`` changes what it writes.
@@ -319,19 +319,35 @@ def _write_samples_csv(path: Path, draws: Sequence[FptDraw]) -> None:
             )
 
 
-def _write_summary(cfg: ExperimentConfig, out: Path, wall: float, body: dict, files: list[str]) -> dict:
-    """Write ``summary.json`` and return its payload."""
+def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
+    columns = ["delta", "method", "ks_D", "ks_p", "bias1", "bias2", "wall_time"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([repr(row[c]) if c != "method" else row[c] for c in columns] for row in rows)
+
+
+def _write_run(cfg: ExperimentConfig, out: Path, wall: float, body: dict, writers: dict) -> dict:
+    """Make the directory ``out``, write each artifact (file name: writer of
+    its path) and ``summary.json``, and return the summary payload; an
+    ``OSError`` on the way is a :class:`ConfigurationError` naming ``out``."""
     payload = {
         "experiment": cfg.experiment,
         "version": __version__,
         "config": cfg.as_dict(),
-        "files": files,
+        "files": list(writers),
         "wall_time_s": wall if cfg.timing else 0.0,
         **body,
     }
-    with open(out / "summary.json", "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            write(out / name)
+        with open(out / "summary.json", "w", newline="") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write the artifacts to {str(out)!r}: {exc}") from exc
     return payload
 
 
@@ -380,11 +396,9 @@ def _run_passage(cfg: ExperimentConfig, out: Path) -> dict:
         draws = grid_batch(problem.sde, problem.threshold, scheme, cfg.n, cfg.seed)
         ref = None
     wall = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out / "samples.csv", draws)
     body = _sample_summary(draws, ref)
     body["method"] = cfg.method
-    return _write_summary(cfg, out, wall, body, ["samples.csv"])
+    return _write_run(cfg, out, wall, body, {"samples.csv": partial(_write_samples_csv, draws=draws)})
 
 
 def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
@@ -392,14 +406,12 @@ def _run_neuron(cfg: ExperimentConfig, out: Path) -> dict:
     t0 = time.perf_counter()
     trains = simulate_trials(params, cfg.horizon, cfg.n, cfg.seed)
     wall = time.perf_counter() - t0
-    out.mkdir(parents=True, exist_ok=True)
-    write_spike_trains_csv(trains, out / "spikes.csv")
     body = {
         "trains": summarize_trains(trains),
         "counts": [t.count for t in trains],
         "cv_isi": pooled_isi_cv(trains),
     }
-    return _write_summary(cfg, out, wall, body, ["spikes.csv"])
+    return _write_run(cfg, out, wall, body, {"spikes.csv": partial(write_spike_trains_csv, trains)})
 
 
 def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
@@ -410,9 +422,6 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
     # a grid path censored at the horizon only says tau >= horizon, so both
     # samples are compared on min(tau, horizon)
     exact_capped = np.minimum([d.time for d in exact_draws], cfg.horizon)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_samples_csv(out / "samples.csv", exact_draws)
-
     rows = []
     for delta in cfg.deltas:
         for method_index, method in enumerate(("euler", "improved_euler")):
@@ -444,22 +453,20 @@ def _run_benchmark(cfg: ExperimentConfig, out: Path) -> dict:
                 }
             )
 
-    columns = ["delta", "method", "ks_D", "ks_p", "bias1", "bias2", "wall_time"]
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([repr(row[c]) if c != "method" else row[c] for c in columns] for row in rows)
-
     body = _sample_summary(exact_draws, problem)
     body["comparison"] = rows
-    return _write_summary(cfg, out, exact_wall, body, ["samples.csv", "comparison.csv"])
+    return _write_run(cfg, out, exact_wall, body, {
+        "samples.csv": partial(_write_samples_csv, draws=exact_draws),
+        "comparison.csv": partial(_write_comparison_csv, rows=rows),
+    })
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment, write its artifacts, return the summary payload.
 
     The output directory is made just before the first artifact is written,
-    so a run that fails leaves no directory behind.
+    so a run that fails leaves no directory behind, and a path that cannot
+    be made a directory or written into is a :class:`ConfigurationError`.
     """
     out = Path(cfg.out)
     if cfg.experiment == "neuron":

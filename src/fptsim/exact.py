@@ -1,7 +1,7 @@
 """Exact first-passage-time sampling by rejection with Poisson thinning.
 
 Target: ``tau = inf{t : X_t = beta(t)}`` for ``dX = alpha(X) dt + dB`` started
-at ``x0`` on the far side of the threshold.  A change of measure to a
+at ``x0`` off the threshold, on either side of it.  A change of measure to a
 reference Brownian motion with constant drift ``g`` (``g = 0`` by default)
 turns the density of ``tau`` into ``eta(t) * f_W(t) / N_c`` where ``f_W`` is
 the first-passage density of the reference motion to ``beta``,
@@ -14,7 +14,7 @@ proposal ``tau_W`` from the reference first-passage law and accepts it when a
 rate-``kappa`` exponential clock places no event below the graph of the
 integrand.  Proposals are passage times of standard Brownian motion from 0
 to the threshold's proposal frame (:meth:`fptsim.model.Threshold.proposal_frame`:
-start shifted to 0, drift ``g`` removed, below-start problems reflected),
+start shifted to 0, drift ``g`` removed, a threshold below the start reflected),
 which :class:`ExactProblem` builds once per problem; :func:`sample_exact`
 draws it on either side of the threshold.  The threshold picks the proposal:
 closed-form for a line (inverse Gaussian, or Lévy for a flat frame), the line
@@ -26,8 +26,8 @@ iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy` with the problem's
 
 where ``delta = |beta(0) - x0|`` is the starting gap (the frame at 0), ``l``
 is a pinned 3-D Brownian bridge updated event-to-event by :func:`bridge_step`,
-and the sign places the reconstruction on the starting side of the
-threshold.  The distance ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from
+and the sign of ``beta(0) - x0`` places the reconstruction on the starting
+side of the threshold.  The distance ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from
 0 to ``delta`` evaluated at ``E``, i.e. the path-to-threshold gap of the
 *time-reversed* proposal path, which runs from 0 at the hit back to ``delta``
 at time 0.  Pairing the forward-time rate ``gamma1(E)`` with the
@@ -81,10 +81,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bm_fpt import CurvyParams, FptDraw, _check_slope, _draw, _linear_time, sample_fpt_curvy
-from .errors import ConfigurationError, NonTerminationError, ParameterError
+from .errors import ConfigurationError, DomainError, NonTerminationError, ParameterError
 from .model import (
     GammaPair,
-    Orientation,
     Threshold,
     UnitDiffusionSDE,
     _check_kappa,
@@ -194,9 +193,9 @@ class ExactProblem:
 class _Kernel(NamedTuple):
     """An exact problem as :func:`_sample_oriented` runs it: plain values only.
 
-    ``beta`` and ``sign`` are the threshold and its orientation sign, the rate
-    is ``gamma1(t) + gamma2(x)`` under the clock rate ``kappa`` and its guard
-    ``ceiling``, and ``delta`` is the start gap ``phi(0)`` of the proposal
+    ``beta`` is the threshold and ``sign`` the sign of ``beta(0) - x0``, the
+    rate is ``gamma1(t) + gamma2(x)`` under the clock rate ``kappa`` and its
+    guard ``ceiling``, and ``delta`` is the start gap ``phi(0)`` of the proposal
     frame ``phi``.  Exactly one of ``line`` and ``curvy`` is set.
     ``line = (intercept, wald, hit)`` draws the passage of standard Brownian
     motion to the frame line: ``wald`` is the ``(mean, shape)`` of a sloped
@@ -232,7 +231,8 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
     The SDE enters through its start ``x0`` and the rates alone, and
-    ``threshold.linear`` alone picks the proposal.
+    ``threshold.linear`` alone picks the proposal.  The kernel's ``sign`` is
+    1.0 if ``beta(0) > x0``, else -1.0.
 
     Checks in order: ``kappa`` is set, finite and positive,
     ``max_proposals >= 1``, the start gap
@@ -248,12 +248,15 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
     _check_kappa(kappa)
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
-    frame = threshold.proposal_frame(x0, gammas.reference_drift)
-    delta = frame.beta(0.0)
+    g = gammas.reference_drift
+    b0 = threshold.beta(0.0)
+    sign = 1.0 if b0 > x0 else -1.0
+    delta = sign * (b0 - g * 0.0 - x0)
     if not 0.0 < delta < math.inf:
         threshold.validate_start(x0)
         raise ParameterError(f"start gap {delta} is not a positive finite number: "
-                             f"x0 = {x0}, reference drift = {gammas.reference_drift}")
+                             f"x0 = {x0}, reference drift = {g}")
+    frame = threshold.proposal_frame(x0, g)
     linear = threshold.linear is not None
     if linear and curvy is not None:
         raise ConfigurationError("CurvyParams apply to curved thresholds only; this one is a line")
@@ -262,7 +265,7 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
             raise ConfigurationError("a curved threshold needs CurvyParams for its proposals")
         _check_slope(frame, curvy.r)
     return _Kernel(
-        threshold.beta, threshold.orientation.sign, gammas.gamma1, gammas.gamma2,
+        threshold.beta, sign, gammas.gamma1, gammas.gamma2,
         kappa, _rate_ceiling(kappa), delta, max_proposals,
         _line_part(*frame.linear) if linear else None,
         None if linear else (frame, curvy),
@@ -274,12 +277,17 @@ def expected_proposals(problem: ExactProblem) -> float:
 
     ``A_g(x) = A(x) - g*x`` is the drift antiderivative relative to the
     reference measure.  Valid when the target passage is almost surely finite.
+    An exponent too large for a float is refused with :class:`DomainError`.
     """
     g = problem.gammas.reference_drift
     A = problem.sde.A
     x0 = problem.sde.x0
     b0 = problem.threshold.beta(0.0)
-    return math.exp((A(b0) - g * b0) - (A(x0) - g * x0))
+    exponent = (A(b0) - g * b0) - (A(x0) - g * x0)
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise DomainError(f"expected proposals exp({exponent}) overflow a float") from None
 
 
 def draw_streams(rng: np.random.Generator, size: int = _EVENT_BLOCK) -> tuple:
@@ -382,16 +390,14 @@ def sample_exact_split(
     from :func:`_kernel_of`, with the stage's line, its start at the previous
     hit and that line's ``gamma1`` (as :func:`make_gamma_pair` builds it);
     ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage is a
-    line, so it draws closed-form line proposals.  A stage line whose
-    intercept rounds onto its start fails the start check of every problem,
-    as a wrong-side start.
+    line, so it draws closed-form line proposals.  A stage line that does
+    not start above the stage's start (a below-start problem, or a line
+    rounded onto or past its start) is refused.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if problem.threshold.linear is None:
         raise ConfigurationError("space splitting requires a linear threshold")
-    if problem.threshold.orientation is not Orientation.ABOVE_START:
-        raise ConfigurationError("space splitting is implemented for above-start problems")
     a, b = problem.threshold.linear
     sde, gammas = problem.sde, problem.gammas
     x0, g = sde.x0, gammas.reference_drift
@@ -401,10 +407,12 @@ def sample_exact_split(
     total_proposals = 0
     total_events = 0
     for i in range(1, k + 1):
-        line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)), Orientation.ABOVE_START)
+        line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)))
         stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
-        d = _sample_oriented(_kernel_of(x_cur, line, stage_gammas, None,
-                                        problem.max_proposals), rng)
+        kernel = _kernel_of(x_cur, line, stage_gammas, None, problem.max_proposals)
+        if kernel.sign < 0.0:
+            raise ConfigurationError("space splitting is implemented for above-start problems")
+        d = _sample_oriented(kernel, rng)
         x_cur = line.beta(d.time)
         t_acc += d.time
         total_proposals += d.proposals

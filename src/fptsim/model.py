@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ import numpy as np
 from .errors import AssumptionViolation, ConfigurationError, DomainError, ParameterError
 
 __all__ = [
-    "Orientation",
     "GeneralSDE",
     "UnitDiffusionSDE",
     "Threshold",
@@ -61,17 +59,6 @@ KAPPA_FLOOR = 1e-6
 
 _QUAD_ABSTOL = 1e-10
 _INVERT_TOL = 1e-12
-
-
-class Orientation(Enum):
-    """Side of the threshold the process starts on."""
-
-    ABOVE_START = "above_start"  # beta(0) > x0: the process must move up
-    BELOW_START = "below_start"  # beta(0) < x0: the process must move down
-
-    def __init__(self, value: str) -> None:
-        #: ``+1.0`` above the start, ``-1.0`` below: ``sign * (beta(0) - x0) > 0``
-        self.sign = 1.0 if value == "above_start" else -1.0
 
 
 @dataclass(frozen=True)
@@ -110,42 +97,42 @@ class UnitDiffusionSDE:
 class Threshold:
     """Time-dependent threshold ``beta`` with derivative and slope bounds.
 
-    ``inf_slope``/``sup_slope`` bound ``beta'`` over the whole horizon of use
-    (``None`` when unknown); they are required by the curvy proposal sampler.
-    ``linear`` carries ``(a, b)`` when ``beta(t) = a*t + b`` exactly, which
-    unlocks closed-form proposals and space splitting.
+    It is a curve only: a process from ``x0`` passes it from the side of its
+    start, the sign of ``beta(0) - x0``.  ``inf_slope``/``sup_slope`` bound
+    ``beta'`` over the whole horizon of use (``None`` when unknown); they are
+    required by the curvy proposal sampler.  ``linear`` carries ``(a, b)``
+    when ``beta(t) = a*t + b`` exactly, which unlocks closed-form proposals
+    and space splitting.
     """
 
     beta: Callable[[float], float]
     beta_prime: Callable[[float], float]
-    orientation: Orientation
     inf_slope: float | None = None
     sup_slope: float | None = None
     linear: tuple[float, float] | None = None
 
     def validate_start(self, x0: float) -> None:
+        """Refuse a ``beta(0)`` that is not finite (:class:`DomainError`) and
+        a start ``x0`` on it (:class:`ConfigurationError`)."""
         b0 = self.beta(0.0)
         if not math.isfinite(b0):
             raise DomainError(f"beta(0) = {b0} is not finite")
-        if not self.orientation.sign * (b0 - x0) > 0.0:
-            raise ConfigurationError(
-                f"{self.orientation.value} threshold lies on the wrong side of the "
-                f"start: beta(0)={b0}, x0={x0}"
-            )
+        if b0 == x0:
+            raise ConfigurationError(f"the start x0={x0} lies on the threshold: beta(0)={b0}")
 
     def proposal_frame(self, x0: float = 0.0, g: float = 0.0) -> "Threshold":
         """This threshold as a reference Brownian motion from 0 sees it.
 
         The reference motion has drift ``g`` and starts at ``x0``; shifting
-        the start to 0, removing the drift and reflecting below-start
-        thresholds (``s = orientation.sign``) gives the above-start threshold
-        ``phi(t) = s * (beta(t) - g*t - x0)`` with ``phi' = s * (beta' - g)``,
-        passed by standard Brownian motion from 0 at the same times.  The
-        slope bounds are tilted by ``g`` and swap sides when ``s = -1``;
-        ``linear = (a, b)`` maps to ``(s * (a - g), s * (b - x0))``.
-        ``phi(0)`` is the start gap.
+        the start to 0, removing the drift and reflecting a threshold below
+        the start (``s = 1`` if ``beta(0) > x0``, else ``-1``) gives the
+        above-start threshold ``phi(t) = s * (beta(t) - g*t - x0)`` with
+        ``phi' = s * (beta' - g)``, passed by standard Brownian motion from 0
+        at the same times.  The slope bounds are tilted by ``g`` and swap
+        sides when ``s = -1``; ``linear = (a, b)`` maps to
+        ``(s * (a - g), s * (b - x0))``.  ``phi(0)`` is the start gap.
         """
-        s = self.orientation.sign
+        s = 1.0 if self.beta(0.0) > x0 else -1.0
         beta = self.beta
         beta_prime = self.beta_prime
         linear = self.linear
@@ -154,7 +141,6 @@ class Threshold:
         return _fill(Threshold, {
             "beta": lambda t: s * (beta(t) - g * t - x0),
             "beta_prime": lambda t: s * (beta_prime(t) - g),
-            "orientation": Orientation.ABOVE_START,
             "inf_slope": None if lo is None else s * (lo - g),
             "sup_slope": None if hi is None else s * (hi - g),
             "linear": None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
@@ -173,17 +159,16 @@ class Threshold:
                 )
 
 
-def linear_threshold(a: float, b: float, orientation: Orientation) -> Threshold:
+def linear_threshold(a: float, b: float) -> Threshold:
     """Threshold ``beta(t) = a*t + b``."""
     # a Threshold has no checks, so the fill equals the constructor
     return _fill(Threshold, {"beta": lambda t: a * t + b, "beta_prime": lambda t: a,
-                             "orientation": orientation, "inf_slope": a, "sup_slope": a,
-                             "linear": (a, b)})
+                             "inf_slope": a, "sup_slope": a, "linear": (a, b)})
 
 
-def constant_threshold(level: float, orientation: Orientation) -> Threshold:
+def constant_threshold(level: float) -> Threshold:
     """Threshold ``beta(t) = level``."""
-    return linear_threshold(0.0, level, orientation)
+    return linear_threshold(0.0, level)
 
 
 def _fill(cls: type, fields: dict):

@@ -89,7 +89,7 @@ from .errors import (
     SequencingError,
 )
 from .exact import ExactProblem, draw_streams, sample_exact_below
-from .model import GammaPair, Orientation, Threshold, UnitDiffusionSDE, _fill
+from .model import GammaPair, Threshold, UnitDiffusionSDE, _fill
 from .rng import sample_many
 
 __all__ = [
@@ -448,7 +448,6 @@ class _StageBounds:
             _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
                                      "x0": x_start}),
             _fill(Threshold, {"beta": beta, "beta_prime": beta_prime,
-                              "orientation": Orientation.BELOW_START,
                               "inf_slope": self.inf_slope, "sup_slope": self.sup_slope,
                               "linear": None}),
             _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2,
@@ -474,6 +473,7 @@ def transform_neuron(
     below-start threshold ``beta(t) = -(1/sigma) ln theta(t)`` and the rate
     pair with its thinning bound and stage reference drift attached: those
     of the one stage of :class:`_StageBounds` over ``[0, prop_horizon]``.
+    A start voltage not below the threshold level is a :class:`DomainError`.
     """
     first = state is None
     if state is None:
@@ -482,16 +482,26 @@ def transform_neuron(
         start_voltage = params.v0 if first else params.v_reset
     if not start_voltage > 0.0:
         raise DomainError(f"start voltage must be positive, got {start_voltage}")
+    _check_start_below(start_voltage, state.theta_plus)
     bounds = _StageBounds(params, state.theta_plus, [0.0], 0.0, prop_horizon)
     problem = bounds.problem(0, 0.0, x_start=-math.log(start_voltage) / params.sigma,
                              horizon=prop_horizon, max_proposals=10**6)
     return problem.sde, problem.threshold, problem.gammas
 
 
+def _check_start_below(voltage: float, theta_plus: float) -> None:
+    """Refuse a start voltage not below the threshold level ``theta_plus``:
+    the stage rate bounds hold for a threshold passed from below in voltage."""
+    if not theta_plus > voltage:
+        raise DomainError(
+            f"start voltage {voltage} is not strictly below the threshold level {theta_plus}"
+        )
+
+
 def _draw_interval(
     params: NeuronParams,
     theta_plus: float,
-    start_voltage: float,
+    v: float,
     remaining: float,
     rng: np.random.Generator,
     max_proposals: int,
@@ -501,18 +511,14 @@ def _draw_interval(
     with the stage draws it took.
 
     The passage is chained through intermediate thresholds placed uniformly
-    in ``u = exp(-sigma*x)`` between the start voltage and the peak threshold
-    level, at most ``_STAGE_WIDTH * sigma/|d|`` apart, so that each stage's
-    proposals cost about as much as its set-up (see ``_STAGE_WIDTH``).
+    in ``u = exp(-sigma*x)`` between the start voltage ``v`` and the peak
+    threshold level, at most ``_STAGE_WIDTH * sigma/|d|`` apart, so that each
+    stage's proposals cost about as much as its set-up (see ``_STAGE_WIDTH``).
     The stages draw from ``streams``, by default new ones per stage on ``rng``.
     """
     sigma = params.sigma
     _, d = params.drift_coefficients()
-    v = start_voltage
-    if not theta_plus > v:
-        raise DomainError(
-            f"start voltage {v} is not strictly below the threshold level {theta_plus}"
-        )
+    _check_start_below(v, theta_plus)
     span = theta_plus - v
     k = max(1, math.ceil(abs(d) * span / (_STAGE_WIDTH * sigma) - 1e-12))
     offsets = [math.log(theta_plus / (v + span * (i / k))) / sigma for i in range(1, k + 1)]
@@ -527,14 +533,11 @@ def _draw_interval(
     for i in range(k):
         if s >= remaining:
             return None, draws
-        stage_horizon = t_end - s
         problem = bounds.problem(
-            i, s, x_start=x_cur, horizon=stage_horizon, max_proposals=max_proposals
+            i, s, x_start=x_cur, horizon=t_end - s, max_proposals=max_proposals
         )
         draw = sample_exact_below(problem, rng, streams=streams)
         draws.append(draw)
-        if draw.time >= stage_horizon - 1e-12:
-            return None, draws
         x_cur = problem.threshold.beta(draw.time)
         s += draw.time
     return (s if s < remaining else None), draws

@@ -12,7 +12,6 @@ with a numerically estimated thinning bound.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,6 @@ from .bm_fpt import CURVY_EPSILON, CURVY_HORIZON, CurvyParams
 from .errors import ConfigurationError, DomainError, ParameterError
 from .exact import ExactProblem
 from .model import (
-    Orientation,
     Threshold,
     UnitDiffusionSDE,
     estimate_kappa,
@@ -95,14 +93,12 @@ def example1_problem(
     if not b > x0:
         raise ParameterError(f"threshold must start above x0, got b={b}, x0={x0}")
     sde = sinusoidal_sde(K, x0)
-    threshold = linear_threshold(a, b, Orientation.ABOVE_START)
+    threshold = linear_threshold(a, b)
     gammas = make_gamma_pair(sde, threshold).with_kappa(example1_kappa(K, a))
     return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, max_proposals=max_proposals)
 
 
-def exponential_threshold(
-    a: float = 1.0, b: float = 1.0, orientation: Orientation = Orientation.ABOVE_START
-) -> Threshold:
+def exponential_threshold(a: float = 1.0, b: float = 1.0) -> Threshold:
     """Threshold ``beta(t) = a * exp(-b*t)`` with slope bounds.
 
     For ``b >= 0`` the slope ``beta' = -a*b*exp(-b*t)`` runs from ``-a*b``
@@ -130,7 +126,6 @@ def exponential_threshold(
     return Threshold(
         beta=beta,
         beta_prime=beta_prime,
-        orientation=orientation,
         inf_slope=inf_slope,
         sup_slope=sup_slope,
     )
@@ -198,21 +193,21 @@ DRIFT_REGISTRY: dict[str, Callable[..., UnitDiffusionSDE]] = {
 }
 
 THRESHOLD_REGISTRY: dict[str, Callable[..., Threshold]] = {
-    "linear": lambda a, b, orientation: linear_threshold(a, b, orientation),
-    "constant": lambda level, orientation: linear_threshold(0.0, level, orientation),
-    "exponential": lambda a, b, orientation: exponential_threshold(a, b, orientation),
+    "linear": lambda a, b: linear_threshold(a, b),
+    "constant": lambda level: linear_threshold(0.0, level),
+    "exponential": lambda a, b: exponential_threshold(a, b),
 }
 
 
 def _registry_threshold(threshold: str, threshold_params: dict, epsilon: float | None) -> Threshold:
-    """Build a registry threshold, above-start; refuse an ``epsilon`` for a
-    line threshold, whose proposal would ignore it."""
+    """Build a registry threshold; refuse an ``epsilon`` for a line
+    threshold, whose proposal would ignore it."""
     if threshold not in THRESHOLD_REGISTRY:
         raise ConfigurationError(
             f"unknown threshold {threshold!r}; available: {sorted(THRESHOLD_REGISTRY)}"
         )
     try:
-        th = THRESHOLD_REGISTRY[threshold](orientation=Orientation.ABOVE_START, **threshold_params)
+        th = THRESHOLD_REGISTRY[threshold](**threshold_params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for threshold {threshold!r}: {exc}") from exc
     if epsilon is not None and th.linear is not None:
@@ -234,11 +229,12 @@ def build_custom_problem(
 
     ``epsilon`` sets the curvy iteration's stop gap for a curved threshold
     (``CURVY_EPSILON`` when unset); a line threshold has no such iteration
-    and refuses it.  Orientation is inferred from the threshold start
-    relative to ``x0``.  The thinning bound is estimated on a grid spanning the
-    threshold range padded by one sine period on each side, which covers
-    the global supremum for every registered (periodic or constant) drift;
-    the sampler's runtime guard still aborts if the bound is ever exceeded.
+    and refuses it.  The threshold is passed from the side of ``x0``; a start
+    exactly on ``beta(0)`` is refused.  The thinning bound is estimated on a
+    grid spanning the threshold range padded by one sine period on each
+    side, which covers the global supremum for every registered (periodic or
+    constant) drift; the sampler's runtime guard still aborts if the bound
+    is ever exceeded.
     """
     if drift not in DRIFT_REGISTRY:
         raise ConfigurationError(
@@ -251,9 +247,7 @@ def build_custom_problem(
         raise ConfigurationError(f"bad parameters for drift {drift!r}: {exc}") from exc
 
     b0 = th.beta(0.0)
-    if b0 < x0:
-        th = replace(th, orientation=Orientation.BELOW_START)
-    elif not b0 > x0:
+    if b0 == x0:
         raise ConfigurationError(f"threshold starts exactly at x0 = {x0}")
 
     try:
@@ -268,15 +262,15 @@ def build_custom_problem(
     curvy = None
     if th.linear is None:
         curvy = CurvyParams(epsilon=CURVY_EPSILON if epsilon is None else epsilon,
-                            r=_tangent_slope(th), horizon=horizon)
+                            r=_tangent_slope(th, x0), horizon=horizon)
     return ExactProblem(sde=sde, threshold=th, gammas=gammas.with_kappa(kappa), curvy=curvy,
                         max_proposals=max_proposals)
 
 
-def _tangent_slope(th: Threshold) -> float:
-    """Steepest admissible tangent slope for curvy proposals on ``th``: the
-    ``inf_slope`` of its proposal frame (with no reference drift)."""
-    slope = th.proposal_frame().inf_slope
+def _tangent_slope(th: Threshold, x0: float) -> float:
+    """Steepest admissible tangent slope for curvy proposals on ``th`` from
+    ``x0``: the ``inf_slope`` of its proposal frame (with no reference drift)."""
+    slope = th.proposal_frame(x0).inf_slope
     if slope is None:
         raise ConfigurationError("curvy proposals need a bounded threshold slope")
     return slope

@@ -19,7 +19,7 @@ from fptsim.baselines import (
 )
 from fptsim.bm_fpt import FptDraw, constant_level_cdf
 from fptsim.errors import ParameterError
-from fptsim.model import Orientation, UnitDiffusionSDE, constant_threshold, linear_threshold
+from fptsim.model import UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
 from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
@@ -55,7 +55,7 @@ def test_improved_euler_matches_brownian_constant_level_law():
     # the passage law to a constant level is heavy-tailed, so compare the
     # horizon-censored sample against the conditional law given passage
     sde = _brownian()
-    th = constant_threshold(1.0, Orientation.ABOVE_START)
+    th = constant_threshold(1.0)
     horizon = 64.0
     g = GridScheme(delta=2.0**-8, horizon=horizon, scheme="improved_euler")
     draws = grid_batch(sde, th, g, 4000, 7)
@@ -68,7 +68,7 @@ def test_improved_euler_matches_brownian_constant_level_law():
 
 def test_plain_euler_is_visibly_biased_at_coarse_steps():
     sde = _brownian()
-    th = constant_threshold(1.0, Orientation.ABOVE_START)
+    th = constant_threshold(1.0)
     horizon = 64.0
     g = GridScheme(delta=2.0**-2, horizon=horizon, scheme="euler")
     draws = grid_batch(sde, th, g, 4000, 8)
@@ -80,7 +80,7 @@ def test_plain_euler_is_visibly_biased_at_coarse_steps():
 
 def test_coupled_pair_improved_never_later():
     sde = _brownian()
-    th = linear_threshold(-0.5, 1.0, Orientation.ABOVE_START)
+    th = linear_threshold(-0.5, 1.0)
     g = GridScheme(delta=2.0**-4, horizon=16.0)
     rng = np.random.default_rng(9)
     strictly_earlier = 0
@@ -95,9 +95,9 @@ def test_coupled_pair_improved_never_later():
 @pytest.mark.parametrize(
     "th,horizon",
     [
-        (linear_threshold(-0.5, 1.0, Orientation.ABOVE_START), 16.0),
-        (linear_threshold(1.0, 0.0, Orientation.BELOW_START), 2.0),
-        (constant_threshold(50.0, Orientation.ABOVE_START), 1.0),
+        (linear_threshold(-0.5, 1.0), 16.0),
+        (linear_threshold(1.0, 0.0), 2.0),
+        (constant_threshold(50.0), 1.0),
     ],
     ids=["falling_line", "start_on_threshold", "censored"],
 )
@@ -112,7 +112,7 @@ def test_improved_euler_is_the_improved_half_of_the_coupled_pair(th, horizon):
 
 def test_censoring_marks_draw_non_finite():
     sde = _brownian()
-    th = constant_threshold(50.0, Orientation.ABOVE_START)
+    th = constant_threshold(50.0)
     g = GridScheme(delta=0.25, horizon=1.0)
     d = euler_fpt(sde, th, g, np.random.default_rng(10))
     assert not d.finite
@@ -121,7 +121,7 @@ def test_censoring_marks_draw_non_finite():
 
 def test_start_on_threshold_fires_at_time_zero():
     sde = _brownian()
-    th = linear_threshold(1.0, 0.0, Orientation.BELOW_START)  # passes through x0
+    th = linear_threshold(1.0, 0.0)  # passes through x0
     g = GridScheme(delta=0.5, horizon=2.0)
     d = euler_fpt(sde, th, g, np.random.default_rng(11))
     assert d.finite and d.time == 0.0
@@ -129,7 +129,7 @@ def test_start_on_threshold_fires_at_time_zero():
 
 def test_improved_reports_interior_hit_times():
     sde = _brownian()
-    th = constant_threshold(0.05, Orientation.ABOVE_START)
+    th = constant_threshold(0.05)
     g = GridScheme(delta=0.5, horizon=8.0, scheme="improved_euler")
     draws = grid_batch(sde, th, g, 400, 12)
     times = [d.time for d in draws if d.finite]
@@ -142,13 +142,13 @@ def test_grid_draws_equal_constructor_built_draws():
     # values as checked ones, over hits at 0, at grid times, at step
     # midpoints and censored paths
     sde = _brownian()
-    th = constant_threshold(0.05, Orientation.ABOVE_START)
+    th = constant_threshold(0.05)
     draws = []
     for scheme in ("euler", "improved_euler"):
         g = GridScheme(delta=0.5, horizon=1.0, scheme=scheme)
         draws += grid_batch(sde, th, g, 200, 12)
         draws += coupled_euler_pair(sde, th, g, np.random.default_rng(13))
-    at_start = linear_threshold(1.0, 0.0, Orientation.BELOW_START)
+    at_start = linear_threshold(1.0, 0.0)
     draws.append(improved_euler_fpt(sde, at_start, GridScheme(0.5, 2.0), np.random.default_rng(11)))
     times = {d.time for d in draws}
     assert {0.0, 0.5, 0.25, math.inf} <= times
@@ -161,7 +161,7 @@ def test_grid_draws_equal_constructor_built_draws():
 def test_grid_batch_worker_invariance():
     """Batch entry i is the per-path draw on substream (seed, *prefix, i)."""
     sde = _brownian()
-    th = constant_threshold(1.0, Orientation.ABOVE_START)
+    th = constant_threshold(1.0)
     g = GridScheme(delta=0.125, horizon=8.0, scheme="improved_euler")
     assert grid_batch(sde, th, g, 40, 13) == [
         improved_euler_fpt(sde, th, g, substream(13, i)) for i in range(40)
@@ -196,7 +196,7 @@ def test_coupled_grid_times_improved_never_later():
 
 def test_coupled_grid_times_determinism_and_keying():
     sde = _brownian()
-    th = constant_threshold(1.0, Orientation.ABOVE_START)
+    th = constant_threshold(1.0)
     g = GridScheme(delta=0.125, horizon=8.0)
     a = coupled_grid_times(sde, th, g, 300, 5, chunk=128)
     b = coupled_grid_times(sde, th, g, 300, 5, chunk=128)
@@ -207,7 +207,7 @@ def test_coupled_grid_times_determinism_and_keying():
 
 def test_coupled_grid_times_immediate_hit_and_validation():
     sde = _brownian()
-    th = linear_threshold(1.0, 0.0, Orientation.BELOW_START)  # passes through x0
+    th = linear_threshold(1.0, 0.0)  # passes through x0
     g = GridScheme(delta=0.5, horizon=2.0)
     pl, im = coupled_grid_times(sde, th, g, 17, 0)
     assert np.all(pl == 0.0) and np.all(im == 0.0)
@@ -215,7 +215,7 @@ def test_coupled_grid_times_immediate_hit_and_validation():
         coupled_grid_times(sde, th, g, -1, 0)
     with pytest.raises(ParameterError):
         coupled_grid_times(sde, th, g, 10, 0, chunk=0)
-    empty = coupled_grid_times(_brownian(), constant_threshold(1.0, Orientation.ABOVE_START), g, 0, 0)
+    empty = coupled_grid_times(_brownian(), constant_threshold(1.0), g, 0, 0)
     assert empty[0].size == 0 and empty[1].size == 0
 
 
@@ -234,7 +234,7 @@ def _walk_on_fixed_blocks(sde, th, g, rng, *, plain, bridge):
     """(plain, improved) times of the Euler walk, replayed with every stream
     in blocks of 512: the normals, plus the crossing uniforms of a bridge
     walk.  Same detectors and stopping rule as the library walk."""
-    sign = 1.0 if th.orientation is Orientation.ABOVE_START else -1.0
+    sign = 1.0 if th.beta(0.0) > sde.x0 else -1.0
     gap = sign * (th.beta(0.0) - sde.x0)
     if gap <= 0.0:
         return 0.0, 0.0
@@ -265,7 +265,7 @@ _EX1 = example1_problem()
         (_EX1.sde, _EX1.threshold, 2.0**-4, 8.0),
         (_EX1.sde, _EX1.threshold, 2.0**-6, 8.0),
         # paths of up to 4096 steps, most of them longer than one block
-        (_brownian(), linear_threshold(-0.5, 2.0, Orientation.ABOVE_START), 2.0**-10, 4.0),
+        (_brownian(), linear_threshold(-0.5, 2.0), 2.0**-10, 4.0),
     ],
     ids=["example1_coarse", "example1_fine", "far_line"],
 )

@@ -23,18 +23,16 @@ from fptsim.bm_fpt import (
     sample_inverse_gaussian,
 )
 from fptsim.errors import AssumptionViolation, ConfigurationError, ParameterError
-from fptsim.model import Orientation, Threshold
+from fptsim.model import Threshold
 from fptsim.rng import block_stream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
 def _exp_threshold(sign: float = 1.0) -> Threshold:
     """beta(t) = sign * exp(-t); above-start for sign=+1, below for -1."""
-    orientation = Orientation.ABOVE_START if sign > 0 else Orientation.BELOW_START
     return Threshold(
         beta=lambda t: sign * math.exp(-t),
         beta_prime=lambda t: -sign * math.exp(-t),
-        orientation=orientation,
         inf_slope=min(-sign, 0.0),
         sup_slope=max(-sign, 0.0),
     )
@@ -212,7 +210,6 @@ def test_curvy_constant_threshold_is_exact_in_one_iteration():
     th = Threshold(
         beta=lambda t: level,
         beta_prime=lambda t: 0.0,
-        orientation=Orientation.ABOVE_START,
         inf_slope=0.0,
         sup_slope=0.0,
     )
@@ -235,7 +232,6 @@ def test_curvy_linear_threshold_with_tangent_slope_is_exact():
     th = Threshold(
         beta=lambda t: a * t + b,
         beta_prime=lambda t: a,
-        orientation=Orientation.ABOVE_START,
         inf_slope=a,
         sup_slope=a,
     )
@@ -303,7 +299,6 @@ def test_curvy_horizon_censoring_returns_the_horizon():
     th = Threshold(
         beta=lambda t: 1.0 + t,
         beta_prime=lambda t: 1.0,
-        orientation=Orientation.ABOVE_START,
         inf_slope=1.0,
         sup_slope=1.0,
     )
@@ -329,7 +324,7 @@ def test_curvy_reads_a_growing_threshold_on_its_horizon_only():
         return math.exp(0.5 * t)
 
     th = Threshold(beta=beta, beta_prime=lambda t: 0.5 * math.exp(0.5 * t),
-                   orientation=Orientation.ABOVE_START, inf_slope=0.5, sup_slope=None)
+                   inf_slope=0.5, sup_slope=None)
     params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=horizon)
     times = [sample_fpt_curvy(th, params, np.random.default_rng(seed)).time for seed in range(200)]
     assert all(0.0 < t <= horizon for t in times)
@@ -367,7 +362,6 @@ def test_curvy_overstated_inf_slope_raises_instead_of_returning_a_time():
     th = Threshold(
         beta=lambda t: math.exp(-t),
         beta_prime=lambda t: -math.exp(-t),
-        orientation=Orientation.ABOVE_START,
         inf_slope=0.0,
         sup_slope=0.0,
     )
@@ -388,7 +382,6 @@ def _receding_line() -> Threshold:
     return Threshold(
         beta=lambda t: 1.0 + 0.2 * t,
         beta_prime=lambda t: 0.2,
-        orientation=Orientation.ABOVE_START,
         inf_slope=0.2,
         sup_slope=0.2,
     )
@@ -427,7 +420,6 @@ def test_curvy_matches_reference_iteration_with_one_threshold_call_per_line():
     th = Threshold(
         beta=beta,
         beta_prime=lambda t: -math.exp(-t),
-        orientation=Orientation.ABOVE_START,
         inf_slope=-1.0,
         sup_slope=0.0,
     )

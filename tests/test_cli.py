@@ -566,6 +566,30 @@ def test_a_grid_run_on_a_curved_start_within_epsilon_succeeds(tmp_path, experime
     assert all(float(row.split(",")[1]) > 0.0 for row in rows)
 
 
+@pytest.mark.parametrize("experiment, mapping", [
+    ("example1", {"n": 5}),
+    ("neuron", {"trials": 1, "horizon": 0.2}),
+    ("benchmark", {"n": 5, "deltas": [0.25], "horizon": 2.0}),
+], ids=["example1", "neuron", "benchmark"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_main_exit_code_2_on_an_unusable_output_directory(tmp_path, capsys, experiment, mapping,
+                                                         under):
+    # a file where the directory should go, or a directory under a file
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(mapping))
+    assert main([experiment, "--config", str(cfg_file), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigurationError"
+    assert payload["exit_code"] == 2
+    assert payload["message"].startswith(f"cannot write the artifacts to {str(out)!r}: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_a_run_failing_while_it_samples_leaves_no_output_directory(tmp_path, capsys):
     # the leaky membrane at zero current fails in its first stage
     cfg_file = tmp_path / "cfg.json"

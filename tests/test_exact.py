@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fptsim.exact as exact_module
-from fptsim.bm_fpt import CurvyParams, FptDraw, inverse_gaussian_cdf
+from fptsim.bm_fpt import CurvyParams, FptDraw, constant_level_cdf, inverse_gaussian_cdf
 from fptsim.errors import (
     AssumptionViolation,
     ConfigurationError,
@@ -32,9 +32,9 @@ from fptsim.exact import (
     sample_exact_split,
 )
 from fptsim.model import (
-    Orientation,
     Threshold,
     UnitDiffusionSDE,
+    constant_threshold,
     linear_threshold,
     make_gamma_pair,
 )
@@ -57,10 +57,9 @@ def _unit_sde(c: float, x0: float = 0.0) -> UnitDiffusionSDE:
     )
 
 
-def _problem(c: float, a: float, b: float, orientation: Orientation, kappa: float,
-             max_proposals: int = 10**6) -> ExactProblem:
+def _problem(c: float, a: float, b: float, kappa: float, max_proposals: int = 10**6) -> ExactProblem:
     sde = _unit_sde(c)
-    th = linear_threshold(a, b, orientation)
+    th = linear_threshold(a, b)
     gammas = make_gamma_pair(sde, th).with_kappa(kappa)
     return ExactProblem(sde=sde, threshold=th, gammas=gammas, max_proposals=max_proposals)
 
@@ -158,7 +157,7 @@ def test_clock_rate_users_refuse_a_kappa_that_is_not_finite_and_positive(functio
 def test_zero_drift_above_start_reduces_to_the_proposal_law():
     # gamma1 = gamma2 = 0, so every proposal is accepted and the accepted law
     # is the Brownian passage law to the falling line itself
-    prob = _problem(0.0, -1.0, 0.5, Orientation.ABOVE_START, kappa=1.0)
+    prob = _problem(0.0, -1.0, 0.5, kappa=1.0)
     draws = sample_batch(prob, 20000, 41)
     assert all(d.proposals == 1 for d in draws)
     x = np.array([d.time for d in draws])
@@ -170,7 +169,7 @@ def test_constant_drift_to_constant_level_is_inverse_gaussian():
     # dX = c dt + dB to level b: tau ~ IG(b/c, b^2); exercises proposals,
     # thinning and acceptance with a non-trivial gamma2 = c^2/2
     c, b = 1.0, 1.0
-    prob = _problem(c, 0.0, b, Orientation.ABOVE_START, kappa=c * c / 2.0)
+    prob = _problem(c, 0.0, b, kappa=c * c / 2.0)
     draws = sample_batch(prob, 20000, 42)
     x = np.array([d.time for d in draws])
     d, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, b / c, b * b))
@@ -185,7 +184,7 @@ def test_flat_threshold_with_reference_drift_is_a_linear_proposal(c):
     # passage law is IG(1/c, 1) whatever g is
     g, level = 0.8, 1.0
     sde = _unit_sde(c)
-    th = linear_threshold(0.0, level, Orientation.ABOVE_START)
+    th = linear_threshold(0.0, level)
     gammas = make_gamma_pair(sde, th, reference_drift=g).with_kappa(0.5)  # gamma2 = (c^2 - g^2)/2
     prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
     assert prob.curvy is None and prob._kernel.line is not None
@@ -199,11 +198,25 @@ def test_flat_threshold_with_reference_drift_is_a_linear_proposal(c):
 def test_below_start_zero_drift_matches_reflected_line_law():
     # BM to the rising line -1 + 0.5 t from below: by symmetry the law is the
     # passage of BM to the falling line 1 - 0.5 t, i.e. IG(2, 1)
-    prob = _problem(0.0, 0.5, -1.0, Orientation.BELOW_START, kappa=1.0)
+    prob = _problem(0.0, 0.5, -1.0, kappa=1.0)
     draws = [sample_exact_below(prob, np.random.default_rng(100 + i)) for i in range(20000)]
     x = np.array([d.time for d in draws])
     d, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, 2.0, 1.0))
     assert p > 0.01
+
+
+def test_one_threshold_is_passed_from_either_side_of_its_start():
+    # a threshold is a curve only and the start picks the side: one level-1
+    # object serves a start below it and one above it, and with zero drift
+    # both passages follow Brownian motion's law to a level 1 away
+    th = constant_threshold(1.0)
+    for x0, sign, seed in ((0.0, 1.0, 45), (2.0, -1.0, 46)):
+        sde = _unit_sde(0.0, x0=x0)
+        prob = ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th).with_kappa(1.0))
+        assert prob._kernel.sign == sign
+        x = np.array([d.time for d in sample_batch(prob, 4000, seed)])
+        _, p = ks_one_sample(x, lambda t: constant_level_cdf(t, 1.0))
+        assert p > 0.01
 
 
 def test_example1_acceptance_identity():
@@ -255,11 +268,11 @@ def test_sample_batch_entry_i_is_the_draw_on_substream_i():
 
 def _plain_float_problems():
     return {
-        "constant": _problem(0.0, 0.0, 1.0, Orientation.ABOVE_START, 1.0),
+        "constant": _problem(0.0, 0.0, 1.0, 1.0),
         "falling_line": example1_problem(),
         # hits with probability exp(-1): most draws redraw a non-hitting line
-        "rising_line": _problem(0.0, 1.0, 0.5, Orientation.ABOVE_START, 1.0),
-        "below_start": _problem(-1.0, 0.5, -0.5, Orientation.BELOW_START, 1.5),
+        "rising_line": _problem(0.0, 1.0, 0.5, 1.0),
+        "below_start": _problem(-1.0, 0.5, -0.5, 1.5),
         "curved": example2_problem(epsilon=2.0**-8),
     }
 
@@ -367,8 +380,9 @@ def test_split_preserves_the_law():
 
 
 def test_split_requires_above_start_linear():
-    prob = _problem(0.0, 0.5, -1.0, Orientation.BELOW_START, kappa=1.0)
-    with pytest.raises(ConfigurationError):
+    prob = _problem(0.0, 0.5, -1.0, kappa=1.0)
+    with pytest.raises(ConfigurationError, match=_exactly(
+            "space splitting is implemented for above-start problems")):
         sample_exact_split(prob, 2, np.random.default_rng(49))
     with pytest.raises(ParameterError):
         sample_exact_split(example1_problem(), 0, np.random.default_rng(50))
@@ -396,10 +410,16 @@ def test_iteration_bound_linear_formula():
     assert got == pytest.approx(3.928, abs=5e-3)
 
 
+def test_expected_proposals_refuses_an_exponent_that_overflows():
+    # exp(A(0.5) - A(0)) with A(x) = K*x - cos(x) is exp(5e99 + 1 - cos(0.5))
+    with pytest.raises(DomainError, match=r"^expected proposals exp\(5e\+99\) overflow a float$"):
+        expected_proposals(example1_problem(K=1e100))
+
+
 def test_expected_proposals_accounts_for_reference_drift():
     c, b, g = 1.0, 1.0, 0.5
     sde = _unit_sde(c)
-    th = linear_threshold(0.0, b, Orientation.ABOVE_START)
+    th = linear_threshold(0.0, b)
     gammas = make_gamma_pair(sde, th, reference_drift=g).with_kappa(1.0)
     prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
     manual = math.exp((c * b - g * b) - 0.0)
@@ -413,7 +433,6 @@ def test_linear_intercept_on_the_wrong_side_is_refused_at_construction():
     th = Threshold(
         beta=lambda t: 1.0 - t,
         beta_prime=lambda t: -1.0,
-        orientation=Orientation.ABOVE_START,
         inf_slope=-1.0,
         sup_slope=-1.0,
         linear=(-1.0, -0.5),
@@ -484,7 +503,7 @@ def _exactly(message: str) -> str:
 
 def _unbounded_problem():
     sde = _unit_sde(0.0)
-    th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+    th = linear_threshold(-1.0, 1.0)
     return ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th))
 
 
@@ -502,7 +521,7 @@ def _line_with_curvy_params():
 
 def _drifted_problem(g: float) -> ExactProblem:
     sde = _unit_sde(0.0)
-    th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+    th = linear_threshold(-1.0, 1.0)
     return ExactProblem(sde=sde, threshold=th,
                         gammas=make_gamma_pair(sde, th, reference_drift=g).with_kappa(1.0))
 
@@ -528,13 +547,13 @@ _REFUSALS = {
         lambda: sample_exact_split(example2_problem(), 2, substream(57, 0)),
         ConfigurationError, "space splitting requires a linear threshold",
     ),
-    # the first of four stages starts at level 1 + 2**-54, which rounds to x0
+    # the first of four stages starts at level 1 + 2**-54, which rounds to x0:
     # a stage passes the start check of every problem
     "split_stage_intercept_rounds_to_0": (
         lambda: sample_exact_split(example1_problem(x0=1.0, b=1.0 + 2.0**-52), 4,
                                    substream(57, 0)),
         ConfigurationError,
-        "above_start threshold lies on the wrong side of the start: beta(0)=1.0, x0=1.0",
+        "the start x0=1.0 lies on the threshold: beta(0)=1.0",
     ),
     # a start gap that is not finite would burn the budget, fail in numpy's
     # Wald draw or return time 0 for every draw
@@ -585,7 +604,7 @@ def test_one_draw_function_serves_both_sides_of_the_threshold(build):
     # the problem decides how its draw runs: sample_exact takes a below-start
     # problem, and the neuron's name for it is the same function object
     prob = build()
-    assert prob.threshold.orientation is Orientation.BELOW_START
+    assert prob._kernel.sign == -1.0
     assert sample_exact_below is sample_exact
     batch = sample_batch(prob, 8, 1213)
     for i in (0, 3, 7):
@@ -594,19 +613,19 @@ def test_one_draw_function_serves_both_sides_of_the_threshold(build):
 
 
 @pytest.mark.parametrize("curved", [False, True])
-def test_trusted_problem_refuses_a_wrong_side_start_as_the_constructor_does(curved):
-    sde = _unit_sde(0.0, x0=2.0)
+def test_constructor_refuses_a_start_on_the_threshold(curved):
+    # both thresholds start at beta(0) = 1: a start there has no side
+    sde = _unit_sde(0.0, x0=1.0)
     if curved:
         th = exponential_threshold(1.0, 1.0)
         curvy = CurvyParams(epsilon=2.0**-4, r=-1.0)
     else:
-        th = linear_threshold(-1.0, 1.0, Orientation.ABOVE_START)
+        th = linear_threshold(-1.0, 1.0)
         curvy = None
     gammas = make_gamma_pair(sde, th).with_kappa(1.0)
     # neuron stages are built by the constructor too, so this is every path
     with pytest.raises(ConfigurationError, match=_exactly(
-            f"above_start threshold lies on the wrong side of the start: beta(0)={th.beta(0.0)}, "
-            "x0=2.0")):
+            "the start x0=1.0 lies on the threshold: beta(0)=1.0")):
         ExactProblem(sde, th, gammas, curvy, 10)
 
 

@@ -18,7 +18,6 @@ from fptsim.errors import (
 from fptsim.model import (
     GammaPair,
     GeneralSDE,
-    Orientation,
     Threshold,
     UnitDiffusionSDE,
     constant_threshold,
@@ -34,7 +33,7 @@ RNG = np.random.default_rng(20240817)
 
 
 def test_linear_threshold_fields_and_slopes():
-    th = linear_threshold(-1.0, 0.5, Orientation.ABOVE_START)
+    th = linear_threshold(-1.0, 0.5)
     assert th.linear == (-1.0, 0.5)
     assert th.beta(0.0) == 0.5
     assert th.beta(2.0) == pytest.approx(-1.5)
@@ -43,44 +42,42 @@ def test_linear_threshold_fields_and_slopes():
 
 
 def test_constant_threshold_is_flat():
-    th = constant_threshold(2.0, Orientation.ABOVE_START)
+    th = constant_threshold(2.0)
     assert th.beta(3.7) == 2.0
     assert th.beta_prime(3.7) == 0.0
     assert th.linear == (0.0, 2.0)
 
 
-def test_validate_start_checks_orientation_side():
-    above = linear_threshold(0.0, 1.0, Orientation.ABOVE_START)
-    above.validate_start(0.0)
-    with pytest.raises(ConfigurationError):
-        above.validate_start(2.0)
-    below = linear_threshold(0.0, -1.0, Orientation.BELOW_START)
-    below.validate_start(0.0)
-    with pytest.raises(ConfigurationError):
-        below.validate_start(-2.0)
+def test_validate_start_refuses_a_start_on_the_threshold_or_a_non_finite_threshold():
+    th = linear_threshold(0.0, 1.0)
+    # a start on either side of beta(0) is one the threshold is passed from
+    th.validate_start(0.0)
+    th.validate_start(2.0)
+    with pytest.raises(ConfigurationError, match=r"^the start x0=1\.0 lies on the threshold: "
+                                                 r"beta\(0\)=1\.0$"):
+        th.validate_start(1.0)
+    for b0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="is not finite"):
+            linear_threshold(0.0, b0).validate_start(0.0)
 
 
-@pytest.mark.parametrize(
-    "orientation, s", [(Orientation.ABOVE_START, 1.0), (Orientation.BELOW_START, -1.0)]
-)
+@pytest.mark.parametrize("s", [1.0, -1.0])
 @pytest.mark.parametrize("g", [0.0, 0.7])
 @pytest.mark.parametrize("shape", ["line", "curve"])
-def test_proposal_frame_shifts_tilts_and_reflects(orientation, s, g, shape):
-    assert orientation.sign == s
+def test_proposal_frame_shifts_tilts_and_reflects(s, g, shape):
     x0 = 0.3
-    # start 1.2 away from x0 on the orientation's side
+    # start 1.2 away from x0: the threshold starts above x0 for s = 1 and
+    # below it for s = -1, and the frame reflects it then
     if shape == "line":
-        th = linear_threshold(-0.5, x0 + 1.2 * s, orientation)
+        th = linear_threshold(-0.5, x0 + 1.2 * s)
     else:
         th = Threshold(
             beta=lambda t: x0 + 1.2 * s * math.exp(-t),
             beta_prime=lambda t: -1.2 * s * math.exp(-t),
-            orientation=orientation,
             inf_slope=min(-1.2 * s, 0.0),
             sup_slope=max(-1.2 * s, 0.0),
         )
     frame = th.proposal_frame(x0, g)
-    assert frame.orientation is Orientation.ABOVE_START
     assert frame.beta(0.0) == pytest.approx(1.2, rel=1e-14)
     frame.validate_start(0.0)
     for t in (0.0, 0.4, 1.7, 6.0):
@@ -98,18 +95,17 @@ def test_proposal_frame_shifts_tilts_and_reflects(orientation, s, g, shape):
 
 
 def test_proposal_frame_keeps_an_unknown_bound_unknown():
-    th = exponential_threshold(-1.0, -0.5, Orientation.BELOW_START)  # beta' unbounded below
+    th = exponential_threshold(-1.0, -0.5)  # beta' unbounded below
     frame = th.proposal_frame(g=0.2)
     assert frame.sup_slope is None
     assert frame.inf_slope == -(th.sup_slope - 0.2)
 
 
 def test_validate_slopes_rejects_wrong_bounds():
-    th = linear_threshold(1.0, 1.0, Orientation.ABOVE_START)
+    th = linear_threshold(1.0, 1.0)
     bad = type(th)(
         beta=th.beta,
         beta_prime=th.beta_prime,
-        orientation=th.orientation,
         inf_slope=2.0,  # claims slope >= 2 but the true slope is 1
         sup_slope=2.0,
         linear=th.linear,
@@ -126,7 +122,7 @@ def test_validate_slopes_rejects_wrong_bounds():
 @settings(max_examples=200, deadline=None)
 def test_make_gamma_pair_matches_definitions(g, t, x):
     sde = sinusoidal_sde(1.6, 0.0)
-    th = linear_threshold(-1.0, 0.5, Orientation.ABOVE_START)
+    th = linear_threshold(-1.0, 0.5)
     pair = make_gamma_pair(sde, th, reference_drift=g)
     expected1 = -(sde.alpha(th.beta(t)) - g) * th.beta_prime(t)
     expected2 = (sde.alpha_prime(x) + sde.alpha(x) ** 2 - g * g) / 2.0
@@ -166,7 +162,7 @@ def test_with_kappa_validation():
 
 def test_estimate_kappa_dominates_grid_sup_with_margin():
     sde = sinusoidal_sde(1.6, 0.0)
-    th = linear_threshold(-1.0, 0.5, Orientation.ABOVE_START)
+    th = linear_threshold(-1.0, 0.5)
     pair = make_gamma_pair(sde, th)
     kappa = estimate_kappa(pair, t_max=10.0, x_lo=-4.0, x_hi=4.0)
     ts = np.linspace(0.0, 10.0, 4001)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fptsim import neuron
-from fptsim.errors import ConfigurationError, ParameterError, SequencingError
+from fptsim.errors import DomainError, ParameterError, SequencingError
 from fptsim.exact import (
     ExactProblem,
     _Kernel,
@@ -17,7 +17,7 @@ from fptsim.exact import (
     sample_batch,
     sample_exact_below,
 )
-from fptsim.model import Orientation, Threshold, make_gamma_pair
+from fptsim.model import Threshold, make_gamma_pair
 from fptsim.neuron import (
     PROPOSAL_SLACK,
     _RATE_PIECES,
@@ -104,7 +104,7 @@ def test_transform_first_interval_geometry():
     p = NeuronParams()
     sde, th, gammas = transform_neuron(p)
     assert sde.x0 == pytest.approx(0.0, abs=1e-12)  # -ln(v0) with v0 = 1
-    assert th.orientation is Orientation.BELOW_START
+    assert th.beta(0.0) < sde.x0  # passed from above in x
     assert th.beta(0.0) == pytest.approx(-math.log(2.0), abs=1e-12)
     # d/dt of -ln(theta(t)) at t=0: (theta(0) - theta0) / (tau1 * theta(0))
     assert th.beta_prime(0.0) == pytest.approx(0.5, abs=1e-12)
@@ -461,7 +461,7 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
         assert trusted.gammas.kappa > 0.0
         mine, theirs = trusted._kernel, public._kernel
         frame, public_frame = mine.curvy[0], theirs.curvy[0]
-        for name in ("orientation", "inf_slope", "sup_slope", "linear"):
+        for name in ("inf_slope", "sup_slope", "linear"):
             assert getattr(public_frame, name) == getattr(frame, name)
         for w in np.linspace(0.0, trusted.curvy.horizon, 9):
             w = float(w)
@@ -568,6 +568,10 @@ def test_train_checks_its_budget_and_horizon_before_any_stage(monkeypatch):
         simulate_spike_train(p, math.inf, np.random.default_rng(0))
 
 
-def test_transform_refuses_a_start_above_the_threshold():
-    with pytest.raises(ConfigurationError, match="wrong side"):
-        transform_neuron(NeuronParams(), start_voltage=5.0)
+@pytest.mark.parametrize("voltage", [2.0, 5.0])
+def test_transform_refuses_a_start_above_the_threshold(voltage):
+    # the initial threshold level is theta0 + 1 = 2: a start on it or above
+    # it fails the check that every interval draw makes
+    with pytest.raises(DomainError, match=f"^start voltage {voltage} is not strictly below "
+                                          "the threshold level 2.0$"):
+        transform_neuron(NeuronParams(), start_voltage=voltage)

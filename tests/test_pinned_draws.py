@@ -14,7 +14,7 @@ import pytest
 
 from fptsim.baselines import GridScheme, grid_batch
 from fptsim.exact import ExactProblem, sample_batch
-from fptsim.model import Orientation, UnitDiffusionSDE, linear_threshold, make_gamma_pair
+from fptsim.model import UnitDiffusionSDE, linear_threshold, make_gamma_pair
 from fptsim.neuron import NeuronParams, simulate_spike_train
 from fptsim.problems import build_custom_problem, example1_problem, example2_problem
 from fptsim.rng import substream
@@ -25,7 +25,7 @@ _INDICES = (0, 3, 7)
 
 def _below_start_line() -> ExactProblem:
     sde = UnitDiffusionSDE(alpha=lambda x: -1.0, alpha_prime=lambda x: 0.0, A=lambda x: -x, x0=0.0)
-    th = linear_threshold(0.5, -0.5, Orientation.BELOW_START)
+    th = linear_threshold(0.5, -0.5)
     gammas = make_gamma_pair(sde, th).with_kappa(1.5)
     return ExactProblem(sde=sde, threshold=th, gammas=gammas)
 

@@ -10,7 +10,6 @@ import pytest
 from fptsim.bm_fpt import inverse_gaussian_cdf
 from fptsim.errors import ConfigurationError, ParameterError
 from fptsim.exact import expected_proposals, sample_batch
-from fptsim.model import Orientation
 from fptsim.problems import (
     DRIFT_REGISTRY,
     THRESHOLD_REGISTRY,
@@ -42,7 +41,7 @@ def test_example2_kappa_closed_form():
 def test_example1_problem_wiring():
     prob = example1_problem()
     assert prob.threshold.linear == (-1.0, 0.5)
-    assert prob.threshold.orientation is Orientation.ABOVE_START
+    assert prob._kernel.sign == 1.0
     assert prob.curvy is None
     assert prob.gammas.kappa == pytest.approx(example1_kappa(), rel=1e-15)
     assert prob.sde.x0 == 0.0
@@ -59,7 +58,7 @@ def test_example1_expected_proposals_value():
 def test_example2_problem_wiring():
     prob = example2_problem()
     assert prob.threshold.linear is None
-    assert prob.threshold.orientation is Orientation.ABOVE_START
+    assert prob._kernel.sign == 1.0
     assert prob.threshold.beta(0.0) == pytest.approx(1.0, rel=1e-15)
     cp = prob.curvy
     assert cp is not None
@@ -84,7 +83,7 @@ def test_registry_names():
 
 def test_build_custom_zero_drift_falling_line_matches_ig():
     prob = build_custom_problem("zero", {}, "linear", {"a": -0.5, "b": 1.0})
-    assert prob.threshold.orientation is Orientation.ABOVE_START
+    assert prob._kernel.sign == 1.0
     x = np.array([d.time for d in sample_batch(prob, 10000, 60)])
     d, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, 2.0, 1.0))
     assert p > 0.01
@@ -99,7 +98,7 @@ def test_build_custom_constant_drift_to_level_matches_ig():
 
 def test_build_custom_infers_below_start():
     prob = build_custom_problem("zero", {}, "linear", {"a": 0.5, "b": -1.0})
-    assert prob.threshold.orientation is Orientation.BELOW_START
+    assert prob._kernel.sign == -1.0
     x = np.array([d.time for d in sample_batch(prob, 10000, 62)])
     d, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, 2.0, 1.0))
     assert p > 0.01
@@ -148,7 +147,7 @@ def test_build_custom_builds_its_registry_threshold_once(monkeypatch):
     )
     prob = build_custom_problem("zero", {}, "exponential", {"a": 1.0, "b": 1.0}, x0=2.0)
     assert len(calls) == 1
-    assert prob.threshold.orientation is Orientation.BELOW_START
+    assert prob._kernel.sign == -1.0
 
 
 @pytest.mark.parametrize(
