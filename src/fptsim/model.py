@@ -160,7 +160,10 @@ class Threshold:
 
 
 def linear_threshold(a: float, b: float) -> Threshold:
-    """Threshold ``beta(t) = a*t + b``."""
+    """Threshold ``beta(t) = a*t + b``; a non-finite ``a`` or ``b`` is
+    refused with :class:`ParameterError`."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"a and b must be finite, got a={a}, b={b}")
     # a Threshold has no checks, so the fill equals the constructor
     return _fill(Threshold, {"beta": lambda t: a * t + b, "beta_prime": lambda t: a,
                              "inf_slope": a, "sup_slope": a, "linear": (a, b)})

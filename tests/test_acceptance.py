@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from fptsim.cli import resolve_config, run_experiment
 from fptsim.exact import (
     bridge_step,
     BridgeState,
+    ExactProblem,
     choose_split_count,
     expected_proposals,
     iteration_bound_linear,
     run_thinning_trial,
     sample_batch,
 )
+from fptsim.model import make_gamma_pair
 from fptsim.neuron import (
     NeuronParams,
     apply_spike,
@@ -149,6 +152,43 @@ def test_criterion_03_acceptance_rate_identity(capsys):
     assert abs(mean - target) < 3.0 * se
     assert mean <= bound
     assert elapsed < 60.0
+
+
+def _mean_proposals_z(prob, n: int, seed: int) -> tuple[float, float, float]:
+    """Mean proposals of ``n`` draws, the identity ``expected_proposals`` and
+    the z-score of their difference."""
+    counts = np.array([d.proposals for d in sample_batch(prob, n, seed)], dtype=float)
+    mean = float(counts.mean())
+    target = expected_proposals(prob)
+    return mean, target, (mean - target) / (float(counts.std(ddof=1)) / math.sqrt(n))
+
+
+def test_criterion_03_example2_acceptance_rate_identity(capsys):
+    # Example 2 measures against Brownian motion with drift g*, so its mean
+    # proposals follow exp(A(a) - A(x0) - g*(a - x0)).  Power: the same
+    # tilted proposals paired with the rates of plain Brownian motion (g = 0)
+    # keep the g* identity, and must fail it.
+    n = 10_000
+    t0 = time.perf_counter()
+    prob = example2_problem(epsilon=2.0**-20)
+    mean, target, z = _mean_proposals_z(prob, n, 0)
+    g = prob.gammas.reference_drift
+    plain = replace(make_gamma_pair(prob.sde, prob.threshold), reference_drift=g)
+    kappa0 = (1.6 + math.sin(1.0)) + (2.6**2 + 1.0) / 2.0  # the g = 0 bound
+    wrong = ExactProblem(prob.sde, prob.threshold, plain.with_kappa(kappa0), prob.curvy)
+    mean_w, _, z_w = _mean_proposals_z(wrong, n, 0)
+    elapsed = time.perf_counter() - t0
+
+    ok = abs(z) < 3.0 and z_w > 3.0 and elapsed < 120.0
+    _report(
+        capsys, 3, ok,
+        f"(example 2) mean proposals {mean:.4f} vs identity {target:.4f} at g*={g:.4f} "
+        f"(z={z:+.2f}, |z|<3); g=0 rates on g* proposals {mean_w:.4f} (z={z_w:+.2f}, >3); "
+        f"{elapsed:.0f}s (<120s), n={n}",
+    )
+    assert abs(z) < 3.0
+    assert z_w > 3.0
+    assert elapsed < 120.0
 
 
 def test_criterion_04_example2_moments_and_law(capsys):

@@ -528,6 +528,28 @@ def test_main_exit_code_2_on_a_drift_constant_whose_square_overflows(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("method", [{}, {"method": "euler", "delta": 0.01}], ids=["exact", "euler"])
+@pytest.mark.parametrize(
+    "experiment, mapping, match",
+    [
+        ("example1", {"K": 1.0, "n": 2000}, "the rates go negative for K=1.0, a=-1.0"),
+        ("example2", {"K": 1.5, "n": 20}, "the space rate goes negative for K=1.5"),
+    ],
+)
+def test_main_exit_code_2_on_a_K_whose_rates_go_negative(
+    tmp_path, capsys, method, experiment, mapping, match
+):
+    # the space rate ((K + sin x)^2 + cos x)/2 dips below 0 for K below
+    # about 1.577; before any draw, not mid-run with exit 3
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**mapping, **method, "out": str(tmp_path / "o")}))
+    assert main([experiment, "--config", str(cfg_file)]) == 2
+    payload = _stderr_error(capsys)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"].startswith(match)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "experiment, mapping",
     [

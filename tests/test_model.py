@@ -57,8 +57,10 @@ def test_validate_start_refuses_a_start_on_the_threshold_or_a_non_finite_thresho
                                                  r"beta\(0\)=1\.0$"):
         th.validate_start(1.0)
     for b0 in (math.nan, math.inf, -math.inf):
+        # linear_threshold refuses such a level itself, so build the curve
+        curve = Threshold(beta=lambda t, b0=b0: b0, beta_prime=lambda t: 0.0)
         with pytest.raises(DomainError, match="is not finite"):
-            linear_threshold(0.0, b0).validate_start(0.0)
+            curve.validate_start(0.0)
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0])

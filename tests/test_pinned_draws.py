@@ -3,9 +3,10 @@ stream or a reordered float expression fails a test rather than only a
 hand-checked artifact hash.
 
 The values were recorded with the sampler of the one-frame-per-problem
-change, and the spike train again when its stages came to share one set of
-block streams; a change that means to alter the streams updates them and
-says so.
+change, the spike train again when its stages came to share one set of
+block streams, and Example 2 again when it came to measure against
+Brownian motion with drift g*; a change that means to alter the streams
+updates them and says so.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ _PINNED = {
         lambda: example2_problem(epsilon=2.0**-20),
         None,
         [
-            (0.24991104865035066, 8, 15, 41),
-            (0.23020238023963144, 9, 20, 68),
-            (0.382054106945046, 2, 7, 8),
+            (0.14048378714712303, 3, 9, 19),
+            (0.2947945442059428, 26, 58, 168),
+            (0.32205173351153904, 2, 7, 7),
         ],
     ),
     # the registry's exponential threshold below its start: a reflected frame

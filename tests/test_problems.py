@@ -10,9 +10,11 @@ import pytest
 from fptsim.bm_fpt import inverse_gaussian_cdf
 from fptsim.errors import ConfigurationError, ParameterError
 from fptsim.exact import expected_proposals, sample_batch
+from fptsim.model import _rate_ceiling, linear_threshold
 from fptsim.problems import (
     DRIFT_REGISTRY,
     THRESHOLD_REGISTRY,
+    _space_rate_floor,
     build_custom_problem,
     example1_kappa,
     example1_problem,
@@ -33,9 +35,15 @@ def test_example1_kappa_closed_form():
 
 def test_example2_kappa_closed_form():
     K, a, b = 1.6, 1.0, 1.0
-    manual = a * b * (K + math.sin(a)) + ((K + 1.0) ** 2 + 1.0) / 2.0
-    assert example2_kappa() == pytest.approx(manual, rel=1e-15)
-    assert example2_kappa() == pytest.approx(6.321470984807896, rel=1e-12)
+    g = math.sqrt(2.0 * _space_rate_floor(K))
+    # the closed form, up to a rounding margin of order 1e-14 relative
+    manual = a * b * (K + math.sin(a) - g) + ((K + 1.0) ** 2 + 1.0 - g * g) / 2.0
+    assert example2_kappa() == pytest.approx(manual, rel=1e-13)
+    assert example2_kappa() > manual
+    assert example2_kappa() == pytest.approx(6.117054944877693, rel=1e-15)
+    # past pi/2 the time rate is bounded by a*b*(K + 1 - g)
+    manual = 2.0 * (K + 1.0 - g) + ((K + 1.0) ** 2 + 1.0 - g * g) / 2.0
+    assert example2_kappa(K, 2.0, 1.0) == pytest.approx(manual, rel=1e-13)
 
 
 def test_example1_problem_wiring():
@@ -60,12 +68,71 @@ def test_example2_problem_wiring():
     assert prob.threshold.linear is None
     assert prob._kernel.sign == 1.0
     assert prob.threshold.beta(0.0) == pytest.approx(1.0, rel=1e-15)
+    g = math.sqrt(2.0 * _space_rate_floor(1.6))
+    assert g == pytest.approx(0.18694232372953276, rel=1e-12)
+    assert prob.gammas.reference_drift == g
     cp = prob.curvy
     assert cp is not None
     assert cp.epsilon == 2.0**-4
-    assert cp.r == -1.0  # steepest threshold slope, attained at t = 0
+    assert cp.r == -1.0 - g  # steepest frame slope beta' - g, attained at t = 0
     assert cp.horizon == 50.0
     assert prob.gammas.kappa == pytest.approx(example2_kappa(), rel=1e-15)
+    # exp(A(a) - A(x0) - g*(a - x0)) with A(x) = K*x - cos(x)
+    assert expected_proposals(prob) == pytest.approx(
+        math.exp(1.6 - math.cos(1.0) + 1.0 - g), rel=1e-14
+    )
+    assert expected_proposals(prob) == pytest.approx(6.506198711571242, rel=1e-12)
+
+
+_DENSE_X = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 400_001)
+
+
+@pytest.mark.parametrize("K", [-3.0, 0.0, 1.0, 1.5, 1.5775, 1.6, 2.0, 7.3, 1e3, 1e8])
+def test_space_rate_floor_lies_below_the_rate(K):
+    floor = _space_rate_floor(K)
+    dense = 0.5 * ((K + np.sin(_DENSE_X)) ** 2 + np.cos(_DENSE_X))
+    assert floor <= float(dense.min())
+    # and close to it: the margins are small beside the rate's size
+    assert float(dense.min()) - floor <= 1e-4 * max(1.0, abs(K)) ** 2
+
+
+@pytest.mark.parametrize("K", [1.5775, 1.6, 2.0, 7.3, 1e3, 1e8])
+@pytest.mark.parametrize("a", [1.0, 2.5, 5.0])
+def test_example2_rates_at_the_reference_drift_stay_in_zero_to_kappa(K, a):
+    prob = example2_problem(K=K, a=a, b=0.7)
+    gammas = prob.gammas
+    g1 = gammas.gamma1(np.linspace(0.0, 30.0, 20_001))
+    g2 = gammas.gamma2(_DENSE_X)
+    assert float(g2.min()) >= 0.0
+    assert float(g1.min()) >= 0.0
+    assert float(g1.max()) + float(g2.max()) <= _rate_ceiling(gammas.kappa)
+    # g* is the largest such drift, up to the floor's margins
+    assert float(g2.min()) <= 1e-4 * K * K
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: example1_kappa(K=1.0), "the rates go negative"),
+        (lambda: example1_kappa(K=1.2, a=-0.1), "the rates go negative"),
+        (lambda: example1_kappa(K=0.5), "the rate bound needs K >= 1"),
+        (lambda: example1_problem(K=1.0), "the rates go negative"),
+        (lambda: example2_kappa(K=1.5), "the space rate goes negative"),
+        (lambda: example2_problem(K=1.5), "the space rate goes negative"),
+        (lambda: example2_problem(K=1.0), "the space rate goes negative"),
+    ],
+)
+def test_example_bounds_refuse_a_K_whose_rates_go_negative(build, match):
+    with pytest.raises(ParameterError, match=match):
+        build()
+
+
+def test_example1_runs_where_the_time_rate_covers_the_space_rate():
+    # floor(1.5) < 0, but |a|*(K - 1) = 0.5 lifts the rate sum above 0
+    assert _space_rate_floor(1.5) < 0.0
+    assert example1_kappa(K=1.5) == pytest.approx(2.5 + (2.5**2 + 1.0) / 2.0, rel=1e-15)
+    draws = sample_batch(example1_problem(K=1.5), 200, 5)
+    assert all(d.finite for d in draws)
 
 
 def test_sinusoidal_sde_antiderivative_consistency():
@@ -115,6 +182,14 @@ def test_build_custom_rejects_unknown_names_and_bad_params():
         build_custom_problem("zero", {}, "linear", {"a": -1.0})  # missing b
     with pytest.raises(ConfigurationError):
         build_custom_problem("zero", {}, "constant", {"level": 0.0})  # starts at x0
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 1.0), (-1.0, math.nan), (-math.inf, 1.0)])
+def test_a_line_with_a_non_finite_parameter_is_refused(a, b):
+    with pytest.raises(ParameterError, match="a and b must be finite"):
+        linear_threshold(a, b)
+    with pytest.raises(ParameterError, match="a and b must be finite"):
+        build_custom_problem("zero", {}, "linear", {"a": a, "b": b})
 
 
 def test_example_builders_reject_wrong_side_starts():
