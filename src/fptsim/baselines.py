@@ -2,13 +2,14 @@
 
 Both schemes integrate ``dX = alpha(X) dt + dW`` with the Euler-Maruyama
 recursion on a fixed grid of step ``delta`` and report the first grid time at
-which the path is at or past the threshold, seen from the start's side (a
-start on ``beta(0)`` passes at time 0).  The improved variant adds the
-classical Brownian-bridge correction: when neither endpoint of a step has
-crossed, the bridge over the step crosses a (locally linear) threshold with
-probability ``exp(-2 * d1 * d2 / delta)`` where ``d1``/``d2`` are the signed
-endpoint gaps, and a detected bridge crossing is reported at the step
-midpoint.
+which the path is at or past the threshold, from the side and start gap that
+:meth:`fptsim.model.Threshold.validate_start` gives (it refuses a start at
+``+-inf`` or a ``beta(0)`` that is not finite, but a start on ``beta(0)``
+passes at time 0).  The improved variant adds the classical Brownian-bridge
+correction: when neither endpoint of a step has crossed, the bridge over the
+step crosses a (locally linear) threshold with probability
+``exp(-2 * d1 * d2 / delta)`` where ``d1``/``d2`` are the signed endpoint
+gaps, and a detected bridge crossing is reported at the step midpoint.
 
 Grid detection systematically overshoots the true passage time (crossings
 inside a step are missed or reported late), so both schemes carry a positive
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bm_fpt import FptDraw, _draw
-from .errors import ParameterError
+from .errors import ConfigurationError, ParameterError
 from .model import Threshold, UnitDiffusionSDE
 from .rng import block_stream, sample_many, substream
 
@@ -114,14 +115,13 @@ def _walk(
     time, so a plain time not reached by then reads ``inf``.  A detector that
     does not fire before the horizon reports ``inf``.
     """
+    try:
+        sign, gap = th.validate_start(sde.x0)
+    except ConfigurationError:  # a start on beta(0) passes at time 0
+        return 0.0, 0.0
     alpha = sde.alpha
     beta = th.beta
     delta = g.delta
-    b0 = beta(0.0)
-    sign = 1.0 if b0 > sde.x0 else -1.0
-    gap = sign * (b0 - sde.x0)
-    if gap <= 0.0:
-        return 0.0, 0.0
     sqrt_dt = math.sqrt(delta)
     # only a walk without uniforms may grow its normal blocks (module docstring)
     first = None if bridge else _FIRST_BLOCK
@@ -244,14 +244,12 @@ def coupled_grid_times(
     steps = _step_count(delta, g.horizon)
     prefix = tuple(int(k) for k in key_prefix)
 
+    try:
+        sign, gap0 = th.validate_start(sde.x0)
+    except ConfigurationError:  # a start on beta(0) passes at time 0
+        return np.zeros(n), np.zeros(n)
     plain = np.full(n, math.inf)
     improved = np.full(n, math.inf)
-    b0 = beta(0.0)
-    sign = 1.0 if b0 > sde.x0 else -1.0
-    if sign * (b0 - sde.x0) <= 0.0:
-        plain[:] = 0.0
-        improved[:] = 0.0
-        return plain, improved
 
     for c in range(math.ceil(n / chunk)):
         lo = c * chunk
@@ -261,7 +259,7 @@ def coupled_grid_times(
         t_improved = np.full(m, math.inf)
         alive = np.arange(m)
         x = np.full(m, float(sde.x0))
-        gap = np.full(m, sign * (b0 - sde.x0))
+        gap = np.full(m, gap0)
         imp_open = np.ones(m, dtype=bool)
         for i in range(1, steps + 1):
             z = rng.standard_normal(alive.size)

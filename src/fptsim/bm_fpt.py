@@ -275,10 +275,10 @@ def sample_fpt_curvy(
 ) -> FptDraw:
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
-    The threshold is given in the Brownian frame (process starts at 0).
-    One that starts below 0 is reflected by its
-    :meth:`~fptsim.model.Threshold.proposal_frame` and the above-start
-    iteration runs on ``-beta``; ``params.r`` always refers to that frame.
+    The threshold is given in the Brownian frame (process starts at 0) and
+    placed by :meth:`~fptsim.model.Threshold.validate_start`: one below 0 is
+    reflected by its :meth:`~fptsim.model.Threshold.proposal_frame`, and the
+    above-start iteration runs on ``-beta``; ``params.r`` refers to that frame.
     The returned time is ``min(T, horizon)`` with ``clock_events`` equal to
     the number of line draws consumed; a returned time equal to the horizon
     means the run was censored (a line past it is checked at the horizon).
@@ -298,12 +298,9 @@ def sample_fpt_curvy(
         raise ParameterError("pass both the normal and the uniform stream, or neither")
     r = params.r
     if gap is None:
-        gap = threshold.beta(0.0)
-        if gap < 0.0:
+        side, gap = threshold.validate_start(0.0)
+        if side < 0.0:
             threshold = threshold.proposal_frame()
-            gap = -gap
-        if not (gap > 0.0 and math.isfinite(gap)):
-            raise ParameterError(f"threshold must start strictly away from the process, got gap {gap}")
         _check_slope(threshold, r)
     beta = threshold.beta
     epsilon = params.epsilon

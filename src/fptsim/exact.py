@@ -24,11 +24,13 @@ iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy` with the problem's
 
     x_rec = beta(E) -/+ || (E/tau_W) * delta * e1 + l_E ||,
 
-where ``delta = |beta(0) - x0|`` is the starting gap (the frame at 0), ``l``
-is a pinned 3-D Brownian bridge updated event-to-event by :func:`bridge_step`,
-and the sign of ``beta(0) - x0`` places the reconstruction on the starting
-side of the threshold.  The distance ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from
-0 to ``delta`` evaluated at ``E``, i.e. the path-to-threshold gap of the
+where ``sign`` and ``delta = |beta(0) - x0|`` are the side and gap of the
+start (:meth:`fptsim.model.Threshold.validate_start`, the one side rule),
+``delta`` is the frame at 0, and ``l`` is a pinned 3-D Brownian bridge
+updated event-to-event by :func:`bridge_step`; ``sign`` places the
+reconstruction on the starting side of the threshold.  The distance
+``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from 0 to
+``delta`` evaluated at ``E``, i.e. the path-to-threshold gap of the
 *time-reversed* proposal path, which runs from 0 at the hit back to ``delta``
 at time 0.  Pairing the forward-time rate ``gamma1(E)`` with the
 reversed-path state is valid because acceptance depends on the path only
@@ -231,16 +233,13 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
     The SDE enters through its start ``x0`` and the rates alone, and
-    ``threshold.linear`` alone picks the proposal.  The kernel's ``sign`` is
-    1.0 if ``beta(0) > x0``, else -1.0.
-
-    Checks in order: ``kappa`` is set, finite and positive,
-    ``max_proposals >= 1``, the start gap
-    ``phi(0) = sign * (beta(0) - x0)`` lies in ``(0, inf)`` (a gap outside
-    it fails :meth:`Threshold.validate_start` or is refused as not finite),
-    ``curvy`` is ``None`` for a line and set for a curve, a curve's line
-    slope is at most the frame's ``inf_slope``, and a line's frame intercept
-    is positive (:func:`_line_part`).
+    ``threshold.linear`` alone picks the proposal.  Checks in order:
+    ``kappa`` is set, finite and positive, ``max_proposals >= 1``, the start
+    (:meth:`Threshold.validate_start`, which gives the kernel's ``sign`` and
+    start gap ``delta = phi(0)``), the reference drift is finite, ``curvy``
+    is ``None`` for a line and set for a curve, a curve's line slope is at
+    most the frame's ``inf_slope``, and a line's frame intercept is positive
+    (:func:`_line_part`).
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -248,14 +247,10 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
     _check_kappa(kappa)
     if max_proposals < 1:
         raise ParameterError(f"max_proposals must be >= 1, got {max_proposals}")
+    sign, delta = threshold.validate_start(x0)
     g = gammas.reference_drift
-    b0 = threshold.beta(0.0)
-    sign = 1.0 if b0 > x0 else -1.0
-    delta = sign * (b0 - g * 0.0 - x0)
-    if not 0.0 < delta < math.inf:
-        threshold.validate_start(x0)
-        raise ParameterError(f"start gap {delta} is not a positive finite number: "
-                             f"x0 = {x0}, reference drift = {g}")
+    if not math.isfinite(g):
+        raise ParameterError(f"reference drift must be finite, got {g}")
     frame = threshold.proposal_frame(x0, g)
     linear = threshold.linear is not None
     if linear and curvy is not None:
@@ -390,9 +385,8 @@ def sample_exact_split(
     from :func:`_kernel_of`, with the stage's line, its start at the previous
     hit and that line's ``gamma1`` (as :func:`make_gamma_pair` builds it);
     ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage is a
-    line, so it draws closed-form line proposals.  A stage line that does
-    not start above the stage's start (a below-start problem, or a line
-    rounded onto or past its start) is refused.
+    line, so it draws closed-form line proposals, on the problem's side of
+    the threshold; a stage line rounded onto or past its start is refused.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -400,7 +394,7 @@ def sample_exact_split(
         raise ConfigurationError("space splitting requires a linear threshold")
     a, b = problem.threshold.linear
     sde, gammas = problem.sde, problem.gammas
-    x0, g = sde.x0, gammas.reference_drift
+    x0, g, side = sde.x0, gammas.reference_drift, problem._kernel.sign
 
     t_acc = 0.0
     x_cur = x0
@@ -410,8 +404,8 @@ def sample_exact_split(
         line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)))
         stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
         kernel = _kernel_of(x_cur, line, stage_gammas, None, problem.max_proposals)
-        if kernel.sign < 0.0:
-            raise ConfigurationError("space splitting is implemented for above-start problems")
+        if kernel.sign != side:
+            raise ConfigurationError(f"split stage {i} starts past its line: x = {x_cur}")
         d = _sample_oriented(kernel, rng)
         x_cur = line.beta(d.time)
         t_acc += d.time

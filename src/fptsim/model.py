@@ -111,28 +111,36 @@ class Threshold:
     sup_slope: float | None = None
     linear: tuple[float, float] | None = None
 
-    def validate_start(self, x0: float) -> None:
-        """Refuse a ``beta(0)`` that is not finite (:class:`DomainError`) and
-        a start ``x0`` on it (:class:`ConfigurationError`)."""
+    def validate_start(self, x0: float) -> tuple[float, float]:
+        """The side rule, which every sampler places its start by: the side
+        ``s`` (1.0 if ``beta(0) > x0``, else -1.0) and the start gap
+        ``s * (beta(0) - x0)``.  A ``beta(0)`` that is not finite is refused
+        (:class:`DomainError`), so is a start on it (:class:`ConfigurationError`)
+        and a gap that is not finite (:class:`ParameterError`)."""
         b0 = self.beta(0.0)
         if not math.isfinite(b0):
             raise DomainError(f"beta(0) = {b0} is not finite")
         if b0 == x0:
             raise ConfigurationError(f"the start x0={x0} lies on the threshold: beta(0)={b0}")
+        side = 1.0 if b0 > x0 else -1.0
+        gap = side * (b0 - x0)
+        if not gap < math.inf:  # also false for nan
+            raise ParameterError(f"start gap {gap} is not finite: x0 = {x0}, beta(0) = {b0}")
+        return side, gap
 
     def proposal_frame(self, x0: float = 0.0, g: float = 0.0) -> "Threshold":
         """This threshold as a reference Brownian motion from 0 sees it.
 
         The reference motion has drift ``g`` and starts at ``x0``; shifting
         the start to 0, removing the drift and reflecting a threshold below
-        the start (``s = 1`` if ``beta(0) > x0``, else ``-1``) gives the
+        the start (by the side ``s`` of :meth:`validate_start`) gives the
         above-start threshold ``phi(t) = s * (beta(t) - g*t - x0)`` with
         ``phi' = s * (beta' - g)``, passed by standard Brownian motion from 0
         at the same times.  The slope bounds are tilted by ``g`` and swap
         sides when ``s = -1``; ``linear = (a, b)`` maps to
         ``(s * (a - g), s * (b - x0))``.  ``phi(0)`` is the start gap.
         """
-        s = 1.0 if self.beta(0.0) > x0 else -1.0
+        s = self.validate_start(x0)[0]
         beta = self.beta
         beta_prime = self.beta_prime
         linear = self.linear
@@ -299,7 +307,8 @@ def estimate_kappa(
     uniform grids on ``[0, t_max]`` and ``[x_lo, x_hi]``.  The sum of the two
     maxima bounds the maximum of the sum because the rates are separable.  A
     user-supplied analytic bound always beats this estimate; the margin only
-    cushions grid undershoot, it is not a proof.
+    cushions grid undershoot, it is not a proof.  Rates that go negative on
+    the grids (the sampler would abort) are refused with :class:`ParameterError`.
     """
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ParameterError(f"t_max must be positive and finite, got {t_max}")
@@ -311,6 +320,10 @@ def estimate_kappa(
     g2 = np.array([pair.gamma2(x) for x in np.linspace(x_lo, x_hi, n_grid)])
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
         raise DomainError("gamma evaluation produced non-finite values on the grid")
+    least = float(g1.min()) + float(g2.min())
+    if least < -GAMMA_NEGATIVE_TOLERANCE:
+        raise ParameterError(f"the rates go negative on the kappa grid: "
+                             f"min gamma1 + min gamma2 = {least}")
     bound = (1.0 + KAPPA_MARGIN) * (float(g1.max()) + float(g2.max()))
     # Degenerate (everywhere non-positive) rates still need a positive clock
     # rate; with the floor the clock almost never fires and every proposal is

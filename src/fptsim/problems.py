@@ -298,7 +298,7 @@ def build_custom_problem(
     grid spanning the threshold range padded by one sine period on each
     side, which covers the global supremum for every registered (periodic or
     constant) drift; the sampler's runtime guard still aborts if the bound
-    is ever exceeded.
+    is ever exceeded; rates that go negative on that grid are refused.
     """
     if drift not in DRIFT_REGISTRY:
         raise ConfigurationError(
@@ -311,9 +311,6 @@ def build_custom_problem(
         raise ConfigurationError(f"bad parameters for drift {drift!r}: {exc}") from exc
 
     b0 = th.beta(0.0)
-    if b0 == x0:
-        raise ConfigurationError(f"threshold starts exactly at x0 = {x0}")
-
     try:
         b_end = th.beta(horizon)
     except OverflowError:

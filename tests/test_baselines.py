@@ -18,8 +18,8 @@ from fptsim.baselines import (
     improved_euler_fpt,
 )
 from fptsim.bm_fpt import FptDraw, constant_level_cdf
-from fptsim.errors import ParameterError
-from fptsim.model import UnitDiffusionSDE, constant_threshold, linear_threshold
+from fptsim.errors import DomainError, ParameterError
+from fptsim.model import Threshold, UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
 from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
@@ -217,6 +217,20 @@ def test_coupled_grid_times_immediate_hit_and_validation():
         coupled_grid_times(sde, th, g, 10, 0, chunk=0)
     empty = coupled_grid_times(_brownian(), constant_threshold(1.0), g, 0, 0)
     assert empty[0].size == 0 and empty[1].size == 0
+
+
+@pytest.mark.parametrize("grid", [grid_batch, coupled_grid_times],
+                         ids=["grid_batch", "coupled_grid_times"])
+def test_grids_refuse_a_start_they_cannot_place(grid):
+    # a threshold that is not finite at 0, or a start at +-inf, has no side
+    # and gap to pass from: refused before any path, not reported censored
+    g = GridScheme(delta=0.125, horizon=1.0)
+    nan_level = Threshold(beta=lambda t: math.nan, beta_prime=lambda t: 0.0)
+    with pytest.raises(DomainError, match=r"^beta\(0\) = nan is not finite$"):
+        grid(_brownian(), nan_level, g, 3, 0)
+    for x0 in (math.inf, -math.inf):
+        with pytest.raises(ParameterError, match=rf"^start gap inf is not finite: x0 = {x0}, "):
+            grid(replace(_brownian(), x0=x0), constant_threshold(1.0), g, 3, 0)
 
 
 def test_library_drifts_accept_arrays():

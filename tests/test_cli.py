@@ -482,7 +482,8 @@ def test_main_exit_code_2_on_a_growing_exponential_threshold(tmp_path, capsys):
     "drift, extra, code, error",
     [
         pytest.param("zero", {}, 0, None, id="zero-0"),
-        pytest.param("sinusoidal", {}, 3, "AssumptionViolation", id="sinusoidal-3"),
+        # the sinusoidal drift meets negative rates on the kappa grid itself
+        pytest.param("sinusoidal", {}, 2, "ParameterError", id="sinusoidal-2"),
         # the threshold overflows at the horizon itself: exp(20 * 50) and
         # exp(0.5 * 2000) exceed the largest double
         pytest.param("zero", {"threshold_params": {"a": 1.0, "b": -20.0}, "n": 5}, 3,
@@ -494,8 +495,7 @@ def test_sample_on_a_threshold_that_grows_past_its_horizon_exits_typed(
     tmp_path, capsys, drift, extra, code, error
 ):
     # beta = exp(t/2) above x0 = 0: a proposal's line draw can end far past
-    # the curvy horizon, where the threshold overflows; the sinusoidal drift
-    # then meets a negative rate, a typed error of its own
+    # the curvy horizon, where the threshold overflows
     mapping = {"drift": drift, "threshold": "exponential",
                "threshold_params": {"a": 1.0, "b": -0.5}, "n": 50, "out": str(tmp_path / "o"),
                **extra}
@@ -511,6 +511,29 @@ def test_sample_on_a_threshold_that_grows_past_its_horizon_exits_typed(
     if error == "DomainError":
         horizon = float(extra.get("horizon", 50.0))
         assert payload["message"] == f"threshold 'exponential' overflows at the horizon {horizon}"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [
+        pytest.param({"drift": "sinusoidal", "drift_params": {"K": 1.0}, "threshold": "linear",
+                      "threshold_params": {"a": -1.0, "b": 0.5}}, "ParameterError",
+                     id="negative_rates"),
+        pytest.param({"drift": "zero", "threshold": "constant", "threshold_params": {"level": 0.0}},
+                     "ConfigurationError", id="start_on_the_threshold"),
+        pytest.param({"drift": "zero", "threshold": "constant", "threshold_params": {"level": 0.0},
+                      "method": "euler", "delta": 0.125},
+                     "ConfigurationError", id="start_on_the_threshold_euler"),
+    ],
+)
+def test_sample_refuses_a_problem_it_cannot_draw_before_any_draw(tmp_path, capsys, extra, error):
+    # rates that go negative on the kappa grid and a start with no side are
+    # refused as the problem is built, exit 2, and nothing is written
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 200, "out": str(tmp_path / "o"), **extra}))
+    assert main(["sample", "--config", str(cfg_file)]) == 2
+    assert _stderr_error(capsys)["error"] == error
     assert not (tmp_path / "o").exists()
 
 

@@ -379,13 +379,30 @@ def test_split_preserves_the_law():
         assert p > 0.01
 
 
-def test_split_requires_above_start_linear():
-    prob = _problem(0.0, 0.5, -1.0, kappa=1.0)
-    with pytest.raises(ConfigurationError, match=_exactly(
-            "space splitting is implemented for above-start problems")):
-        sample_exact_split(prob, 2, np.random.default_rng(49))
+@pytest.mark.parametrize("k", [2, 4])
+def test_split_below_the_start_follows_the_closed_form(k):
+    # drift -1 against the line 0.5t - 0.5 below x0 = 0: the gap starts at
+    # 0.5 and closes at rate 1.5, so tau is IG(1/3, 1/4); every stage line
+    # lies below its start, as the problem's line does
+    prob = _problem(-1.0, 0.5, -0.5, kappa=1.5)
+    assert prob._kernel.sign == -1.0
+    x = np.array([d.time for d in sample_batch(prob, 8000, 49, split=k)])
+    _, p = ks_one_sample(x, lambda t: inverse_gaussian_cdf(t, 1.0 / 3.0, 0.25))
+    assert p > 0.01
+
+
+def test_split_refuses_k_below_1_and_a_stage_on_the_other_side(monkeypatch):
     with pytest.raises(ParameterError):
         sample_exact_split(example1_problem(), 0, np.random.default_rng(50))
+    # stage lines 1e-16 apart, below the rounding of their intercepts: after
+    # stage times 0.7 and 0.4 the third line, -t + 3e-16, rounds below the
+    # second stage's hit point, on the other side from the problem's start
+    times = iter([0.7, 0.4])
+    monkeypatch.setattr(exact_module, "_sample_oriented",
+                        lambda kernel, rng: FptDraw(next(times), True))
+    with pytest.raises(ConfigurationError, match=_exactly(
+            "split stage 3 starts past its line: x = -1.0999999999999996")):
+        sample_exact_split(_problem(0.0, -1.0, 3e-16, kappa=1.0), 3, np.random.default_rng(49))
 
 
 def test_split_reduces_proposals_for_far_thresholds():
@@ -559,11 +576,11 @@ _REFUSALS = {
     # Wald draw or return time 0 for every draw
     "nan_reference_drift": (
         lambda: _drifted_problem(math.nan), ParameterError,
-        "start gap nan is not a positive finite number: x0 = 0.0, reference drift = nan",
+        "reference drift must be finite, got nan",
     ),
     "inf_reference_drift": (
         lambda: _drifted_problem(math.inf), ParameterError,
-        "start gap nan is not a positive finite number: x0 = 0.0, reference drift = inf",
+        "reference drift must be finite, got inf",
     ),
     # the frame's inf_slope is -1: a line of slope -0.5 would overshoot
     "curvy_slope_above_the_frame": (
@@ -582,7 +599,7 @@ _REFUSALS = {
        for name, kappa in (("nan", math.nan), ("inf", math.inf), ("0", 0.0), ("minus_1", -1.0))},
     "start_at_minus_inf": (
         lambda: example1_problem(x0=-math.inf), ParameterError,
-        "start gap inf is not a positive finite number: x0 = -inf, reference drift = 0.0",
+        "start gap inf is not finite: x0 = -inf, beta(0) = 0.5",
     ),
 }
 

@@ -9,12 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fptsim.baselines as baselines_module
+import fptsim.bm_fpt as bm_fpt_module
+from fptsim.baselines import (
+    GridScheme,
+    coupled_euler_pair,
+    coupled_grid_times,
+    euler_fpt,
+    improved_euler_fpt,
+)
+from fptsim.bm_fpt import CurvyParams, sample_fpt_curvy
 from fptsim.errors import (
     AssumptionViolation,
     ConfigurationError,
     DomainError,
     ParameterError,
 )
+from fptsim.exact import ExactProblem
 from fptsim.model import (
     GammaPair,
     GeneralSDE,
@@ -61,6 +72,74 @@ def test_validate_start_refuses_a_start_on_the_threshold_or_a_non_finite_thresho
         curve = Threshold(beta=lambda t, b0=b0: b0, beta_prime=lambda t: 0.0)
         with pytest.raises(DomainError, match="is not finite"):
             curve.validate_start(0.0)
+
+
+class _ZeroNormals:
+    """A generator stand-in for the Euler walks: zero normals, and the given
+    uniforms in order, then 1.0 (which never fires a bridge test)."""
+
+    def __init__(self, uniforms):
+        self._uniforms = list(uniforms)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+    def random(self, size):
+        head, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        return np.array(head + [1.0] * (size - len(head)))
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("g", [0.0, 0.7])
+def test_every_sampler_places_its_start_by_validate_start(monkeypatch, side, g):
+    x0 = 0.3
+    th = constant_threshold(x0 + 1.2 * side)
+    sign, gap = th.validate_start(x0)
+    assert sign == side and gap == pytest.approx(1.2, rel=1e-14)
+    sde = UnitDiffusionSDE(alpha=lambda x: 0.0, alpha_prime=lambda x: 0.0, A=lambda x: 0.0, x0=x0)
+    kernel = ExactProblem(sde, th, make_gamma_pair(sde, th, g).with_kappa(1.0))._kernel
+    assert (kernel.sign, kernel.delta) == (sign, gap)
+    assert th.proposal_frame(x0, g).beta(0.0) == gap
+    # the standalone curvy iteration sees the threshold from 0; its first
+    # line starts at the gap
+    heights = []
+
+    def no_passage(a, b, normal, uniform):
+        heights.append(b)
+        return math.inf
+
+    monkeypatch.setattr(bm_fpt_module, "_linear_time", no_passage)
+    shifted = constant_threshold(th.beta(0.0) - x0)
+    sample_fpt_curvy(shifted, CurvyParams(epsilon=2.0**-4, r=0.0), np.random.default_rng(0))
+    assert heights == [gap]
+    # with zero normals an Euler path stays at x0, so every gap is the start
+    # gap; a bridge test fires below exp(-2 * gap^2 / delta), so uniforms
+    # equal to that value and one float below it fire at the second step
+    # only, at time 1.5, when the walk's gap is exactly `gap`, and a wrong
+    # side would cross at time 1
+    scheme = GridScheme(delta=1.0, horizon=4.0, scheme="improved_euler")
+    p = math.exp(-2.0 * gap * gap / 1.0)
+    uniforms = [p, math.nextafter(p, 0.0)]
+    plain, improved = coupled_euler_pair(sde, th, scheme, _ZeroNormals(uniforms))
+    assert (plain.time, improved.time) == (math.inf, 1.5)
+    assert improved_euler_fpt(sde, th, scheme, _ZeroNormals(uniforms)).time == 1.5
+    assert euler_fpt(sde, th, scheme, _ZeroNormals([])).time == math.inf
+    p = float(np.exp(np.array([-2.0 * gap * gap]))[0])
+    uniforms = [p, math.nextafter(p, 0.0)]
+    monkeypatch.setattr(baselines_module, "substream", lambda *key: _ZeroNormals(uniforms))
+    times = coupled_grid_times(sde, th, scheme, 1, 0)
+    assert (times[0].tolist(), times[1].tolist()) == ([math.inf], [1.5])
+    # a start on beta(0) has no side: the exact samplers refuse it, and the
+    # walks let it pass at time 0
+    on = constant_threshold(x0)
+    with pytest.raises(ConfigurationError, match="lies on the threshold"):
+        ExactProblem(sde, on, make_gamma_pair(sde, on, g).with_kappa(1.0))
+    with pytest.raises(ConfigurationError, match="lies on the threshold"):
+        sample_fpt_curvy(constant_threshold(0.0), CurvyParams(epsilon=2.0**-4, r=0.0),
+                         np.random.default_rng(0))
+    assert [d.time for d in coupled_euler_pair(sde, on, scheme, _ZeroNormals([]))] == [0.0, 0.0]
+    times = coupled_grid_times(sde, on, scheme, 2, 0)
+    assert (times[0].tolist(), times[1].tolist()) == ([0.0, 0.0], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("s", [1.0, -1.0])

@@ -241,3 +241,16 @@ def test_problem_callables_are_scalar_floats_and_numpy_polymorphic(name, fn, xs)
     array = fn(xs)
     assert isinstance(array, np.ndarray) and array.shape == xs.shape
     np.testing.assert_allclose(array, scalar, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "K, threshold, params",
+    [(1.0, "linear", {"a": -1.0, "b": 0.5}), (1.5, "exponential", {"a": 1.0, "b": 1.0})],
+    ids=["line_K1", "exponential_K1.5"],
+)
+def test_build_custom_refuses_rates_that_go_negative_on_the_kappa_grid(K, threshold, params):
+    # gamma2 of the drift K + sin(x) dips below 0 for these K, and gamma1
+    # does not make up for it: a draw would abort at its first negative rate
+    with pytest.raises(ParameterError, match=r"^the rates go negative on the kappa grid: "
+                                             r"min gamma1 \+ min gamma2 = -"):
+        build_custom_problem("sinusoidal", {"K": K}, threshold, params)
