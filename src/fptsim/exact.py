@@ -40,6 +40,13 @@ probability ``eta(tau_W)``, hence accepted proposals follow the target law
 and the expected number of proposals per acceptance equals ``1 / N_c`` (see
 :func:`expected_proposals`).
 
+As ``gamma1(t) = -d/dt A_g(beta(t))`` with ``A_g(x) = A(x) - g*x``, its factor
+of ``eta`` is ``exp(A_g(beta(tau_W)) - A_g(beta(0)))`` in closed form.  A pair
+that bounds ``gamma2`` alone (``GammaPair.space_kappa``: Example 1 where its
+space rate is non-negative, and Example 2) takes that factor on one uniform
+right after ``tau_W``, refusing one above 1 beyond round-off, and thins
+``gamma2`` alone at rate ``space_kappa``; all others thin the sum at ``kappa``.
+
 The reconstruction is exact for constant and linear thresholds, where the
 conditioned gap of the reference motion is exactly a Bessel(3) bridge.  For
 curvy thresholds it is not: the gap of a path conditioned to first hit a
@@ -85,6 +92,7 @@ import numpy as np
 from .bm_fpt import CurvyParams, FptDraw, _check_slope, _draw, _linear_time, sample_fpt_curvy
 from .errors import ConfigurationError, DomainError, NonTerminationError, ParameterError
 from .model import (
+    GAMMA_NEGATIVE_TOLERANCE,
     GammaPair,
     Threshold,
     UnitDiffusionSDE,
@@ -113,6 +121,8 @@ __all__ = [
 
 #: Values per block of the per-call random streams of the sampler.
 _EVENT_BLOCK = 16
+#: The guard ceiling of the time rate's integral, which has no upper bound.
+_UNBOUNDED = _rate_ceiling(None)
 
 
 @dataclass(frozen=True)
@@ -188,8 +198,8 @@ class ExactProblem:
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.threshold, self.gammas,
-                                                       self.curvy, self.max_proposals))
+        object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.sde.A, self.threshold,
+                                                       self.gammas, self.curvy, self.max_proposals))
 
 
 class _Kernel(NamedTuple):
@@ -198,7 +208,9 @@ class _Kernel(NamedTuple):
     ``beta`` is the threshold and ``sign`` the sign of ``beta(0) - x0``, the
     rate is ``gamma1(t) + gamma2(x)`` under the clock rate ``kappa`` and its
     guard ``ceiling``, and ``delta`` is the start gap ``phi(0)`` of the proposal
-    frame ``phi``.  Exactly one of ``line`` and ``curvy`` is set.
+    frame ``phi``.  ``time = (A, g, A_g(beta(0)), floor)`` is set, and ``gamma1``
+    ``None``, when ``kappa`` bounds ``gamma2`` alone (``space_kappa``).  Exactly
+    one of ``line`` and ``curvy`` is set.
     ``line = (intercept, wald, hit)`` draws the passage of standard Brownian
     motion to the frame line: ``wald`` is the ``(mean, shape)`` of a sloped
     line's inverse Gaussian time (None for a flat line) and ``hit`` the hit
@@ -216,6 +228,7 @@ class _Kernel(NamedTuple):
     max_proposals: int
     line: tuple | None
     curvy: tuple | None
+    time: tuple | None
 
 
 def _line_part(slope: float, intercept: float) -> tuple:
@@ -228,18 +241,19 @@ def _line_part(slope: float, intercept: float) -> tuple:
     return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
 
 
-def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
+def _kernel_of(x0: float, A: Callable[[float], float], threshold: Threshold, gammas: GammaPair,
                curvy: CurvyParams | None, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
-    The SDE enters through its start ``x0`` and the rates alone, and
+    The SDE enters through its start ``x0``, its drift antiderivative ``A``
+    (read only for ``gammas.space_kappa``) and the rates, and
     ``threshold.linear`` alone picks the proposal.  Checks in order:
     ``kappa`` is set, finite and positive, ``max_proposals >= 1``, the start
     (:meth:`Threshold.validate_start`, which gives the kernel's ``sign`` and
     start gap ``delta = phi(0)``), the reference drift is finite, ``curvy``
     is ``None`` for a line and set for a curve, a curve's line slope is at
-    most the frame's ``inf_slope``, and a line's frame intercept is positive
-    (:func:`_line_part`).
+    most the frame's ``inf_slope``, ``space_kappa``, when set, is finite and
+    positive, and a line's frame intercept is positive (:func:`_line_part`).
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -259,11 +273,17 @@ def _kernel_of(x0: float, threshold: Threshold, gammas: GammaPair,
         if curvy is None:
             raise ConfigurationError("a curved threshold needs CurvyParams for its proposals")
         _check_slope(frame, curvy.r)
+    time = None
+    if gammas.space_kappa is not None:
+        kappa = _check_kappa(gammas.space_kappa, "space_kappa")
+        b0 = x0 + sign * delta  # beta(0), read once by validate_start
+        a0 = A(b0) - g * b0
+        time = (A, g, a0, -GAMMA_NEGATIVE_TOLERANCE * max(1.0, abs(a0)))
     return _Kernel(
-        threshold.beta, sign, gammas.gamma1, gammas.gamma2,
+        threshold.beta, sign, gammas.gamma1 if time is None else None, gammas.gamma2,
         kappa, _rate_ceiling(kappa), delta, max_proposals,
         _line_part(*frame.linear) if linear else None,
-        None if linear else (frame, curvy),
+        None if linear else (frame, curvy), time,
     )
 
 
@@ -302,7 +322,7 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     ``uniform`` streams with the kernel's start gap, and adds its line draws
     to the draw's ``line_draws``.  ``streams`` default to new ones on ``rng``.
     """
-    beta, sign, gamma1, gamma2, kappa, ceiling, delta, max_proposals, line, curvy = k
+    beta, sign, gamma1, gamma2, kappa, ceiling, delta, max_proposals, line, curvy, time = k
     normal, uniform, exponential = draw_streams(rng) if streams is None else streams
     scale = 1.0 / kappa
     if curvy is None:
@@ -314,6 +334,8 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     else:
         phi, params = curvy
         horizon = params.horizon
+    if time is not None:
+        A, g, a0, floor = time
     line_draws = 0
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
@@ -334,6 +356,12 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
             continue
         if tau <= 0.0:
             return _draw(0.0, attempt, total_events, line_draws)
+        if time is not None:
+            # keep tau with probability exp(-int_0^tau gamma1), in closed form
+            b = beta(tau)
+            if uniform() >= math.exp(-guard_rate(a0 - (A(b) - g * b), _UNBOUNDED, tau,
+                                                 floor=floor)):
+                continue
         e0 = 0.0
         e1 = scale * exponential()
         l1 = l2 = l3 = 0.0
@@ -350,7 +378,8 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
             t_fwd = tau - e1
             m = (e1 / tau) * delta + l1
             x_rec = beta(t_fwd) - sign * math.sqrt(m * m + l2 * l2 + l3 * l3)
-            v = guard_rate(gamma1(t_fwd) + gamma2(x_rec), ceiling, t_fwd, x_rec)
+            v = guard_rate(gamma2(x_rec) if gamma1 is None else gamma1(t_fwd) + gamma2(x_rec),
+                           ceiling, t_fwd, x_rec)
             if kappa * uniform() <= v:
                 break
             e0 = e1
@@ -403,7 +432,7 @@ def sample_exact_split(
     for i in range(1, k + 1):
         line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)))
         stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
-        kernel = _kernel_of(x_cur, line, stage_gammas, None, problem.max_proposals)
+        kernel = _kernel_of(x_cur, sde.A, line, stage_gammas, None, problem.max_proposals)
         if kernel.sign != side:
             raise ConfigurationError(f"split stage {i} starts past its line: x = {x_cur}")
         d = _sample_oriented(kernel, rng)

@@ -20,7 +20,9 @@ measures against (``g = 0`` means plain Brownian motion; a nonzero ``g``
 trades a constant part of ``gamma2`` for a tilted proposal and must be used
 consistently by the sampler).  Acceptance requires ``gamma1(t) + gamma2(x)``
 to stay within ``[0, kappa]`` at every evaluation point; this module builds
-the pair and estimates ``kappa`` on a grid.
+the pair and estimates ``kappa`` on a grid.  ``gamma1 = -d/dt A_g(beta(t))``,
+``A_g(x) = A(x) - g*x``, integrates in closed form, which the sampler uses
+when ``GammaPair.space_kappa`` bounds ``gamma2`` alone.
 """
 
 from __future__ import annotations
@@ -211,21 +213,22 @@ def _check_kappa(kappa: float, name: str = "kappa") -> float:
     return kappa
 
 
-def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None) -> float:
+def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None,
+                floor: float = -GAMMA_NEGATIVE_TOLERANCE) -> float:
     """Check a rejection rate ``v`` evaluated at time ``t`` (and state ``x``).
 
-    A non-finite ``v`` raises :class:`DomainError`.  Values in
-    ``[-GAMMA_NEGATIVE_TOLERANCE, 0)`` are round-off and are clamped to zero;
-    values below that, or above ``ceiling`` (finite, see :func:`_rate_ceiling`),
-    raise :class:`AssumptionViolation` because they would silently bias the
-    sampler.
+    A non-finite ``v`` raises :class:`DomainError`.  Values in ``[floor, 0)``
+    (``floor = -GAMMA_NEGATIVE_TOLERANCE`` by default) are round-off and are
+    clamped to zero; values below that, or above ``ceiling`` (finite, see
+    :func:`_rate_ceiling`), raise :class:`AssumptionViolation` because they
+    would silently bias the sampler.
     """
     if 0.0 <= v <= ceiling:  # false for NaN and, as the ceiling is finite, for inf
         return v
     where = f"(t={t})" if x is None else f"(t={t}, x={x})"
     if not math.isfinite(v):
         raise DomainError(f"rate at {where} is {v}")
-    if v < -GAMMA_NEGATIVE_TOLERANCE:
+    if v < floor:
         raise AssumptionViolation(
             f"rate {v} < 0 at {where}; the rate functions are invalid for this problem"
         )
@@ -236,10 +239,13 @@ def _guard_rate(v: float, ceiling: float, t: float, x: float | None = None) -> f
 
 @dataclass(frozen=True)
 class GammaPair:
-    """Rejection-rate pair with an optional upper bound.
+    """Rejection-rate pair with optional upper bounds.
 
     ``gamma1``/``gamma2`` are the rate functions and ``kappa`` bounds their
-    sum.  ``reference_drift`` records the constant drift ``g`` of the
+    sum; ``space_kappa``, when set, certifies ``0 <= gamma2 <= space_kappa``
+    wherever the reconstructed path can be, and the sampler then accepts the
+    time rate in closed form and thins ``gamma2`` alone at that rate.
+    ``reference_drift`` records the constant drift ``g`` of the
     reference measure the pair was built against; the sampler must draw its
     proposals from the first-passage law of a Brownian motion with that
     drift.  Changing the reference drift is the law-preserving way to remove
@@ -250,6 +256,7 @@ class GammaPair:
     gamma2: Callable[[float], float]
     kappa: float | None = None
     reference_drift: float = 0.0
+    space_kappa: float | None = None
 
     def evaluate(self, t: float, x: float) -> float:
         """Rate ``gamma1(t) + gamma2(x)``, checked by :func:`_guard_rate`

@@ -451,7 +451,8 @@ class _StageBounds:
                               "inf_slope": self.inf_slope, "sup_slope": self.sup_slope,
                               "linear": None}),
             _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2,
-                              "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g}),
+                              "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g,
+                              "space_kappa": None}),
             _fill(CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon}),
             max_proposals,
         )

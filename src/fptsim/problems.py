@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -130,12 +131,16 @@ def example1_problem(
     x0: float = 0.0,
     max_proposals: int = 10**6,
 ) -> ExactProblem:
-    """Sinusoidal drift ``K + sin(x)`` vs the falling line ``a*t + b``."""
+    """Sinusoidal drift ``K + sin(x)`` vs the falling line ``a*t + b``; where
+    :func:`_space_rate_floor` is non-negative the space rate alone is thinned,
+    under ``space_kappa =`` :func:`_space_rate_bound`."""
     if not b > x0:
         raise ParameterError(f"threshold must start above x0, got b={b}, x0={x0}")
     sde = sinusoidal_sde(K, x0)
     threshold = linear_threshold(a, b)
     gammas = make_gamma_pair(sde, threshold).with_kappa(example1_kappa(K, a))
+    if _space_rate_floor(K) >= 0.0:
+        gammas = replace(gammas, space_kappa=_space_rate_bound(K))
     return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, max_proposals=max_proposals)
 
 
@@ -172,9 +177,10 @@ def exponential_threshold(a: float = 1.0, b: float = 1.0) -> Threshold:
     )
 
 
-def _example2_bounds(K: float, a: float, b: float) -> tuple[float, float]:
-    """The reference drift ``g*`` and the thinning bound of Example 2 (see
-    :func:`example2_kappa`), after the checks on ``a``, ``b`` and ``K``."""
+def _example2_bounds(K: float, a: float, b: float) -> tuple[float, float, float]:
+    """The reference drift ``g*``, the thinning bound of Example 2 (see
+    :func:`example2_kappa`) and its space-rate part, after the checks on
+    ``a``, ``b`` and ``K``."""
     if not (a > 0.0 and b > 0.0 and K >= 1.0):
         raise ParameterError(
             f"the rates need a > 0, b > 0, K >= 1, got a={a}, b={b}, K={K}"
@@ -185,7 +191,8 @@ def _example2_bounds(K: float, a: float, b: float) -> tuple[float, float]:
         raise ParameterError(f"the space rate goes negative for K={K}: floor(K) = {floor}")
     g = math.sqrt(2.0 * floor)
     kappa1 = a * b * (K + (math.sin(a) if a <= math.pi / 2.0 else 1.0) - g)
-    return g, kappa1 + space - g * g / 2.0 + _FLOOR_ROUNDING * space
+    return (g, kappa1 + space - g * g / 2.0 + _FLOOR_ROUNDING * space,
+            space - g * g / 2.0 + _FLOOR_ROUNDING * space)
 
 
 def example2_kappa(K: float = 1.6, a: float = 1.0, b: float = 1.0) -> float:
@@ -222,7 +229,8 @@ def example2_problem(
     Proposals are passages of Brownian motion with the drift ``g*`` of
     :func:`example2_kappa`: ``exp(A(a) - A(x0) - g*(a - x0))`` of them per
     draw, 6.5 at the defaults against 7.8 at ``g = 0``, for the same law
-    (Girsanov: the tilted rates take back what the tilt adds).  The curvy
+    (Girsanov: the tilted rates take back what the tilt adds).  The space
+    rate alone is thinned, under the space part of the bound.  The curvy
     sampler runs with line slope ``r = -a*b - g*``, the steepest slope of
     the proposal frame, and resolution ``epsilon``.
     """
@@ -230,8 +238,8 @@ def example2_problem(
         raise ParameterError(f"threshold must start above x0, got a={a}, x0={x0}")
     sde = sinusoidal_sde(K, x0)
     threshold = exponential_threshold(a, b)
-    g, kappa = _example2_bounds(K, a, b)
-    gammas = make_gamma_pair(sde, threshold, g).with_kappa(kappa)
+    g, kappa, space_kappa = _example2_bounds(K, a, b)
+    gammas = replace(make_gamma_pair(sde, threshold, g).with_kappa(kappa), space_kappa=space_kappa)
     curvy = CurvyParams(epsilon=epsilon, r=-a * b - g, horizon=horizon)
     return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, curvy=curvy,
                         max_proposals=max_proposals)

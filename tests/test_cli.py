@@ -278,12 +278,13 @@ def test_benchmark_comparison_is_pinned(tmp_path):
     run_experiment(resolve_config({**mapping, "timing": False, "out": str(tmp_path)}))
     assert (tmp_path / "comparison.csv").read_text().splitlines() == [
         "delta,method,ks_D,ks_p,bias1,bias2,wall_time",
-        "0.0625,euler,0.29,0.00044525971383286477,0.026844977185847163,-0.014541620277416716,0.0",
-        "0.0625,improved_euler,0.14,0.28092954741988757,0.005594977185847172,0.002869995884199457,0.0",
-        "0.015625,euler,0.16000000000000003,0.15453805538450618,"
-        "-0.013623772814152835,-0.018547622684298017,0.0",
-        "0.015625,improved_euler,0.07999999999999999,0.9062063895703107,"
-        "-0.007061272814152836,0.005453965462797916,0.0",
+        "0.0625,euler,0.31,0.00013410964860558158,0.048517597337858126,-0.01645894612079624,0.0",
+        "0.0625,improved_euler,0.17000000000000004,0.11113334490733633,"
+        "0.027267597337858135,0.0009526700408199335,0.0",
+        "0.015625,euler,0.17000000000000004,0.11113334490733633,"
+        "0.008048847337858128,-0.02046494852767754,0.0",
+        "0.015625,improved_euler,0.09999999999999998,0.6993741991310158,"
+        "0.014611347337858127,0.0035366396194183927,0.0",
     ]
 
 

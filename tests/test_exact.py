@@ -32,6 +32,7 @@ from fptsim.exact import (
     sample_exact_split,
 )
 from fptsim.model import (
+    KAPPA_FLOOR,
     Threshold,
     UnitDiffusionSDE,
     constant_threshold,
@@ -208,11 +209,15 @@ def test_below_start_zero_drift_matches_reflected_line_law():
 def test_one_threshold_is_passed_from_either_side_of_its_start():
     # a threshold is a curve only and the start picks the side: one level-1
     # object serves a start below it and one above it, and with zero drift
-    # both passages follow Brownian motion's law to a level 1 away
+    # both passages follow Brownian motion's law to a level 1 away.  The
+    # rates are zero, so the clock rate is the floor estimate_kappa gives
+    # such rates: a clock at rate 1 would walk each Levy proposal, whose
+    # mean is infinite, event by event.
     th = constant_threshold(1.0)
     for x0, sign, seed in ((0.0, 1.0, 45), (2.0, -1.0, 46)):
         sde = _unit_sde(0.0, x0=x0)
-        prob = ExactProblem(sde=sde, threshold=th, gammas=make_gamma_pair(sde, th).with_kappa(1.0))
+        prob = ExactProblem(sde=sde, threshold=th,
+                            gammas=make_gamma_pair(sde, th).with_kappa(KAPPA_FLOOR))
         assert prob._kernel.sign == sign
         x = np.array([d.time for d in sample_batch(prob, 4000, seed)])
         _, p = ks_one_sample(x, lambda t: constant_level_cdf(t, 1.0))
@@ -242,12 +247,17 @@ def test_max_proposals_exhaustion_raises():
         sample_batch(prob, 50, 45)
 
 
-def test_kappa_too_small_is_caught_not_silently_biased():
+@pytest.mark.parametrize("clock", ["space", "combined"])
+def test_kappa_too_small_is_caught_not_silently_biased(clock):
+    # lower the bound the clock runs at: space_kappa on Example 1's split
+    # clock, kappa once the pair carries no space bound
     prob = example1_problem()
+    gammas = (replace(prob.gammas, space_kappa=0.5) if clock == "space"
+              else replace(prob.gammas, space_kappa=None).with_kappa(0.5))
     lowered = ExactProblem(
         sde=prob.sde,
         threshold=prob.threshold,
-        gammas=prob.gammas.with_kappa(0.5),
+        gammas=gammas,
         curvy=prob.curvy,
         max_proposals=prob.max_proposals,
     )
@@ -317,12 +327,13 @@ def test_line_draws_count_the_curved_proposals_line_draws(monkeypatch, name):
         return d
 
     monkeypatch.setattr(exact_module, "sample_fpt_curvy", counting)
-    # every thinning event evaluates gamma1 once, and nothing else does
+    # every thinning event evaluates gamma2 once, on either clock, and
+    # nothing else does
     events = []
     prob = _plain_float_problems()[name]
-    gamma1 = prob.gammas.gamma1
+    gamma2 = prob.gammas.gamma2
     prob = replace(
-        prob, gammas=replace(prob.gammas, gamma1=lambda t: events.append(t) or gamma1(t))
+        prob, gammas=replace(prob.gammas, gamma2=lambda x: events.append(x) or gamma2(x))
     )
     for i in range(20):
         calls.clear()
@@ -549,6 +560,11 @@ def _with_kappa(kappa: float) -> ExactProblem:
                         gammas=replace(prob.gammas, kappa=kappa), curvy=prob.curvy)
 
 
+def _with_space_kappa(space_kappa: float) -> ExactProblem:
+    prob = example1_problem()
+    return replace(prob, gammas=replace(prob.gammas, space_kappa=space_kappa))
+
+
 _REFUSALS = {
     "kappa_unset": (_unbounded_problem, ConfigurationError,
                     "gammas.kappa must be set for sampling"),
@@ -596,6 +612,10 @@ _REFUSALS = {
     # and 0 or -1 would fail in the clock's arithmetic
     **{f"kappa_{name}": (lambda kappa=kappa: _with_kappa(kappa), ParameterError,
                          f"kappa must be finite and positive, got {kappa}")
+       for name, kappa in (("nan", math.nan), ("inf", math.inf), ("0", 0.0), ("minus_1", -1.0))},
+    # the space bound is a clock rate too
+    **{f"space_kappa_{name}": (lambda kappa=kappa: _with_space_kappa(kappa), ParameterError,
+                               f"space_kappa must be finite and positive, got {kappa}")
        for name, kappa in (("nan", math.nan), ("inf", math.inf), ("0", 0.0), ("minus_1", -1.0))},
     "start_at_minus_inf": (
         lambda: example1_problem(x0=-math.inf), ParameterError,
@@ -676,3 +696,69 @@ def test_a_stage_within_epsilon_passes_at_once():
     assert stage._kernel.delta <= prob.curvy.epsilon
     draws = [sample_exact(stage, substream(58, i)) for i in range(10)]
     assert draws == [FptDraw(0.0, True, 1, 0, 0)] * 10
+
+
+# --- the split clock: the time rate in closed form, the space rate thinned ----
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_the_split_clock_keeps_the_law_with_fewer_clock_events(name):
+    prob = example1_problem() if name == "example1" else example2_problem(epsilon=2.0**-20)
+    assert prob._kernel.time is not None
+    n = 20_000
+    split = sample_batch(prob, n, 61)
+    # without the space bound the clock thins gamma1 + gamma2 at rate kappa
+    combined = sample_batch(replace(prob, gammas=replace(prob.gammas, space_kappa=None)), n, 62)
+    _, p = ks_two_sample(np.array([d.time for d in split]), np.array([d.time for d in combined]))
+    assert p > 0.01
+    assert 2 * sum(d.clock_events for d in split) <= sum(d.clock_events for d in combined)
+    # a constant error c in the time factor keeps the law and scales the
+    # proposals by exp(c); criterion 3 holds the 3-SE identity test
+    mean = sum(d.proposals for d in split) / n
+    assert abs(mean / expected_proposals(prob) - 1.0) < 0.05
+
+
+def test_the_split_clock_keeps_the_power_of_the_acceptance_identity():
+    # criterion 3's power check on the split clock: the rates of plain
+    # Brownian motion (g = 0) on the g* proposals of Example 2, given the
+    # g = 0 space bound, must break the g* identity.  The split clock takes
+    # the time rate from A and g*, so the one fault left is the g*^2 / 2
+    # missing from gamma2: at K = 1.6 (g*^2 / 2 = 0.017) it moves the mean
+    # proposals by about 0.5%, below one standard error at this n, and at
+    # K = 2 (g*^2 / 2 = 0.39) by about 14%.
+    K = 2.0
+    prob = example2_problem(K=K, epsilon=2.0**-20)
+    g = prob.gammas.reference_drift
+    space0 = ((K + 1.0) ** 2 + 1.0) / 2.0  # the g = 0 space bound
+    plain = replace(make_gamma_pair(prob.sde, prob.threshold), reference_drift=g,
+                    space_kappa=space0)
+    kappa0 = (K + math.sin(1.0)) + space0  # the g = 0 bound
+    wrong = ExactProblem(prob.sde, prob.threshold, plain.with_kappa(kappa0), prob.curvy)
+    assert wrong._kernel.time is not None
+    n = 10_000
+    counts = np.array([d.proposals for d in sample_batch(wrong, n, 0)], dtype=float)
+    z = (counts.mean() - expected_proposals(wrong)) / (counts.std(ddof=1) / math.sqrt(n))
+    assert z > 3.0
+
+
+def test_a_negative_time_rate_integral_is_refused_on_the_split_clock():
+    # under the drift K + sin(x) a rising line has gamma1 < 0, so
+    # A(beta(0)) - A(beta(tau)) < 0 at every hit: no acceptance probability
+    sde = example1_problem().sde
+    th = linear_threshold(0.5, 0.5)
+    gammas = replace(make_gamma_pair(sde, th).with_kappa(10.0), space_kappa=4.0)
+    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
+    with pytest.raises(AssumptionViolation, match="< 0 at") as caught:
+        sample_batch(prob, 50, 63)
+    assert caught.value.exit_code == 3
+
+
+@pytest.mark.parametrize("K,a,split", [(1.2, -2.0, False), (1.6, -1.0, True)])
+def test_example1_takes_the_split_clock_when_its_space_rate_is_non_negative(K, a, split):
+    # at K = 1.2 the space rate dips below 0 (a = -1 is refused there, as
+    # the time rate cannot make up for it), so only the sum has a bound
+    prob = example1_problem(K=K, a=a)
+    assert (prob.gammas.space_kappa is not None) == split
+    assert (prob._kernel.time is not None) == split
+    assert (prob._kernel.gamma1 is None) == split
+    assert all(d.finite for d in sample_batch(prob, 50, 64))
