@@ -272,6 +272,7 @@ def sample_fpt_curvy(
     normal: Callable[[], float] | None = None,
     uniform: Callable[[], float] | None = None,
     gap: float | None = None,
+    stop: Callable[[float, float], bool] | None = None,
 ) -> FptDraw:
     """Passage time of Brownian motion from 0 to a smooth threshold.
 
@@ -292,7 +293,8 @@ def sample_fpt_curvy(
 
     With ``gap``, ``threshold`` is a checked above-start frame (as in the
     exact sampler's kernel) with start gap ``beta(0) = gap``: the call does
-    not reflect it, read ``beta(0)`` or check it again.
+    not reflect it, read ``beta(0)`` or check it again.  A ``stop(T, beta(T))``
+    that is true at an unconverged iterate ends the run at time ``inf``.
     """
     if (normal is None) != (uniform is None):
         raise ParameterError("pass both the normal and the uniform stream, or neither")
@@ -334,3 +336,5 @@ def sample_fpt_curvy(
                     "the threshold's inf_slope is not a lower bound of its slope"
                 )
             return _draw(T, 1, draws)
+        if stop is not None and stop(T, beta_T):
+            return _draw(math.inf, 1, draws)

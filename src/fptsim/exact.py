@@ -40,12 +40,13 @@ probability ``eta(tau_W)``, hence accepted proposals follow the target law
 and the expected number of proposals per acceptance equals ``1 / N_c`` (see
 :func:`expected_proposals`).
 
-As ``gamma1(t) = -d/dt A_g(beta(t))`` with ``A_g(x) = A(x) - g*x``, its factor
-of ``eta`` is ``exp(A_g(beta(tau_W)) - A_g(beta(0)))`` in closed form.  A pair
-that bounds ``gamma2`` alone (``GammaPair.space_kappa``: Example 1 where its
-space rate is non-negative, and Example 2) takes that factor on one uniform
-right after ``tau_W``, refusing one above 1 beyond round-off, and thins
-``gamma2`` alone at rate ``space_kappa``; all others thin the sum at ``kappa``.
+As ``gamma1(t) = -d/dt A_g(beta(t))`` with ``A_g(x) = A(x) - g*x``, its factor of
+``eta`` is ``exp(-Gamma1(tau_W))``, ``Gamma1(t) = A_g(beta(0)) - A_g(beta(t))``.  A pair
+with ``GammaPair.space_kappa`` (Example 1 where its space rate is non-negative, and
+Example 2) certifies ``gamma1 >= 0``, takes that factor on one uniform ``U`` (refusing
+one above 1 beyond round-off) and thins ``gamma2`` alone at rate ``space_kappa``; all
+others thin the sum at ``kappa``.  A line draws ``U`` after ``tau_W``, a curve before its
+iteration, which stops (:func:`_time_stop`) at the first iterate with ``Gamma1 >= -ln U``.
 
 The reconstruction is exact for constant and linear thresholds, where the
 conditioned gap of the reference motion is exactly a Bessel(3) bridge.  For
@@ -198,7 +199,7 @@ class ExactProblem:
     _kernel: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.sde.A, self.threshold,
+        object.__setattr__(self, "_kernel", _kernel_of(self.sde.x0, self.sde, self.threshold,
                                                        self.gammas, self.curvy, self.max_proposals))
 
 
@@ -208,7 +209,7 @@ class _Kernel(NamedTuple):
     ``beta`` is the threshold and ``sign`` the sign of ``beta(0) - x0``, the
     rate is ``gamma1(t) + gamma2(x)`` under the clock rate ``kappa`` and its
     guard ``ceiling``, and ``delta`` is the start gap ``phi(0)`` of the proposal
-    frame ``phi``.  ``time = (A, g, A_g(beta(0)), floor)`` is set, and ``gamma1``
+    frame ``phi``.  ``time = (A, g, x0, A_g(beta(0)), floor)`` is set, and ``gamma1``
     ``None``, when ``kappa`` bounds ``gamma2`` alone (``space_kappa``).  Exactly
     one of ``line`` and ``curvy`` is set.
     ``line = (intercept, wald, hit)`` draws the passage of standard Brownian
@@ -241,19 +242,19 @@ def _line_part(slope: float, intercept: float) -> tuple:
     return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
 
 
-def _kernel_of(x0: float, A: Callable[[float], float], threshold: Threshold, gammas: GammaPair,
+def _kernel_of(x0: float, sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
                curvy: CurvyParams | None, max_proposals: int) -> _Kernel:
     """The checked kernel of a problem's parts (see :class:`ExactProblem`).
 
-    The SDE enters through its start ``x0``, its drift antiderivative ``A``
-    (read only for ``gammas.space_kappa``) and the rates, and
+    The SDE enters through the start ``x0`` (a split stage's own), its
+    ``alpha`` and ``A`` (read only for ``space_kappa``) and the rates, and
     ``threshold.linear`` alone picks the proposal.  Checks in order:
     ``kappa`` is set, finite and positive, ``max_proposals >= 1``, the start
     (:meth:`Threshold.validate_start`, which gives the kernel's ``sign`` and
     start gap ``delta = phi(0)``), the reference drift is finite, ``curvy``
     is ``None`` for a line and set for a curve, a curve's line slope is at
-    most the frame's ``inf_slope``, ``space_kappa``, when set, is finite and
-    positive, and a line's frame intercept is positive (:func:`_line_part`).
+    most the frame's ``inf_slope``, a set ``space_kappa`` is finite and positive
+    with ``gamma1(0) >= 0`` in closed form, and a line's frame intercept is positive.
     """
     kappa = gammas.kappa
     if kappa is None:
@@ -277,8 +278,12 @@ def _kernel_of(x0: float, A: Callable[[float], float], threshold: Threshold, gam
     if gammas.space_kappa is not None:
         kappa = _check_kappa(gammas.space_kappa, "space_kappa")
         b0 = x0 + sign * delta  # beta(0), read once by validate_start
-        a0 = A(b0) - g * b0
-        time = (A, g, a0, -GAMMA_NEGATIVE_TOLERANCE * max(1.0, abs(a0)))
+        rate0, closed = gammas.gamma1(0.0), -(sde.alpha(b0) - g) * threshold.beta_prime(0.0)
+        if not (abs(rate0 - closed) <= 1e-9 * max(1.0, abs(closed))
+                and closed >= -GAMMA_NEGATIVE_TOLERANCE):
+            raise ConfigurationError(f"space_kappa needs gamma1(0) = {closed} >= 0, got {rate0}")
+        a0 = sde.A(b0) - g * b0
+        time = (sde.A, g, x0, a0, -GAMMA_NEGATIVE_TOLERANCE * max(1.0, abs(a0)))
     return _Kernel(
         threshold.beta, sign, gammas.gamma1 if time is None else None, gammas.gamma2,
         kappa, _rate_ceiling(kappa), delta, max_proposals,
@@ -311,6 +316,21 @@ def draw_streams(rng: np.random.Generator, size: int = _EVENT_BLOCK) -> tuple:
             block_stream(rng.standard_exponential, size))
 
 
+def _time_stop(time: tuple, sign: float, bounds: list) -> Callable[[float, float], bool]:
+    """Split-clock stop at ``(t, phi(t))``, ``beta(t) = x0 + g*t + sign*phi(t)``: true once
+    ``A_g(beta(t)) <= bounds[0]``; a rise beyond ``-floor`` from ``bounds[1]`` is ``gamma1 < 0``."""
+    A, g, x0, _, floor = time
+
+    def stop(t: float, phi_t: float) -> bool:
+        b = x0 + g * t + sign * phi_t
+        a = A(b) - g * b
+        if not a <= bounds[1]:
+            _guard_rate(bounds[1] - a, _UNBOUNDED, t, floor=floor)
+        bounds[1] = a
+        return a <= bounds[0]
+    return stop
+
+
 def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None = None) -> FptDraw:
     """One exact draw of the problem ``k``.
 
@@ -319,8 +339,8 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     line draws its flat passage from ``normal``, its rising-line hit test
     from ``uniform`` and its Wald times from their own block stream on
     ``rng``; a curve calls :func:`sample_fpt_curvy` on the ``normal`` and
-    ``uniform`` streams with the kernel's start gap, and adds its line draws
-    to the draw's ``line_draws``.  ``streams`` default to new ones on ``rng``.
+    ``uniform`` streams with the kernel's start gap and :func:`_time_stop`,
+    adding its line draws to ``line_draws``.  ``streams`` default to new ones on ``rng``.
     """
     beta, sign, gamma1, gamma2, kappa, ceiling, delta, max_proposals, line, curvy, time = k
     normal, uniform, exponential = draw_streams(rng) if streams is None else streams
@@ -334,8 +354,10 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     else:
         phi, params = curvy
         horizon = params.horizon
+        bounds = [0.0, 0.0]  # per proposal: A_g(beta(0)) + ln u, and A_g at the last iterate
+        stop = None if time is None else _time_stop(time, sign, bounds)
     if time is not None:
-        A, g, a0, floor = time
+        A, g, _, a0, floor = time
     line_draws = 0
     bridge_coeffs = _bridge_coeffs
     guard_rate = _guard_rate
@@ -343,7 +365,11 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
     total_events = 0
     for attempt in range(1, max_proposals + 1):
         if curvy is not None:
-            d = sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform, gap=delta)
+            if time is not None:
+                u = uniform()
+                bounds[:] = (a0 + math.log(u) if u > 0.0 else -math.inf), a0
+            d = sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform, gap=delta,
+                                 stop=stop)
             line_draws += d.clock_events
             tau = d.time if d.time < horizon else math.inf
         elif wald_params is None:
@@ -358,9 +384,9 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
             return _draw(0.0, attempt, total_events, line_draws)
         if time is not None:
             # keep tau with probability exp(-int_0^tau gamma1), in closed form
+            u = uniform() if curvy is None else u
             b = beta(tau)
-            if uniform() >= math.exp(-guard_rate(a0 - (A(b) - g * b), _UNBOUNDED, tau,
-                                                 floor=floor)):
+            if u >= math.exp(-guard_rate(a0 - (A(b) - g * b), _UNBOUNDED, tau, floor=floor)):
                 continue
         e0 = 0.0
         e1 = scale * exponential()
@@ -432,7 +458,7 @@ def sample_exact_split(
     for i in range(1, k + 1):
         line = linear_threshold(a, a * t_acc + (x0 + (b - x0) * (i / k)))
         stage_gammas = GammaPair(_gamma1(sde.alpha, line, g), gammas.gamma2, gammas.kappa, g)
-        kernel = _kernel_of(x_cur, sde.A, line, stage_gammas, None, problem.max_proposals)
+        kernel = _kernel_of(x_cur, sde, line, stage_gammas, None, problem.max_proposals)
         if kernel.sign != side:
             raise ConfigurationError(f"split stage {i} starts past its line: x = {x_cur}")
         d = _sample_oriented(kernel, rng)

@@ -242,9 +242,9 @@ class GammaPair:
     """Rejection-rate pair with optional upper bounds.
 
     ``gamma1``/``gamma2`` are the rate functions and ``kappa`` bounds their
-    sum; ``space_kappa``, when set, certifies ``0 <= gamma2 <= space_kappa``
-    wherever the reconstructed path can be, and the sampler then accepts the
-    time rate in closed form and thins ``gamma2`` alone at that rate.
+    sum; ``space_kappa``, when set, certifies ``gamma1 >= 0`` and ``0 <= gamma2
+    <= space_kappa`` wherever the reconstructed path can be, and the sampler then
+    accepts the time rate in closed form and thins ``gamma2`` alone at that rate.
     ``reference_drift`` records the constant drift ``g`` of the
     reference measure the pair was built against; the sampler must draw its
     proposals from the first-passage law of a Brownian motion with that

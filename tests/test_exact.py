@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -45,7 +46,7 @@ from fptsim.problems import (
     example2_problem,
     exponential_threshold,
 )
-from fptsim.rng import substream
+from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -719,18 +720,18 @@ def test_the_split_clock_keeps_the_law_with_fewer_clock_events(name):
 
 
 def test_the_split_clock_keeps_the_power_of_the_acceptance_identity():
-    # criterion 3's power check on the split clock: the rates of plain
+    # criterion 3's power check on the split clock: the space rate of plain
     # Brownian motion (g = 0) on the g* proposals of Example 2, given the
     # g = 0 space bound, must break the g* identity.  The split clock takes
-    # the time rate from A and g*, so the one fault left is the g*^2 / 2
-    # missing from gamma2: at K = 1.6 (g*^2 / 2 = 0.017) it moves the mean
-    # proposals by about 0.5%, below one standard error at this n, and at
-    # K = 2 (g*^2 / 2 = 0.39) by about 14%.
+    # the time rate from A and g* (and refuses a gamma1 that is not that
+    # closed form), so the fault is the g*^2 / 2 missing from gamma2: at
+    # K = 1.6 (g*^2 / 2 = 0.017) it moves the mean proposals by about 0.5%,
+    # below one standard error at this n, and at K = 2 (g*^2 / 2 = 0.39) by
+    # about 14%.
     K = 2.0
     prob = example2_problem(K=K, epsilon=2.0**-20)
-    g = prob.gammas.reference_drift
     space0 = ((K + 1.0) ** 2 + 1.0) / 2.0  # the g = 0 space bound
-    plain = replace(make_gamma_pair(prob.sde, prob.threshold), reference_drift=g,
+    plain = replace(prob.gammas, gamma2=make_gamma_pair(prob.sde, prob.threshold).gamma2,
                     space_kappa=space0)
     kappa0 = (K + math.sin(1.0)) + space0  # the g = 0 bound
     wrong = ExactProblem(prob.sde, prob.threshold, plain.with_kappa(kappa0), prob.curvy)
@@ -741,13 +742,28 @@ def test_the_split_clock_keeps_the_power_of_the_acceptance_identity():
     assert z > 3.0
 
 
+def _tanh_sde(x0: float) -> UnitDiffusionSDE:
+    # alpha = tanh: gamma2 = (sech^2 + tanh^2) / 2 = 1/2 everywhere, while
+    # gamma1 = -tanh(beta) * beta' changes sign with beta
+    return UnitDiffusionSDE(alpha=math.tanh, alpha_prime=lambda x: 1.0 - math.tanh(x) ** 2,
+                            A=lambda x: math.log(math.cosh(x)), x0=x0)
+
+
 def test_a_negative_time_rate_integral_is_refused_on_the_split_clock():
-    # under the drift K + sin(x) a rising line has gamma1 < 0, so
-    # A(beta(0)) - A(beta(tau)) < 0 at every hit: no acceptance probability
+    # under the drift K + sin(x) a rising line has gamma1 < 0 from t = 0,
+    # which the build refuses: space_kappa certifies gamma1 >= 0
     sde = example1_problem().sde
     th = linear_threshold(0.5, 0.5)
     gammas = replace(make_gamma_pair(sde, th).with_kappa(10.0), space_kappa=4.0)
-    prob = ExactProblem(sde=sde, threshold=th, gammas=gammas)
+    message = "space_kappa needs gamma1(0) = -1.0397127693021015 >= 0, got -1.0397127693021015"
+    with pytest.raises(ConfigurationError, match=_exactly(message)) as caught:
+        ExactProblem(sde=sde, threshold=th, gammas=gammas)
+    assert caught.value.exit_code == 2
+    # under tanh the line 1 - t has gamma1 = tanh(1 - t) >= 0 until t = 1:
+    # A(beta(0)) - A(beta(tau)) < 0 at every hit after t = 2
+    sde = _tanh_sde(-3.0)
+    th = linear_threshold(-1.0, 1.0)
+    prob = ExactProblem(sde, th, replace(make_gamma_pair(sde, th).with_kappa(2.0), space_kappa=1.0))
     with pytest.raises(AssumptionViolation, match="< 0 at") as caught:
         sample_batch(prob, 50, 63)
     assert caught.value.exit_code == 3
@@ -762,3 +778,135 @@ def test_example1_takes_the_split_clock_when_its_space_rate_is_non_negative(K, a
     assert (prob._kernel.time is not None) == split
     assert (prob._kernel.gamma1 is None) == split
     assert all(d.finite for d in sample_batch(prob, 50, 64))
+
+
+# --- the time stop: curved proposals end at the first iterate Gamma1 rejects --
+
+
+def _replay(values: list, rest):
+    """A stream that serves ``values`` and then draws from ``rest``."""
+    values = list(values)
+    return lambda: values.pop(0) if values else rest()
+
+
+def test_the_time_stop_matches_the_full_iteration_on_common_random_numbers(monkeypatch):
+    # every curved proposal of Example 2 runs as the sampler runs it, with
+    # its time stop, and again on the same line draws with no stop and with
+    # a stop that records and never fires
+    kernel = example2_problem(epsilon=2.0**-20)._kernel
+    A, g, _, a0, _ = kernel.time
+    horizon = kernel.curvy[1].horizon
+    original = exact_module.sample_fpt_curvy
+    last_uniform = []
+    tally = {"proposals": 0, "fired": 0}
+
+    def run(phi, params, normal, uniform, gap, stop):
+        drawn = {"normal": [], "uniform": []}
+        iterates = []
+
+        def logged(stream, key):
+            return lambda: drawn[key].append(stream()) or drawn[key][-1]
+
+        def recording(t, phi_t):
+            iterates.append((t, phi_t, len(drawn["normal"]), len(drawn["uniform"])))
+            return stop is not None and stop(t, phi_t)
+
+        d = original(phi, params, None, normal=logged(normal, "normal"),
+                     uniform=logged(uniform, "uniform"), gap=gap, stop=recording)
+        return d, iterates, drawn
+
+    def checked(phi, params, rng, *, normal, uniform, gap, stop):
+        u = last_uniform[-1]  # the time factor's uniform, drawn just before
+        cut, cut_iterates, drawn = run(phi, params, normal, uniform, gap, stop)
+        fresh = [np.random.default_rng([69, tally["proposals"]]) for _ in range(2)]
+        plain = original(phi, params, None, gap=gap,
+                         normal=_replay(drawn["normal"], fresh[0].standard_normal),
+                         uniform=_replay(drawn["uniform"], fresh[0].random))
+        full, iterates, _ = run(phi, params, _replay(drawn["normal"], fresh[1].standard_normal),
+                                _replay(drawn["uniform"], fresh[1].random), gap, None)
+        tally["proposals"] += 1
+        # a stop that never fires changes nothing
+        assert full == plain
+        # up to the stop the same line draws give the same iterates, and
+        # nothing is drawn after it
+        assert cut_iterates == iterates[:len(cut_iterates)]
+        if cut.time == math.inf:
+            tally["fired"] += 1
+            assert cut.clock_events == len(cut_iterates) and cut.proposals == 1
+            assert cut_iterates[-1][2:] == (len(drawn["normal"]), len(drawn["uniform"]))
+            # the full proposal is rejected too: censored, or by the time factor
+            if full.time < horizon:
+                b = kernel.beta(full.time)
+                assert u >= math.exp(-(a0 - (A(b) - g * b)))
+        else:
+            assert cut == full
+        return cut
+
+    monkeypatch.setattr(exact_module, "sample_fpt_curvy", checked)
+    for i in itertools.count():
+        rng = substream(65, i)
+        normal, uniform, exponential = exact_module.draw_streams(rng)
+        streams = (normal, lambda: last_uniform.append(uniform()) or last_uniform[-1], exponential)
+        exact_module._sample_oriented(kernel, rng, streams)
+        if tally["proposals"] >= 10_000:
+            break
+    # the time factor rejects most of Example 2's proposals
+    assert tally["fired"] > tally["proposals"] // 3
+
+
+def test_a_time_factor_uniform_of_0_keeps_the_proposal():
+    # u = 0 gives ln u = -inf: no iterate stops the proposal, and with every
+    # uniform 0 and no clock event before the hit the first one is accepted
+    kernel = example2_problem(epsilon=2.0**-20)._kernel
+    rng = np.random.default_rng(67)
+    streams = (block_stream(rng.standard_normal, 16), lambda: 0.0, lambda: 1e300)
+    d = exact_module._sample_oriented(kernel, rng, streams)
+    assert d.proposals == 1 and 0.0 < d.time < math.inf and d.line_draws > 1
+
+
+def test_a_time_rate_that_dips_below_0_trips_the_stop():
+    # under tanh the curve 1.5 exp(-t) - 0.5 has gamma1 = tanh(beta) * 1.5 exp(-t),
+    # which is negative once beta < 0 (t > ln 3), so A_g(beta) = log cosh(beta)
+    # rises between iterates there.  The build checks gamma1 at t = 0 only,
+    # and as |beta| <= beta(0) = 1 the time factor is at most 1 at every
+    # hit: only the stop can see the fault
+    sde = _tanh_sde(-3.0)
+    th = Threshold(beta=lambda t: 1.5 * math.exp(-t) - 0.5,
+                   beta_prime=lambda t: -1.5 * math.exp(-t), inf_slope=-1.5, sup_slope=0.0)
+    gammas = replace(make_gamma_pair(sde, th).with_kappa(2.5), space_kappa=1.0)
+    prob = ExactProblem(sde, th, gammas, CurvyParams(epsilon=2.0**-20, r=-1.5))
+    with pytest.raises(AssumptionViolation, match=r"^rate -\S+ < 0 at \(t=") as caught:
+        sample_batch(prob, 50, 68)
+    assert caught.value.exit_code == 3
+
+
+def test_a_split_clock_gamma1_that_is_not_the_closed_form_is_refused():
+    # the rates of plain Brownian motion under Example 2's reference drift
+    # g*: the split clock would take the time factor from A and g* and
+    # never call this gamma1
+    prob = example2_problem(epsilon=2.0**-20)
+    pair = replace(make_gamma_pair(prob.sde, prob.threshold),
+                   reference_drift=prob.gammas.reference_drift,
+                   space_kappa=prob.gammas.space_kappa).with_kappa(prob.gammas.kappa)
+    # gamma1(0) = (K + sin 1) * 1, the closed form (K + sin 1 - g*) * 1
+    message = "space_kappa needs gamma1(0) = 2.2545286610783637 >= 0, got 2.4414709848078964"
+    with pytest.raises(ConfigurationError, match=_exactly(message)) as caught:
+        ExactProblem(prob.sde, prob.threshold, pair, prob.curvy)
+    assert caught.value.exit_code == 2
+    # without space_kappa the combined clock thins this gamma1 itself
+    ExactProblem(prob.sde, prob.threshold, replace(pair, space_kappa=None), prob.curvy)
+
+
+def test_the_time_stop_keeps_example2s_proposal_count():
+    # a stop that reads Gamma1 later than its iterate, or compares the wrong
+    # way, rejects proposals that the time factor keeps at their hit.  The
+    # combined clock thins gamma1 itself and never stops a proposal; both
+    # clocks draw the same law and so the same mean proposal count, bias of
+    # the Bessel(3) reconstruction included, which expected_proposals lacks
+    prob = example2_problem(epsilon=2.0**-20)
+    combined = replace(prob, gammas=replace(prob.gammas, space_kappa=None))
+    n = 20_000
+    split, full = (np.array([d.proposals for d in sample_batch(p, n, seed)], dtype=float)
+                   for p, seed in ((prob, 66), (combined, 67)))
+    z = (split.mean() - full.mean()) / math.sqrt((split.var(ddof=1) + full.var(ddof=1)) / n)
+    assert abs(z) < 3.0

@@ -5,9 +5,10 @@ hand-checked artifact hash.
 The values were recorded with the sampler of the one-frame-per-problem
 change, the spike train again when its stages came to share one set of
 block streams, Example 2 again when it came to measure against
-Brownian motion with drift g*, and both examples again when their time rate
-came to be accepted in closed form; a change that means to alter the
-streams updates them and says so.
+Brownian motion with drift g*, both examples again when their time rate
+came to be accepted in closed form, and Example 2 again when its time
+factor's uniform came to be drawn before the line iteration; a change that
+means to alter the streams updates them and says so.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ _PINNED = {
         lambda: example2_problem(epsilon=2.0**-20),
         None,
         [
-            (0.43016088679769504, 10, 4, 53),
-            (0.17164110714096864, 17, 8, 112),
-            (0.5643286892957499, 5, 7, 23),
+            (3.067400940802577, 9, 23, 27),
+            (1.8124594166640646, 8, 7, 24),
+            (0.18494777191250855, 1, 0, 3),
         ],
     ),
     # the registry's exponential threshold below its start: a reflected frame
