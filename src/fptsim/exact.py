@@ -27,8 +27,9 @@ iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy` with the problem's
 where ``sign`` and ``delta = |beta(0) - x0|`` are the side and gap of the
 start (:meth:`fptsim.model.Threshold.validate_start`, the one side rule),
 ``delta`` is the frame at 0, and ``l`` is a pinned 3-D Brownian bridge
-updated event-to-event by :func:`bridge_step`; ``sign`` places the
-reconstruction on the starting side of the threshold.  The distance
+that the event loop updates in place from one event to the next
+(:func:`_bridge_coeffs`); ``sign`` places the reconstruction on the
+starting side of the threshold.  The distance
 ``|| (E/tau_W) * delta * e1 + l_E ||`` is the Bessel(3) bridge from 0 to
 ``delta`` evaluated at ``E``, i.e. the path-to-threshold gap of the
 *time-reversed* proposal path, which runs from 0 at the hit back to ``delta``
@@ -84,7 +85,7 @@ exponential in the gap into ``k`` times a bounded per-stage cost; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -106,9 +107,7 @@ from .model import (
 from .rng import block_stream, sample_many
 
 __all__ = [
-    "BridgeState",
     "ExactProblem",
-    "bridge_step",
     "sample_exact",
     "sample_exact_below",
     "sample_exact_split",
@@ -116,7 +115,6 @@ __all__ = [
     "iteration_bound_linear",
     "choose_split_count",
     "expected_proposals",
-    "run_thinning_trial",
     "draw_streams",
 ]
 
@@ -126,52 +124,19 @@ _EVENT_BLOCK = 16
 _UNBOUNDED = _rate_ceiling(None)
 
 
-@dataclass(frozen=True)
-class BridgeState:
-    """State of the event-to-event pinned-bridge recursion.
-
-    ``l`` is the pinned three-dimensional Brownian bridge evaluated at the
-    current event time ``E1``; ``E0`` is the previous event time.
-    """
-
-    l: np.ndarray
-    E0: float
-    E1: float
-
-    def __post_init__(self) -> None:
-        l = np.asarray(self.l, dtype=float)
-        if l.shape != (3,):
-            raise ParameterError(f"l must be a 3-vector, got shape {l.shape}")
-        object.__setattr__(self, "l", l)
-        if not 0.0 <= self.E0 <= self.E1:
-            raise ParameterError(f"need 0 <= E0 <= E1, got E0={self.E0}, E1={self.E1}")
-
-
 def _bridge_coeffs(tau_w: float, e0: float, e1: float) -> tuple[float, float]:
     """Conditional-update coefficients of the pinned bridge at ``e1``.
 
     Given the bridge value at ``e0`` and the pin at ``tau_w``, the value at
     ``e1`` is ``c1 * l + c2 * G`` with a standard normal 3-vector ``G``.
-    Needs ``e0 <= e1 <= tau_w`` and ``e0 < tau_w``, which :func:`bridge_step`
-    checks for outside callers.
+    Needs ``e0 <= e1 <= tau_w`` and ``e0 < tau_w``: the event loop of
+    :func:`_sample_oriented` steps from 0 or the previous event to the next
+    one at or before ``tau_w > 0``.
     """
     denom = tau_w - e0
     c1 = (tau_w - e1) / denom
     c2 = math.sqrt((tau_w - e1) * (e1 - e0) / denom)
     return c1, c2
-
-
-def bridge_step(state: BridgeState, tau_w: float, G: np.ndarray) -> BridgeState:
-    """Advance the pinned bridge from ``E0`` to ``E1`` using innovation ``G``."""
-    G = np.asarray(G, dtype=float)
-    if G.shape != (3,):
-        raise ParameterError(f"G must be a 3-vector, got shape {G.shape}")
-    if not (state.E1 <= tau_w and state.E0 < tau_w):
-        raise ParameterError(
-            f"need E0 <= E1 <= tau_w and E0 < tau_w, got {state.E0}, {state.E1}, {tau_w}"
-        )
-    c1, c2 = _bridge_coeffs(tau_w, state.E0, state.E1)
-    return replace(state, l=c1 * state.l + c2 * G)
 
 
 @dataclass(frozen=True)
@@ -523,30 +488,3 @@ def choose_split_count(a: float, b: float, kappa_max: float) -> int:
     """
     return max(1, math.floor(_split_exponent(a, b, kappa_max, "kappa_max")) + 1)
 
-
-def run_thinning_trial(
-    intensity: Callable[[float], float],
-    horizon: float,
-    kappa: float,
-    rng: np.random.Generator,
-) -> int:
-    """Count rate-``kappa`` clock events on ``[0, horizon]`` below the graph.
-
-    The zero-count probability is ``exp(-int_0^horizon intensity)``, which is
-    the acceptance mechanism of the exact sampler in isolation (validation
-    rig).  ``intensity`` values must lie in ``[0, kappa]``.
-    """
-    _check_kappa(kappa)
-    if not horizon >= 0.0:
-        raise ParameterError(f"horizon must be >= 0, got {horizon}")
-    scale = 1.0 / kappa
-    ceiling = _rate_ceiling(kappa)
-    below = 0
-    t = rng.exponential(scale)
-    while t <= horizon:
-        u = rng.random()
-        v = _guard_rate(intensity(t), ceiling, t)
-        if kappa * u <= v:
-            below += 1
-        t += rng.exponential(scale)
-    return below

@@ -1,4 +1,4 @@
-"""Rejection sampler: bridge recursion, thinning, and end-to-end law oracles."""
+"""Rejection sampler: the event loop's clock and bridge, and end-to-end law oracles."""
 
 from __future__ import annotations
 
@@ -20,13 +20,11 @@ from fptsim.errors import (
     ParameterError,
 )
 from fptsim.exact import (
-    BridgeState,
     ExactProblem,
-    bridge_step,
     choose_split_count,
+    draw_streams,
     expected_proposals,
     iteration_bound_linear,
-    run_thinning_trial,
     sample_batch,
     sample_exact,
     sample_exact_below,
@@ -48,6 +46,7 @@ from fptsim.problems import (
 )
 from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
+from test_acceptance import bridge_state_ks, clock_proposals_z, falling_line_problem
 
 
 def _unit_sde(c: float, x0: float = 0.0) -> UnitDiffusionSDE:
@@ -66,78 +65,61 @@ def _problem(c: float, a: float, b: float, kappa: float, max_proposals: int = 10
     return ExactProblem(sde=sde, threshold=th, gammas=gammas, max_proposals=max_proposals)
 
 
-# --- bridge recursion --------------------------------------------------------
+# --- the event loop's clock and bridge ------------------------------------------
 
 
-def test_bridge_step_conditional_moments():
-    rng = np.random.default_rng(31)
-    state = BridgeState(l=np.array([1.0, 0.0, 0.0]), E0=0.2, E1=0.5)
-    tau = 1.0
-    n = 100_000
-    out = np.empty((n, 3))
-    for i in range(n):
-        out[i] = bridge_step(state, tau, rng.standard_normal(3)).l
-    c1 = (tau - 0.5) / (tau - 0.2)
-    c2_sq = (tau - 0.5) * (0.5 - 0.2) / (tau - 0.2)
-    se_mean = math.sqrt(c2_sq / n)
-    np.testing.assert_allclose(out.mean(axis=0), [c1, 0.0, 0.0], atol=3.1 * se_mean)
-    se_var = c2_sq * math.sqrt(2.0 / n)
-    np.testing.assert_allclose(out.var(axis=0, ddof=1), c2_sq, atol=3.1 * se_var)
+def test_the_loop_steps_the_bridge_forward_to_its_pin(monkeypatch):
+    # the loop guarantees the coefficients' preconditions, e0 <= e1 <= tau
+    # and e0 < tau, and at the pin the bridge collapses to 0
+    calls = []
+    original = exact_module._bridge_coeffs
+    monkeypatch.setattr(exact_module, "_bridge_coeffs",
+                        lambda *args: calls.append(args) or original(*args))
+    sample_batch(example1_problem(), 200, 31)
+    assert calls
+    assert all(0.0 <= e0 <= e1 <= tau and e0 < tau for tau, e0, e1 in calls)
+    assert original(1.0, 0.3, 1.0) == (0.0, 0.0)
 
 
-def test_bridge_step_validates_inputs():
-    with pytest.raises(ParameterError):
-        BridgeState(l=np.zeros(2), E0=0.0, E1=1.0)
-    with pytest.raises(ParameterError):
-        BridgeState(l=np.zeros(3), E0=2.0, E1=1.0)
-    state = BridgeState(l=np.zeros(3), E0=0.0, E1=2.0)
-    with pytest.raises(ParameterError):
-        bridge_step(state, 1.0, np.zeros(3))  # pin before the current event
+# Each fault is planted in the shipped loop through a module global it reads
+# on every draw.  Criteria 7 and 8 run the same checks on the same problems
+# at 5 * 10^4 draws; here each check passes at 10^4 draws without its fault
+# and fails with it.
 
 
-def test_bridge_step_at_the_pin_collapses_to_zero():
-    state = BridgeState(l=np.array([0.7, -0.2, 0.1]), E0=0.3, E1=1.0)
-    stepped = bridge_step(state, 1.0, np.random.default_rng(0).standard_normal(3))
-    np.testing.assert_allclose(stepped.l, 0.0, atol=1e-15)
+@pytest.mark.parametrize("clock", ["combined", "split"])
+def test_criterion_7_fails_on_doubled_clock_gaps(monkeypatch, clock):
+    # gaps of 2/kappa run the clock at half its rate, so proposals are kept
+    # with probability E[exp(-0.75 tau_W)] and the mean falls to about 1.79
+    assert abs(clock_proposals_z(clock == "split", 1.5, 10_000, 32)[1]) < 3.0
+
+    def doubled(rng, size=16):
+        normal, uniform, exponential = draw_streams(rng, size)
+        return normal, uniform, lambda: 2.0 * exponential()
+
+    monkeypatch.setattr(exact_module, "draw_streams", doubled)
+    assert clock_proposals_z(clock == "split", 1.5, 10_000, 32)[1] < -3.0
 
 
-# --- thinning law ------------------------------------------------------------
+@pytest.mark.parametrize("clock", ["combined", "split"])
+def test_criterion_8_fails_on_a_bridge_never_pulled_to_its_pin(monkeypatch, clock):
+    # with c1 = 1 the bridge never shrinks toward 0 at the pin, so the
+    # rebuilt gap spreads too wide
+    assert bridge_state_ks(clock == "split", 10_000, 33)[0] > 0.01
+    original = exact_module._bridge_coeffs
+    monkeypatch.setattr(exact_module, "_bridge_coeffs",
+                        lambda tau, e0, e1: (1.0, original(tau, e0, e1)[1]))
+    assert bridge_state_ks(clock == "split", 10_000, 33)[0] < 0.01
 
 
-@pytest.mark.parametrize(
-    "intensity,horizon,integral",
-    [
-        (lambda t: 0.37, 2.0, 0.74),
-        (lambda t: 0.2 + 0.3 * t, 2.0, 1.0),
-    ],
-)
-def test_thinning_reproduces_void_probability(intensity, horizon, integral):
-    rng = np.random.default_rng(32)
-    n = 100_000
-    zeros = sum(run_thinning_trial(intensity, horizon, 1.5, rng) == 0 for i in range(n))
-    p = math.exp(-integral)
-    se = math.sqrt(p * (1.0 - p) / n)
-    assert abs(zeros / n - p) < 3.0 * se
-
-
-@pytest.mark.parametrize(
-    "intensity,error",
-    [
-        (lambda t: 2.0, AssumptionViolation),
-        (lambda t: float("nan"), DomainError),
-    ],
-    ids=["above_kappa", "nan"],
-)
-def test_thinning_rejects_intensity_above_kappa(intensity, error):
-    rng = np.random.default_rng(33)
-    with pytest.raises(error):
-        for _ in range(200):
-            run_thinning_trial(intensity, 1.0, 1.0, rng)
+@pytest.mark.parametrize("clock", ["combined", "split"])
+def test_the_event_loop_refuses_a_nan_rate(clock):
+    prob = falling_line_problem(math.nan, 1.0, clock == "split", [])
+    with pytest.raises(DomainError, match=r"rate at \(t=.*, x=.*\) is nan"):
+        sample_batch(prob, 200, 34)
 
 
 _CLOCK_RATE_USERS = {
-    "run_thinning_trial": ("kappa", lambda kappa: run_thinning_trial(
-        lambda t: 0.0, 1.0, kappa, np.random.default_rng(34))),
     "iteration_bound_linear": ("kappa", lambda kappa: iteration_bound_linear(-1.0, 1.0, kappa)),
     "choose_split_count": ("kappa_max", lambda kappa: choose_split_count(-1.0, 1.0, kappa)),
 }
@@ -146,8 +128,7 @@ _CLOCK_RATE_USERS = {
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "minus_1"])
 @pytest.mark.parametrize("function", sorted(_CLOCK_RATE_USERS))
 def test_clock_rate_users_refuse_a_kappa_that_is_not_finite_and_positive(function, kappa):
-    # at kappa = inf the thinning trial would never return and the split
-    # count would overflow
+    # at kappa = inf the split count would overflow
     name, call = _CLOCK_RATE_USERS[function]
     with pytest.raises(ParameterError, match=_exactly(f"{name} must be finite and positive, got {kappa}")):
         call(kappa)
@@ -717,29 +698,6 @@ def test_the_split_clock_keeps_the_law_with_fewer_clock_events(name):
     # proposals by exp(c); criterion 3 holds the 3-SE identity test
     mean = sum(d.proposals for d in split) / n
     assert abs(mean / expected_proposals(prob) - 1.0) < 0.05
-
-
-def test_the_split_clock_keeps_the_power_of_the_acceptance_identity():
-    # criterion 3's power check on the split clock: the space rate of plain
-    # Brownian motion (g = 0) on the g* proposals of Example 2, given the
-    # g = 0 space bound, must break the g* identity.  The split clock takes
-    # the time rate from A and g* (and refuses a gamma1 that is not that
-    # closed form), so the fault is the g*^2 / 2 missing from gamma2: at
-    # K = 1.6 (g*^2 / 2 = 0.017) it moves the mean proposals by about 0.5%,
-    # below one standard error at this n, and at K = 2 (g*^2 / 2 = 0.39) by
-    # about 14%.
-    K = 2.0
-    prob = example2_problem(K=K, epsilon=2.0**-20)
-    space0 = ((K + 1.0) ** 2 + 1.0) / 2.0  # the g = 0 space bound
-    plain = replace(prob.gammas, gamma2=make_gamma_pair(prob.sde, prob.threshold).gamma2,
-                    space_kappa=space0)
-    kappa0 = (K + math.sin(1.0)) + space0  # the g = 0 bound
-    wrong = ExactProblem(prob.sde, prob.threshold, plain.with_kappa(kappa0), prob.curvy)
-    assert wrong._kernel.time is not None
-    n = 10_000
-    counts = np.array([d.proposals for d in sample_batch(wrong, n, 0)], dtype=float)
-    z = (counts.mean() - expected_proposals(wrong)) / (counts.std(ddof=1) / math.sqrt(n))
-    assert z > 3.0
 
 
 def _tanh_sde(x0: float) -> UnitDiffusionSDE:
