@@ -68,17 +68,76 @@ def _problem(c: float, a: float, b: float, kappa: float, max_proposals: int = 10
 # --- the event loop's clock and bridge ------------------------------------------
 
 
-def test_the_loop_steps_the_bridge_forward_to_its_pin(monkeypatch):
+@pytest.mark.parametrize("clock", ["combined", "split"])
+def test_the_loop_steps_the_bridge_forward_to_its_pin(monkeypatch, clock):
     # the loop guarantees the coefficients' preconditions, e0 <= e1 <= tau
     # and e0 < tau, and at the pin the bridge collapses to 0
     calls = []
     original = exact_module._bridge_coeffs
     monkeypatch.setattr(exact_module, "_bridge_coeffs",
                         lambda *args: calls.append(args) or original(*args))
-    sample_batch(example1_problem(), 200, 31)
+    sample_batch(falling_line_problem(0.0, 1.0, clock == "split", []), 200, 31)
     assert calls
     assert all(0.0 <= e0 <= e1 <= tau and e0 < tau for tau, e0, e1 in calls)
     assert original(1.0, 0.3, 1.0) == (0.0, 0.0)
+
+
+def _wald_passage_density(t: float) -> float:
+    """Density of the passage of ``W_t + t`` to 1: the zero-drift passage
+    from 0 to the line ``1 - t``."""
+    return math.exp(-(1.0 - t) ** 2 / (2.0 * t)) / math.sqrt(2.0 * math.pi * t**3)
+
+
+@pytest.mark.parametrize(
+    "intensity,integral",
+    [
+        (lambda t: 0.37, lambda t: 0.37 * t),
+        (lambda t: 0.2 + 0.3 * min(t, 2.0),
+         lambda t: 0.2 * t + 0.15 * min(t, 2.0) ** 2 + 0.6 * max(t - 2.0, 0.0)),
+    ],
+    ids=["constant", "linear"],
+)
+def test_thinning_reproduces_void_probability(intensity, integral):
+    # a proposal passing at tau is kept when the clock thins no event of the
+    # time rate on [0, tau], with probability exp(-int_0^tau intensity); the
+    # mean proposals are one over that void probability's mean over tau
+    from scipy.integrate import quad
+
+    def kept(t: float) -> float:
+        return _wald_passage_density(t) * math.exp(-integral(t))
+
+    p = quad(kept, 0.0, 2.0)[0] + quad(kept, 2.0, math.inf)[0]
+    line = falling_line_problem(0.0, 1.5, False, [])
+    prob = ExactProblem(line.sde, line.threshold, replace(line.gammas, gamma1=intensity))
+    n = 20_000
+    counts = np.array([d.proposals for d in sample_batch(prob, n, 35)], dtype=float)
+    se = counts.std(ddof=1) / math.sqrt(n)
+    assert abs(counts.mean() - 1.0 / p) < 3.0 * se
+
+
+def test_the_combined_clock_reads_the_time_rate_where_it_reads_the_threshold():
+    # the bridge clock runs backwards from the pin, so an event at e1 lies at
+    # forward time tau - e1; a time rate read at e1 instead keeps every void
+    # probability (the Poisson clock on [0, tau] is the same either way
+    # round), so only the argument shows it
+    reads = []
+    line = falling_line_problem(0.0, 1.0, False, [])
+
+    def beta(t: float) -> float:
+        reads.append(("beta", t))
+        return line.threshold.beta(t)
+
+    def gamma1(t: float) -> float:
+        reads.append(("gamma1", t))
+        return 0.0
+
+    prob = ExactProblem(line.sde, replace(line.threshold, beta=beta),
+                        replace(line.gammas, gamma1=gamma1))
+    reads.clear()
+    draws = sample_batch(prob, 200, 36)
+    rates = [i for i, (name, _) in enumerate(reads) if name == "gamma1"]
+    assert len(rates) == sum(d.clock_events for d in draws) > 0
+    assert all(i > 0 and reads[i - 1] == ("beta", reads[i][1]) for i in rates)
 
 
 # Each fault is planted in the shipped loop through a module global it reads
@@ -109,6 +168,21 @@ def test_criterion_8_fails_on_a_bridge_never_pulled_to_its_pin(monkeypatch, cloc
     original = exact_module._bridge_coeffs
     monkeypatch.setattr(exact_module, "_bridge_coeffs",
                         lambda tau, e0, e1: (1.0, original(tau, e0, e1)[1]))
+    assert bridge_state_ks(clock == "split", 10_000, 33)[0] < 0.01
+
+
+@pytest.mark.parametrize("clock", ["combined", "split"])
+def test_criterion_8_fails_on_a_bridge_with_its_variance_for_its_spread(monkeypatch, clock):
+    # c2 squared is c2 shrunk wherever c2 < 1, as on most steps here, so the
+    # rebuilt gap spreads too narrow
+    assert bridge_state_ks(clock == "split", 10_000, 33)[0] > 0.01
+    original = exact_module._bridge_coeffs
+
+    def unsquared(tau, e0, e1):
+        c1, c2 = original(tau, e0, e1)
+        return c1, c2 * c2
+
+    monkeypatch.setattr(exact_module, "_bridge_coeffs", unsquared)
     assert bridge_state_ks(clock == "split", 10_000, 33)[0] < 0.01
 
 
