@@ -13,17 +13,19 @@ shapes are covered:
   constant case;
 * smooth non-linear thresholds ("curvy"): an iteration that repeatedly draws
   the exact passage time of a tilted line through the current gap.  With gap
-  ``H`` and line slope ``r <= inf beta'``, one draws ``G`` ~ line-FPT(r, H)
-  and updates ``T <- T + G``, ``H <- beta(T+G) - beta(T) - r G`` (the new gap
-  between the hit point and the threshold, non-negative by the slope bound),
-  stopping when ``H <= epsilon`` or ``T`` exceeds the horizon.  Every iterate
+  ``H`` and line slope ``r = inf beta'`` (the declared ``inf_slope``, the
+  largest admissible slope), one draws ``G`` ~ line-FPT(r, H) and updates
+  ``T <- T + G``, ``H <- beta(T+G) - beta(T) - r G`` (the new gap between the
+  hit point and the threshold, non-negative by the slope bound), stopping
+  when ``H <= epsilon`` or ``T`` exceeds the horizon.  Every iterate
   is an exact passage time to a piecewise-linear lower approximation, so the
   returned time under-approximates and converges as ``epsilon -> 0``.
   A threshold that starts below 0 is reflected through
   :meth:`fptsim.model.Threshold.proposal_frame`, the one place that maps a
-  threshold into the frame of the line iteration.  A final gap below zero
-  means a line crossed the threshold, so a stated slope bound was false;
-  the iteration then raises :class:`fptsim.errors.AssumptionViolation`.
+  threshold into the frame of the line iteration, and the line slope is the
+  frame's ``inf_slope``; a frame without one is refused.  A final gap below
+  zero means a line crossed the threshold, so the stated slope bound was
+  false; the iteration then raises :class:`fptsim.errors.AssumptionViolation`.
 
 The line draws of this module go through one core, :func:`_linear_time`,
 which takes its randomness from two scalar streams (zero-argument callables
@@ -52,8 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AssumptionViolation, ParameterError
-from .model import Threshold, _fill
+from .errors import AssumptionViolation, ConfigurationError, ParameterError
+from .model import Threshold, _fill, _frame
 from .rng import block_stream
 
 __all__ = [
@@ -121,23 +123,18 @@ CURVY_HORIZON = 50.0
 class CurvyParams:
     """Parameters of the curvy-threshold iteration.
 
-    ``r`` is the tilted-line slope in the proposal frame the iteration runs
-    in (:meth:`fptsim.model.Threshold.proposal_frame`: reflected for
-    thresholds below the start, tilted by the reference drift of the
-    exact sampler); it must not exceed the frame's ``inf_slope``.
     ``epsilon`` is the gap at which the iteration stops; ``horizon`` censors
-    non-convergent runs.
+    non-convergent runs.  The line slope is not a parameter: it is the
+    ``inf_slope`` of the proposal frame the iteration runs in
+    (:meth:`fptsim.model.Threshold.proposal_frame`).
     """
 
     epsilon: float
-    r: float
     horizon: float = CURVY_HORIZON
 
     def __post_init__(self) -> None:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not math.isfinite(self.r):
-            raise ParameterError(f"r must be finite, got {self.r}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
 
@@ -257,11 +254,10 @@ def sample_fpt_linear(a: float, b: float, rng: np.random.Generator) -> FptDraw:
     return FptDraw(time=t, finite=True)
 
 
-def _check_slope(frame: Threshold, r: float) -> None:
-    """Refuse a line slope ``r`` above the frame's ``inf_slope``."""
-    if frame.inf_slope is not None and r > frame.inf_slope + 1e-12:
-        raise ParameterError(f"line slope r={r} exceeds the threshold slope infimum "
-                             f"{frame.inf_slope}; the iteration would overshoot")
+def _require_line_slope(frame: Threshold) -> None:
+    """Refuse a ``frame`` without ``inf_slope``, the slope of its curvy lines."""
+    if frame.inf_slope is None:
+        raise ConfigurationError("curvy proposals need a bounded threshold slope")
 
 
 def sample_fpt_curvy(
@@ -278,8 +274,9 @@ def sample_fpt_curvy(
 
     The threshold is given in the Brownian frame (process starts at 0) and
     placed by :meth:`~fptsim.model.Threshold.validate_start`: one below 0 is
-    reflected by its :meth:`~fptsim.model.Threshold.proposal_frame`, and the
-    above-start iteration runs on ``-beta``; ``params.r`` refers to that frame.
+    reflected by its :meth:`~fptsim.model.Threshold.proposal_frame` to
+    ``-beta``.  The lines take the ``inf_slope`` of the frame the iteration
+    runs on (:class:`ConfigurationError` when it has none).
     The returned time is ``min(T, horizon)`` with ``clock_events`` equal to
     the number of line draws consumed; a returned time equal to the horizon
     means the run was censored (a line past it is checked at the horizon).
@@ -298,15 +295,13 @@ def sample_fpt_curvy(
     """
     if (normal is None) != (uniform is None):
         raise ParameterError("pass both the normal and the uniform stream, or neither")
-    r = params.r
     if gap is None:
         side, gap = threshold.validate_start(0.0)
         if side < 0.0:
-            threshold = threshold.proposal_frame()
-        _check_slope(threshold, r)
-    beta = threshold.beta
-    epsilon = params.epsilon
-    horizon = params.horizon
+            threshold = _frame(threshold, side, 0.0, 0.0)
+        _require_line_slope(threshold)
+    r, beta = threshold.inf_slope, threshold.beta
+    epsilon, horizon = params.epsilon, params.horizon
     if gap <= epsilon:
         return _draw(0.0)
     if normal is None:

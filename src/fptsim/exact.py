@@ -19,8 +19,8 @@ which :class:`ExactProblem` builds once per problem; :func:`sample_exact`
 draws it on either side of the threshold.  The threshold picks the proposal:
 closed-form for a line (inverse Gaussian, or Lévy for a flat frame), the line
 iteration of :func:`fptsim.bm_fpt.sample_fpt_curvy` with the problem's
-``curvy`` parameters for a curve.  At a clock event ``E`` in
-``[0, tau_W]`` the path state enters as
+``curvy`` parameters and the frame's ``inf_slope`` as line slope for a curve.
+At a clock event ``E`` in ``[0, tau_W]`` the path state enters as
 
     x_rec = beta(E) -/+ || (E/tau_W) * delta * e1 + l_E ||,
 
@@ -91,7 +91,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bm_fpt import CurvyParams, FptDraw, _check_slope, _draw, _linear_time, sample_fpt_curvy
+from .bm_fpt import CurvyParams, FptDraw, _draw, _linear_time, _require_line_slope, sample_fpt_curvy
 from .errors import ConfigurationError, DomainError, NonTerminationError, ParameterError
 from .model import (
     GAMMA_NEGATIVE_TOLERANCE,
@@ -99,6 +99,7 @@ from .model import (
     Threshold,
     UnitDiffusionSDE,
     _check_kappa,
+    _frame,
     _gamma1,
     _guard_rate,
     _rate_ceiling,
@@ -147,7 +148,9 @@ class ExactProblem:
     ``(sde, threshold)`` with the same ``reference_drift`` (or be certified
     equivalent by the caller); runtime guards abort on out-of-range rates
     rather than silently biasing output.  ``curvy`` holds a curved
-    threshold's line-iteration parameters and is ``None`` for a line.  The
+    threshold's line-iteration parameters and is ``None`` for a line; the
+    lines take the frame's ``inf_slope``, and a curve whose frame has none is
+    refused with :class:`ConfigurationError`.  The
     constructor checks the parts and builds the plain-value form the sampler
     runs on, once for every draw, in :func:`_kernel_of`; the proposal frame
     of a curved threshold is ``_kernel.curvy[0]``, and :func:`sample_exact`
@@ -216,9 +219,10 @@ def _kernel_of(x0: float, sde: UnitDiffusionSDE, threshold: Threshold, gammas: G
     ``threshold.linear`` alone picks the proposal.  Checks in order:
     ``kappa`` is set, finite and positive, ``max_proposals >= 1``, the start
     (:meth:`Threshold.validate_start`, which gives the kernel's ``sign`` and
-    start gap ``delta = phi(0)``), the reference drift is finite, ``curvy``
-    is ``None`` for a line and set for a curve, a curve's line slope is at
-    most the frame's ``inf_slope``, a set ``space_kappa`` is finite and positive
+    start gap ``delta = phi(0)``; the frame ``phi`` is built on its side, so
+    ``beta(0)`` is read once), the reference drift is finite, ``curvy``
+    is ``None`` for a line and set for a curve, a curve's frame has an
+    ``inf_slope`` (its line slope), a set ``space_kappa`` is finite and positive
     with ``gamma1(0) >= 0`` in closed form, and a line's frame intercept is positive.
     """
     kappa = gammas.kappa
@@ -231,14 +235,14 @@ def _kernel_of(x0: float, sde: UnitDiffusionSDE, threshold: Threshold, gammas: G
     g = gammas.reference_drift
     if not math.isfinite(g):
         raise ParameterError(f"reference drift must be finite, got {g}")
-    frame = threshold.proposal_frame(x0, g)
+    frame = _frame(threshold, sign, x0, g)
     linear = threshold.linear is not None
     if linear and curvy is not None:
         raise ConfigurationError("CurvyParams apply to curved thresholds only; this one is a line")
     if not linear:
         if curvy is None:
             raise ConfigurationError("a curved threshold needs CurvyParams for its proposals")
-        _check_slope(frame, curvy.r)
+        _require_line_slope(frame)
     time = None
     if gammas.space_kappa is not None:
         kappa = _check_kappa(gammas.space_kappa, "space_kappa")

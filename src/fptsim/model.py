@@ -58,6 +58,8 @@ GAMMA_UPPER_SLACK = 1e-9
 KAPPA_MARGIN = 0.05
 #: Smallest clock rate handed to the sampler for degenerate (all-zero) rates.
 KAPPA_FLOOR = 1e-6
+#: Points of each grid :func:`estimate_kappa` takes its maxima over.
+_KAPPA_GRID = 2001
 
 _QUAD_ABSTOL = 1e-10
 _INVERT_TOL = 1e-12
@@ -101,8 +103,9 @@ class Threshold:
 
     It is a curve only: a process from ``x0`` passes it from the side of its
     start, the sign of ``beta(0) - x0``.  ``inf_slope``/``sup_slope`` bound
-    ``beta'`` over the whole horizon of use (``None`` when unknown); they are
-    required by the curvy proposal sampler.  ``linear`` carries ``(a, b)``
+    ``beta'`` over the whole horizon of use (``None`` when unknown); the
+    curvy proposal sampler draws its lines at the ``inf_slope`` of the
+    threshold's proposal frame.  ``linear`` carries ``(a, b)``
     when ``beta(t) = a*t + b`` exactly, which unlocks closed-form proposals
     and space splitting.
     """
@@ -142,19 +145,7 @@ class Threshold:
         sides when ``s = -1``; ``linear = (a, b)`` maps to
         ``(s * (a - g), s * (b - x0))``.  ``phi(0)`` is the start gap.
         """
-        s = self.validate_start(x0)[0]
-        beta = self.beta
-        beta_prime = self.beta_prime
-        linear = self.linear
-        lo, hi = (self.inf_slope, self.sup_slope) if s > 0 else (self.sup_slope, self.inf_slope)
-        # a Threshold has no checks, so the fill equals the constructor
-        return _fill(Threshold, {
-            "beta": lambda t: s * (beta(t) - g * t - x0),
-            "beta_prime": lambda t: s * (beta_prime(t) - g),
-            "inf_slope": None if lo is None else s * (lo - g),
-            "sup_slope": None if hi is None else s * (hi - g),
-            "linear": None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
-        })
+        return _frame(self, self.validate_start(x0)[0], x0, g)
 
     def validate_slopes(self, ts: Sequence[float], tol: float = 1e-9) -> None:
         for t in ts:
@@ -167,6 +158,21 @@ class Threshold:
                 raise ConfigurationError(
                     f"beta'({t}) = {d} violates sup_slope = {self.sup_slope}"
                 )
+
+
+def _frame(th: Threshold, s: float, x0: float, g: float) -> Threshold:
+    """:meth:`Threshold.proposal_frame` of ``th`` on the side ``s`` its caller
+    holds from :meth:`Threshold.validate_start`, without reading ``beta(0)`` again."""
+    beta, beta_prime, linear = th.beta, th.beta_prime, th.linear
+    lo, hi = (th.inf_slope, th.sup_slope) if s > 0 else (th.sup_slope, th.inf_slope)
+    # a Threshold has no checks, so the fill equals the constructor
+    return _fill(Threshold, {
+        "beta": lambda t: s * (beta(t) - g * t - x0),
+        "beta_prime": lambda t: s * (beta_prime(t) - g),
+        "inf_slope": None if lo is None else s * (lo - g),
+        "sup_slope": None if hi is None else s * (hi - g),
+        "linear": None if linear is None else (s * (linear[0] - g), s * (linear[1] - x0)),
+    })
 
 
 def linear_threshold(a: float, b: float) -> Threshold:
@@ -306,14 +312,13 @@ def estimate_kappa(
     t_max: float,
     x_lo: float,
     x_hi: float,
-    n_grid: int = 2001,
 ) -> float:
     """Grid estimate of an upper bound for the rate sum.
 
-    Returns ``(1 + KAPPA_MARGIN) * (max gamma1 + max gamma2)`` over
-    uniform grids on ``[0, t_max]`` and ``[x_lo, x_hi]``.  The sum of the two
-    maxima bounds the maximum of the sum because the rates are separable.  A
-    user-supplied analytic bound always beats this estimate; the margin only
+    Returns ``(1 + KAPPA_MARGIN) * (max gamma1 + max gamma2)`` over uniform
+    grids of ``_KAPPA_GRID`` points on ``[0, t_max]`` and ``[x_lo, x_hi]``.  The
+    sum of the two maxima bounds the maximum of the sum because the rates are
+    separable.  A user-supplied analytic bound always beats this estimate; the margin only
     cushions grid undershoot, it is not a proof.  Rates that go negative on
     the grids (the sampler would abort) are refused with :class:`ParameterError`.
     """
@@ -321,10 +326,8 @@ def estimate_kappa(
         raise ParameterError(f"t_max must be positive and finite, got {t_max}")
     if not (x_lo < x_hi and math.isfinite(x_lo) and math.isfinite(x_hi)):
         raise ParameterError(f"need finite x_lo < x_hi, got [{x_lo}, {x_hi}]")
-    if n_grid < 2:
-        raise ParameterError(f"n_grid must be >= 2, got {n_grid}")
-    g1 = np.array([pair.gamma1(t) for t in np.linspace(0.0, t_max, n_grid)])
-    g2 = np.array([pair.gamma2(x) for x in np.linspace(x_lo, x_hi, n_grid)])
+    g1 = np.array([pair.gamma1(t) for t in np.linspace(0.0, t_max, _KAPPA_GRID)])
+    g2 = np.array([pair.gamma2(x) for x in np.linspace(x_lo, x_hi, _KAPPA_GRID)])
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
         raise DomainError("gamma evaluation produced non-finite values on the grid")
     least = float(g1.min()) + float(g2.min())

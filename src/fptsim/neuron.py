@@ -89,7 +89,7 @@ from .errors import (
     SequencingError,
 )
 from .exact import ExactProblem, draw_streams, sample_exact_below
-from .model import GammaPair, Threshold, UnitDiffusionSDE, _fill
+from .model import KAPPA_FLOOR, GammaPair, Threshold, UnitDiffusionSDE, _fill
 from .rng import sample_many
 
 __all__ = [
@@ -110,7 +110,8 @@ __all__ = [
 
 #: Extra proposal time past the remaining simulation horizon.
 PROPOSAL_SLACK = 5.0
-#: Margin between the tangent slope and the steepest admissible slope.
+#: Margin of a stage's declared ``sup_slope`` over its exact one, so that the curvy lines,
+#: of the frame's ``inf_slope`` ``g - sup_slope``, run that much below the steepest slope.
 TANGENT_MARGIN = 0.1
 #: Number of equal pieces of interval time the rate bounds are taken over.
 _RATE_PIECES = 64
@@ -118,7 +119,6 @@ _RATE_PIECES = 64
 _PIECE_ENDS = np.arange(_RATE_PIECES + 1) / _RATE_PIECES
 #: Indices of the first and of the last end of each piece, in two rows.
 _PIECE_END_INDEX = np.stack((np.arange(_RATE_PIECES), np.arange(1, _RATE_PIECES + 1)))
-_KAPPA_FLOOR = 1e-9
 #: Stage width in ``u = exp(-sigma*x)``, in units of ``sigma/|d|``.  A stage's cost exponent
 #: ``x`` (about ``e^x`` proposals) grows with its width, so the cost per width ``(C0 + C1*e^x)/x``
 #: (set-up ``C0``, ``C1`` per proposal) is least at ``e^x (x - 1) = C0/C1``, about 4.6: ``x``
@@ -126,6 +126,10 @@ _KAPPA_FLOOR = 1e-9
 _STAGE_WIDTH = 2.0
 #: Values per block of the random streams a spike train shares among its stage draws.
 _TRAIN_BLOCK = 64
+#: Proposal horizon of the one stage :func:`transform_neuron` builds.
+_TRANSFORM_HORIZON = 7.0
+#: Spike count at which :func:`simulate_spike_train` calls a train runaway.
+_MAX_SPIKES = 10_000
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,9 @@ class NeuronParams:
     voltage, ``I`` the input current, ``theta0`` the threshold baseline,
     ``tau1`` the threshold decay constant, ``delta`` the adaptation strength
     and ``v_reset`` the post-spike voltage (defaults to ``V_r``).  Every
-    field is finite except ``tau1``, which may be ``inf`` (no decay).
+    field is finite except ``tau1``, which may be ``inf`` (no decay).  ``delta >= 0``, and
+    ``v_reset`` is below the infimum of the post-spike threshold levels,
+    ``theta0 + delta/tau1`` (``theta0 + 1`` when ``tau1 = inf``).
     """
 
     tau_m: float = -1.0
@@ -172,6 +178,12 @@ class NeuronParams:
             raise ParameterError(
                 f"initial threshold theta0 + 1 = {self.theta0 + 1.0} must exceed v0 = {self.v0}"
             )
+        if not self.delta >= 0.0:
+            raise ParameterError(f"delta must be >= 0, got {self.delta}")
+        floor = self.theta0 + (1.0 if self.tau1 == math.inf else self.delta / self.tau1)
+        if not self.v_reset < floor:
+            raise ParameterError(f"v_reset = {self.v_reset} must be below every post-spike "
+                                 f"threshold level, whose infimum is {floor}")
 
     def drift_coefficients(self) -> tuple[float, float]:
         """``(c, d)`` of the transformed drift ``alpha(x) = c + d*exp(-sigma*x)``."""
@@ -299,10 +311,10 @@ class _StageBounds:
         self.theta_plus = thp
         self.c, self.d = c, d
         self.offsets = offsets
-        # slope range of beta (monotone in theta; same for every stage offset)
+        # slope range of beta (monotone in theta; same for every offset), plus TANGENT_MARGIN
         slope_at_peak = (thp - th0) / (tau1 * sigma * thp)
         self.inf_slope = min(0.0, slope_at_peak)
-        self.sup_slope = max(0.0, slope_at_peak)
+        self.sup_slope = max(0.0, slope_at_peak) + TANGENT_MARGIN
 
         # rows are stages; along a row, piece ends or pieces in time order.
         # Tables with an axis for the two ends of a piece keep it in front of
@@ -436,13 +448,10 @@ class _StageBounds:
         sup2 = max(0.0, 0.5 * (max(c * c, _q(c, d, sigma, u_cap)) - gg))
         sup1 = max(0.0, float(np.maximum.reduce(g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:],
                                                 axis=None)))
-        r = (g - self.sup_slope) - TANGENT_MARGIN
-        if not math.isfinite(r):
-            raise ParameterError(f"r must be finite, got {r}")
         # The part fills skip only the part constructors' checks: kappa is
-        # at least _KAPPA_FLOOR, r is checked above, epsilon is a constant
-        # and the horizon is positive and finite (simulate_spike_train checks
-        # its horizon once).
+        # at least KAPPA_FLOOR, epsilon is a constant and the horizon is
+        # positive and finite (simulate_spike_train checks its horizon once).
+        # The curvy lines take the frame's inf_slope, g - sup_slope.
         alpha, alpha_prime, A = self.sde_parts
         return ExactProblem(
             _fill(UnitDiffusionSDE, {"alpha": alpha, "alpha_prime": alpha_prime, "A": A,
@@ -451,9 +460,9 @@ class _StageBounds:
                               "inf_slope": self.inf_slope, "sup_slope": self.sup_slope,
                               "linear": None}),
             _fill(GammaPair, {"gamma1": gamma1, "gamma2": gamma2,
-                              "kappa": max(sup1 + sup2, _KAPPA_FLOOR), "reference_drift": g,
+                              "kappa": max(sup1 + sup2, KAPPA_FLOOR), "reference_drift": g,
                               "space_kappa": None}),
-            _fill(CurvyParams, {"epsilon": CURVY_EPSILON, "r": r, "horizon": horizon}),
+            _fill(CurvyParams, {"epsilon": CURVY_EPSILON, "horizon": horizon}),
             max_proposals,
         )
 
@@ -463,7 +472,6 @@ def transform_neuron(
     state: AdaptiveThresholdState | None = None,
     *,
     start_voltage: float | None = None,
-    prop_horizon: float = 7.0,
 ) -> tuple[UnitDiffusionSDE, Threshold, GammaPair]:
     """Unit-diffusion view of one inter-spike interval.
 
@@ -473,7 +481,7 @@ def transform_neuron(
     transformed SDE (``x0 = -(1/sigma) ln`` of the start voltage), the
     below-start threshold ``beta(t) = -(1/sigma) ln theta(t)`` and the rate
     pair with its thinning bound and stage reference drift attached: those
-    of the one stage of :class:`_StageBounds` over ``[0, prop_horizon]``.
+    of the one stage of :class:`_StageBounds` over ``[0, _TRANSFORM_HORIZON]``.
     A start voltage not below the threshold level is a :class:`DomainError`.
     """
     first = state is None
@@ -484,9 +492,9 @@ def transform_neuron(
     if not start_voltage > 0.0:
         raise DomainError(f"start voltage must be positive, got {start_voltage}")
     _check_start_below(start_voltage, state.theta_plus)
-    bounds = _StageBounds(params, state.theta_plus, [0.0], 0.0, prop_horizon)
+    bounds = _StageBounds(params, state.theta_plus, [0.0], 0.0, _TRANSFORM_HORIZON)
     problem = bounds.problem(0, 0.0, x_start=-math.log(start_voltage) / params.sigma,
-                             horizon=prop_horizon, max_proposals=10**6)
+                             horizon=_TRANSFORM_HORIZON, max_proposals=10**6)
     return problem.sde, problem.threshold, problem.gammas
 
 
@@ -549,7 +557,6 @@ def simulate_spike_train(
     horizon: float,
     rng: np.random.Generator,
     *,
-    max_spikes: int = 10_000,
     max_proposals: int = 10**6,
 ) -> SpikeTrain:
     """Chain exact interval draws into the spike train on ``[0, horizon)``.
@@ -568,9 +575,9 @@ def simulate_spike_train(
     times: list[float] = []
     stages = proposals = clock_events = 0
     while True:
-        if len(times) >= max_spikes:
+        if len(times) >= _MAX_SPIKES:
             raise NonTerminationError(
-                f"more than {max_spikes} spikes before t={horizon}; "
+                f"more than {_MAX_SPIKES} spikes before t={horizon}; "
                 "parameterization looks runaway"
             )
         remaining = horizon - state.last_spike

@@ -231,8 +231,8 @@ def example2_problem(
     draw, 6.5 at the defaults against 7.8 at ``g = 0``, for the same law
     (Girsanov: the tilted rates take back what the tilt adds).  The space
     rate alone is thinned, under the space part of the bound.  The curvy
-    sampler runs with line slope ``r = -a*b - g*``, the steepest slope of
-    the proposal frame, and resolution ``epsilon``.
+    sampler runs at resolution ``epsilon``, with lines of the proposal
+    frame's ``inf_slope``, ``-a*b - g*``.
     """
     if not a > x0:
         raise ParameterError(f"threshold must start above x0, got a={a}, x0={x0}")
@@ -240,7 +240,7 @@ def example2_problem(
     threshold = exponential_threshold(a, b)
     g, kappa, space_kappa = _example2_bounds(K, a, b)
     gammas = replace(make_gamma_pair(sde, threshold, g).with_kappa(kappa), space_kappa=space_kappa)
-    curvy = CurvyParams(epsilon=epsilon, r=-a * b - g, horizon=horizon)
+    curvy = CurvyParams(epsilon=epsilon, horizon=horizon)
     return ExactProblem(sde=sde, threshold=threshold, gammas=gammas, curvy=curvy,
                         max_proposals=max_proposals)
 
@@ -328,18 +328,7 @@ def build_custom_problem(
     lo = min(x0, b0, b_end) - pad
     hi = max(x0, b0, b_end) + pad
     kappa = estimate_kappa(gammas, t_max=horizon, x_lo=lo, x_hi=hi)
-    curvy = None
-    if th.linear is None:
-        curvy = CurvyParams(epsilon=CURVY_EPSILON if epsilon is None else epsilon,
-                            r=_tangent_slope(th, x0), horizon=horizon)
+    curvy = (None if th.linear is not None
+             else CurvyParams(CURVY_EPSILON if epsilon is None else epsilon, horizon))
     return ExactProblem(sde=sde, threshold=th, gammas=gammas.with_kappa(kappa), curvy=curvy,
                         max_proposals=max_proposals)
-
-
-def _tangent_slope(th: Threshold, x0: float) -> float:
-    """Steepest admissible tangent slope for curvy proposals on ``th`` from
-    ``x0``: the ``inf_slope`` of its proposal frame (with no reference drift)."""
-    slope = th.proposal_frame(x0).inf_slope
-    if slope is None:
-        raise ConfigurationError("curvy proposals need a bounded threshold slope")
-    return slope

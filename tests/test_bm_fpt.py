@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_curvy_constant_threshold_is_exact_in_one_iteration():
         sup_slope=0.0,
     )
     horizon = 200.0
-    params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=horizon)
+    params = CurvyParams(epsilon=2.0**-4, horizon=horizon)
     draws = [sample_fpt_curvy(th, params, rng) for _ in range(20000)]
     assert all(d.clock_events == 1 for d in draws)
     # the passage law to a constant level is heavy-tailed, so a few draws are
@@ -235,7 +236,7 @@ def test_curvy_linear_threshold_with_tangent_slope_is_exact():
         inf_slope=a,
         sup_slope=a,
     )
-    params = CurvyParams(epsilon=2.0**-4, r=a, horizon=500.0)
+    params = CurvyParams(epsilon=2.0**-4, horizon=500.0)
     x = np.array([sample_fpt_curvy(th, params, rng).time for _ in range(15000)])
     rng_ref = np.random.default_rng(12)
     y = np.array([sample_fpt_linear(a, b, rng_ref).time for _ in range(15000)])
@@ -247,8 +248,8 @@ def test_curvy_iterates_are_nested_monotone_in_epsilon():
     # with a shared stream, the eps=2^-6 run continues the eps=2^-4 iteration,
     # so per-path times can only grow as epsilon shrinks
     th = _exp_threshold()
-    coarse = CurvyParams(epsilon=2.0**-4, r=-1.0, horizon=50.0)
-    fine = CurvyParams(epsilon=2.0**-6, r=-1.0, horizon=50.0)
+    coarse = CurvyParams(epsilon=2.0**-4, horizon=50.0)
+    fine = CurvyParams(epsilon=2.0**-6, horizon=50.0)
     for seed in range(300):
         t_coarse = sample_fpt_curvy(th, coarse, np.random.default_rng(seed)).time
         t_fine = sample_fpt_curvy(th, fine, np.random.default_rng(seed)).time
@@ -263,7 +264,7 @@ def test_curvy_self_convergence_in_epsilon():
         a = np.array(
             [
                 sample_fpt_curvy(
-                    th, CurvyParams(2.0**-k, -1.0, 50.0), np.random.default_rng(1000 + i)
+                    th, CurvyParams(2.0**-k, 50.0), np.random.default_rng(1000 + i)
                 ).time
                 for i in range(n)
             ]
@@ -272,7 +273,7 @@ def test_curvy_self_convergence_in_epsilon():
             [
                 sample_fpt_curvy(
                     th,
-                    CurvyParams(2.0 ** -(k + 1), -1.0, 50.0),
+                    CurvyParams(2.0 ** -(k + 1), 50.0),
                     np.random.default_rng(5000 + i),
                 ).time
                 for i in range(n)
@@ -286,11 +287,10 @@ def test_curvy_self_convergence_in_epsilon():
 def test_curvy_below_start_reflects_the_above_start_law():
     above = _exp_threshold(+1.0)
     below = _exp_threshold(-1.0)
-    params = CurvyParams(epsilon=2.0**-4, r=-1.0, horizon=50.0)
-    reflected_params = CurvyParams(epsilon=2.0**-4, r=-1.0, horizon=50.0)
+    params = CurvyParams(epsilon=2.0**-4, horizon=50.0)
     for seed in range(200):
         t_above = sample_fpt_curvy(above, params, np.random.default_rng(seed)).time
-        t_below = sample_fpt_curvy(below, reflected_params, np.random.default_rng(seed)).time
+        t_below = sample_fpt_curvy(below, params, np.random.default_rng(seed)).time
         assert t_below == pytest.approx(t_above, abs=1e-12)
 
 
@@ -302,7 +302,7 @@ def test_curvy_horizon_censoring_returns_the_horizon():
         inf_slope=1.0,
         sup_slope=1.0,
     )
-    params = CurvyParams(epsilon=2.0**-4, r=1.0, horizon=5.0)
+    params = CurvyParams(epsilon=2.0**-4, horizon=5.0)
     censored = 0
     for seed in range(200):
         d = sample_fpt_curvy(th, params, np.random.default_rng(seed))
@@ -315,7 +315,8 @@ def test_curvy_horizon_censoring_returns_the_horizon():
 def test_curvy_reads_a_growing_threshold_on_its_horizon_only():
     # beta = exp(t/2) grows without bound, and a heavy-tailed flat-line draw
     # can end far past the horizon, where math.exp would overflow; the line
-    # is checked at the horizon instead
+    # is checked at the horizon instead.  The declared inf_slope 0 is a loose
+    # lower bound of beta' >= 0.5, so the lines are flat
     horizon = 2.0
 
     def beta(t):
@@ -324,18 +325,36 @@ def test_curvy_reads_a_growing_threshold_on_its_horizon_only():
         return math.exp(0.5 * t)
 
     th = Threshold(beta=beta, beta_prime=lambda t: 0.5 * math.exp(0.5 * t),
-                   inf_slope=0.5, sup_slope=None)
-    params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=horizon)
+                   inf_slope=0.0, sup_slope=None)
+    params = CurvyParams(epsilon=2.0**-4, horizon=horizon)
     times = [sample_fpt_curvy(th, params, np.random.default_rng(seed)).time for seed in range(200)]
     assert all(0.0 < t <= horizon for t in times)
     assert 0 < times.count(horizon) < len(times)
 
 
-def test_curvy_slope_precondition_enforced():
-    th = _exp_threshold()
-    rng = np.random.default_rng(13)
-    with pytest.raises(ParameterError):
-        sample_fpt_curvy(th, CurvyParams(epsilon=2.0**-4, r=-0.5, horizon=50.0), rng)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_curvy_lines_take_the_inf_slope_of_the_frame(sign):
+    # exp(-t), declared with the loose slope bound -2 (its reflection with
+    # sup_slope 2), runs lines of slope -2, as a reference iteration does;
+    # a frame without an inf_slope has no line slope and is refused
+    loose, unbounded = ({"inf_slope": -2.0}, {"inf_slope": None}) if sign > 0 else (
+        {"sup_slope": 2.0}, {"sup_slope": None})
+    th = replace(_exp_threshold(sign), **loose)
+    params = CurvyParams(epsilon=2.0**-8, horizon=50.0)
+    for seed in range(20):
+        d = sample_fpt_curvy(th, params, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        normal = block_stream(rng.standard_normal, _LINE_BLOCK)
+        uniform = block_stream(rng.random, _LINE_BLOCK)
+        T, H, lines = 0.0, 1.0, 0
+        while H > params.epsilon and T < params.horizon:
+            g = _linear_time(-2.0, H, normal, uniform)
+            H = math.exp(-(T + g)) - math.exp(-T) + 2.0 * g
+            T += g
+            lines += 1
+        assert (d.time, d.clock_events) == (min(T, params.horizon), lines)
+    with pytest.raises(ConfigurationError, match="^curvy proposals need a bounded threshold slope$"):
+        sample_fpt_curvy(replace(th, **unbounded), params, np.random.default_rng(15))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -344,7 +363,7 @@ def test_curvy_with_the_start_gap_draws_the_same_time(sign):
     # equal streams; the below-start case hands in the reflected frame
     th = _exp_threshold(sign)
     frame = th.proposal_frame()
-    params = CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)
+    params = CurvyParams(epsilon=2.0**-10, horizon=50.0)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         checked = sample_fpt_curvy(th, params, rng, normal=block_stream(rng.standard_normal, 16),
@@ -365,7 +384,7 @@ def test_curvy_overstated_inf_slope_raises_instead_of_returning_a_time():
         inf_slope=0.0,
         sup_slope=0.0,
     )
-    params = CurvyParams(epsilon=2.0**-4, r=0.0, horizon=50.0)
+    params = CurvyParams(epsilon=2.0**-4, horizon=50.0)
     for seed in range(5):
         with pytest.raises(AssumptionViolation, match="overshot"):
             sample_fpt_curvy(th, params, np.random.default_rng(seed))
@@ -373,16 +392,18 @@ def test_curvy_overstated_inf_slope_raises_instead_of_returning_a_time():
 
 def test_curvy_params_validation():
     with pytest.raises(ParameterError):
-        CurvyParams(epsilon=0.0, r=-1.0)
+        CurvyParams(epsilon=0.0)
     with pytest.raises(ParameterError):
-        CurvyParams(epsilon=0.1, r=-1.0, horizon=0.0)
+        CurvyParams(epsilon=0.1, horizon=0.0)
 
 
 def _receding_line() -> Threshold:
+    # the loose lower slope bound 0.1 keeps the lines below the threshold,
+    # so the iteration takes more than one line
     return Threshold(
         beta=lambda t: 1.0 + 0.2 * t,
         beta_prime=lambda t: 0.2,
-        inf_slope=0.2,
+        inf_slope=0.1,
         sup_slope=0.2,
     )
 
@@ -390,9 +411,9 @@ def _receding_line() -> Threshold:
 @pytest.mark.parametrize(
     "threshold, params",
     [
-        (_exp_threshold(+1.0), CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)),
-        (_exp_threshold(-1.0), CurvyParams(epsilon=2.0**-10, r=-1.0, horizon=50.0)),
-        (_receding_line(), CurvyParams(epsilon=2.0**-4, r=0.1, horizon=5.0)),
+        (_exp_threshold(+1.0), CurvyParams(epsilon=2.0**-10, horizon=50.0)),
+        (_exp_threshold(-1.0), CurvyParams(epsilon=2.0**-10, horizon=50.0)),
+        (_receding_line(), CurvyParams(epsilon=2.0**-4, horizon=5.0)),
     ],
     ids=["above", "below", "rising"],
 )
@@ -423,7 +444,7 @@ def test_curvy_matches_reference_iteration_with_one_threshold_call_per_line():
         inf_slope=-1.0,
         sup_slope=0.0,
     )
-    params = CurvyParams(epsilon=2.0**-12, r=-1.0, horizon=50.0)
+    params = CurvyParams(epsilon=2.0**-12, horizon=50.0)
     for seed in range(50):
         calls.clear()
         d = sample_fpt_curvy(th, params, np.random.default_rng(seed))
@@ -442,7 +463,7 @@ def test_curvy_matches_reference_iteration_with_one_threshold_call_per_line():
 
 def test_curvy_needs_both_streams_or_neither():
     th = _exp_threshold()
-    params = CurvyParams(epsilon=2.0**-4, r=-1.0, horizon=50.0)
+    params = CurvyParams(epsilon=2.0**-4, horizon=50.0)
     rng = np.random.default_rng(14)
     normal = block_stream(rng.standard_normal, _LINE_BLOCK)
     uniform = block_stream(rng.random, _LINE_BLOCK)

@@ -663,16 +663,33 @@ def test_main_exit_code_2_on_a_nonpositive_theta0(tmp_path, capsys, theta0, v0):
 
 def test_main_exit_code_3_on_domain_errors(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
-    # parameters pass static validation, but a negative adaptation drops the
-    # threshold below the reset voltage at the first spike
-    cfg_file.write_text(
-        json.dumps({"delta": -3.0, "current": 20, "trials": 1, "out": str(tmp_path / "o")})
-    )
-    code = main(["neuron", "--config", str(cfg_file)])
+    # the config passes static validation, but beta = exp(t/2) overflows at
+    # the curvy horizon
+    cfg_file.write_text(json.dumps({"drift": "zero", "threshold": "exponential",
+                                    "threshold_params": {"a": 1.0, "b": -0.5}, "horizon": 2000,
+                                    "n": 5, "out": str(tmp_path / "o")}))
+    code = main(["sample", "--config", str(cfg_file)])
     assert code == 3
     payload = _stderr_error(capsys)
     assert payload["error"] == "DomainError"
     assert payload["exit_code"] == 3
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"delta": -3.0, "current": 20}, "delta must be >= 0, got -3.0"),
+    ({"v_reset": 1.5, "delta": 0.25},
+     "v_reset = 1.5 must be below every post-spike threshold level, whose infimum is 1.25"),
+])
+def test_main_exit_code_2_on_a_threshold_that_can_fall_to_the_reset(tmp_path, capsys, extra,
+                                                                    message):
+    # a negative adaptation, or a reset voltage not below the post-spike
+    # threshold, is refused before any spike instead of failing at one
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**extra, "trials": 1, "out": str(tmp_path / "o")}))
+    assert main(["neuron", "--config", str(cfg_file)]) == 2
+    payload = _stderr_error(capsys)
+    assert (payload["error"], payload["message"]) == ("ParameterError", message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_exit_code_3_names_the_stage_window_of_a_leaky_membrane(tmp_path, capsys):

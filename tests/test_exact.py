@@ -32,6 +32,7 @@ from fptsim.exact import (
 )
 from fptsim.model import (
     KAPPA_FLOOR,
+    GammaPair,
     Threshold,
     UnitDiffusionSDE,
     constant_threshold,
@@ -529,13 +530,13 @@ def test_linear_intercept_on_the_wrong_side_is_refused_at_construction():
 @pytest.mark.parametrize("name", ["falling_line", "below_start", "curved"])
 def test_each_problem_builds_one_proposal_frame(monkeypatch, name):
     built = []
-    original = Threshold.proposal_frame
+    original = exact_module._frame
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        return original(self, *args, **kwargs)
+    def counting(th, *args):
+        built.append(th)
+        return original(th, *args)
 
-    monkeypatch.setattr(Threshold, "proposal_frame", counting)
+    monkeypatch.setattr(exact_module, "_frame", counting)
     prob = _plain_float_problems()[name]
     assert sum(th is prob.threshold for th in built) == 1
     built.clear()
@@ -543,16 +544,49 @@ def test_each_problem_builds_one_proposal_frame(monkeypatch, name):
     assert built == []
 
 
+@pytest.mark.parametrize("curved", [False, True], ids=["line", "curve"])
+def test_a_problem_build_reads_beta_at_0_once(curved):
+    # the start's side and gap, and the proposal frame on that side, come
+    # from one read of beta(0)
+    reads = []
+    shape = exponential_threshold(1.0, 1.0) if curved else linear_threshold(-1.0, 1.0)
+
+    def beta(t):
+        reads.append(t)
+        return shape.beta(t)
+
+    gammas = GammaPair(lambda t: 0.0, lambda x: 0.0, kappa=1.0)
+    ExactProblem(_unit_sde(0.0), replace(shape, beta=beta), gammas,
+                 CurvyParams(epsilon=2.0**-4) if curved else None)
+    assert reads == [0.0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+def test_a_curve_whose_frame_has_no_inf_slope_is_refused_at_build(sign):
+    # exp(-t) declared without a lower slope bound above the start, and its
+    # reflection without an upper one below it: neither frame has the slope
+    # of a curvy line
+    bounds = {"inf_slope": None, "sup_slope": 0.0} if sign > 0 else {"inf_slope": 0.0,
+                                                                     "sup_slope": None}
+    th = Threshold(beta=lambda t: sign * math.exp(-t), beta_prime=lambda t: -sign * math.exp(-t),
+                   **bounds)
+    sde = _unit_sde(0.0)
+    with pytest.raises(ConfigurationError, match=_exactly(
+            "curvy proposals need a bounded threshold slope")) as caught:
+        ExactProblem(sde, th, make_gamma_pair(sde, th).with_kappa(1.0), CurvyParams(epsilon=2.0**-4))
+    assert caught.value.exit_code == 2
+
+
 def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
     # every stage is checked and framed by the one kernel builder: one frame
     # of the stage's own line before its draw, none while it samples
     events = []
-    original_frame = Threshold.proposal_frame
+    original_frame = exact_module._frame
     original_sample = exact_module._sample_oriented
 
-    def counting(self, *args, **kwargs):
-        events.append(("frame", self))
-        return original_frame(self, *args, **kwargs)
+    def counting(th, *args):
+        events.append(("frame", th))
+        return original_frame(th, *args)
 
     def recording(kernel, rng, streams=None):
         events.append(("draw", kernel))
@@ -560,7 +594,7 @@ def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
         events.append(("drawn", d))
         return d
 
-    monkeypatch.setattr(Threshold, "proposal_frame", counting)
+    monkeypatch.setattr(exact_module, "_frame", counting)
     monkeypatch.setattr(exact_module, "_sample_oriented", recording)
     prob = example1_problem()
     a, b = prob.threshold.linear
@@ -600,7 +634,7 @@ def _curve_without_curvy_params():
 def _line_with_curvy_params():
     prob = example1_problem()
     return ExactProblem(sde=prob.sde, threshold=prob.threshold, gammas=prob.gammas,
-                        curvy=CurvyParams(epsilon=2.0**-10, r=-1.0))
+                        curvy=CurvyParams(epsilon=2.0**-10))
 
 
 def _drifted_problem(g: float) -> ExactProblem:
@@ -654,16 +688,6 @@ _REFUSALS = {
         lambda: _drifted_problem(math.inf), ParameterError,
         "reference drift must be finite, got inf",
     ),
-    # the frame's inf_slope is -1: a line of slope -0.5 would overshoot
-    "curvy_slope_above_the_frame": (
-        lambda: ExactProblem(
-            sde=_unit_sde(0.0), threshold=exponential_threshold(1.0, 1.0),
-            gammas=make_gamma_pair(_unit_sde(0.0), exponential_threshold(1.0, 1.0)).with_kappa(1.0),
-            curvy=CurvyParams(epsilon=2.0**-4, r=-0.5),
-        ),
-        ParameterError,
-        "line slope r=-0.5 exceeds the threshold slope infimum -1.0; the iteration would overshoot",
-    ),
     # a kappa of nan would accept every proposal, inf would never return,
     # and 0 or -1 would fail in the clock's arithmetic
     **{f"kappa_{name}": (lambda kappa=kappa: _with_kappa(kappa), ParameterError,
@@ -711,7 +735,7 @@ def test_constructor_refuses_a_start_on_the_threshold(curved):
     sde = _unit_sde(0.0, x0=1.0)
     if curved:
         th = exponential_threshold(1.0, 1.0)
-        curvy = CurvyParams(epsilon=2.0**-4, r=-1.0)
+        curvy = CurvyParams(epsilon=2.0**-4)
     else:
         th = linear_threshold(-1.0, 1.0)
         curvy = None
@@ -906,7 +930,7 @@ def test_a_time_rate_that_dips_below_0_trips_the_stop():
     th = Threshold(beta=lambda t: 1.5 * math.exp(-t) - 0.5,
                    beta_prime=lambda t: -1.5 * math.exp(-t), inf_slope=-1.5, sup_slope=0.0)
     gammas = replace(make_gamma_pair(sde, th).with_kappa(2.5), space_kappa=1.0)
-    prob = ExactProblem(sde, th, gammas, CurvyParams(epsilon=2.0**-20, r=-1.5))
+    prob = ExactProblem(sde, th, gammas, CurvyParams(epsilon=2.0**-20))
     with pytest.raises(AssumptionViolation, match=r"^rate -\S+ < 0 at \(t=") as caught:
         sample_batch(prob, 50, 68)
     assert caught.value.exit_code == 3

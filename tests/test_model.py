@@ -110,7 +110,7 @@ def test_every_sampler_places_its_start_by_validate_start(monkeypatch, side, g):
 
     monkeypatch.setattr(bm_fpt_module, "_linear_time", no_passage)
     shifted = constant_threshold(th.beta(0.0) - x0)
-    sample_fpt_curvy(shifted, CurvyParams(epsilon=2.0**-4, r=0.0), np.random.default_rng(0))
+    sample_fpt_curvy(shifted, CurvyParams(epsilon=2.0**-4), np.random.default_rng(0))
     assert heights == [gap]
     # with zero normals an Euler path stays at x0, so every gap is the start
     # gap; a bridge test fires below exp(-2 * gap^2 / delta), so uniforms
@@ -135,7 +135,7 @@ def test_every_sampler_places_its_start_by_validate_start(monkeypatch, side, g):
     with pytest.raises(ConfigurationError, match="lies on the threshold"):
         ExactProblem(sde, on, make_gamma_pair(sde, on, g).with_kappa(1.0))
     with pytest.raises(ConfigurationError, match="lies on the threshold"):
-        sample_fpt_curvy(constant_threshold(0.0), CurvyParams(epsilon=2.0**-4, r=0.0),
+        sample_fpt_curvy(constant_threshold(0.0), CurvyParams(epsilon=2.0**-4),
                          np.random.default_rng(0))
     assert [d.time for d in coupled_euler_pair(sde, on, scheme, _ZeroNormals([]))] == [0.0, 0.0]
     times = coupled_grid_times(sde, on, scheme, 2, 0)

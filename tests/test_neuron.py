@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fptsim.exact as exact_module
 from fptsim import neuron
 from fptsim.errors import DomainError, ParameterError, SequencingError
 from fptsim.exact import (
@@ -20,6 +22,7 @@ from fptsim.exact import (
 from fptsim.model import Threshold, make_gamma_pair
 from fptsim.neuron import (
     PROPOSAL_SLACK,
+    TANGENT_MARGIN,
     _RATE_PIECES,
     NeuronParams,
     SpikeTrain,
@@ -92,6 +95,23 @@ def test_params_validation():
     assert NeuronParams(tau1=math.inf).tau1 == math.inf
 
 
+def test_params_refuse_a_negative_adaptation_and_a_reset_at_a_post_spike_threshold():
+    # a negative delta lowers the threshold at each spike; a reset voltage
+    # must lie below the post-spike levels, whose infimum is theta0 +
+    # delta/tau1, or theta0 + 1 when the threshold never decays
+    with pytest.raises(ParameterError, match="^delta must be >= 0, got -0.5$"):
+        NeuronParams(delta=-0.5)
+    for kwargs, floor in (({"v_reset": 1.5, "delta": 0.5}, 1.5),
+                          ({"v_reset": 1.3, "delta": 0.6, "tau1": 2.0}, 1.3),
+                          ({"v_reset": 2.0, "tau1": math.inf}, 2.0),
+                          ({"V_r": 1.2, "delta": 0.0}, 1.0)):
+        with pytest.raises(ParameterError, match=re.escape(
+                f"must be below every post-spike threshold level, whose infimum is {floor}")):
+            NeuronParams(**kwargs)
+    assert NeuronParams(delta=0.0, v_reset=0.99).v_reset == 0.99
+    assert NeuronParams(v_reset=1.99, tau1=math.inf).v_reset == 1.99
+
+
 def test_drift_coefficients():
     assert NeuronParams(I=0.0).drift_coefficients() == pytest.approx((1.5, -1.0), abs=1e-12)
     assert NeuronParams(I=20.0).drift_coefficients() == pytest.approx((-18.5, -1.0), abs=1e-12)
@@ -108,8 +128,12 @@ def test_transform_first_interval_geometry():
     assert th.beta(0.0) == pytest.approx(-math.log(2.0), abs=1e-12)
     # d/dt of -ln(theta(t)) at t=0: (theta(0) - theta0) / (tau1 * theta(0))
     assert th.beta_prime(0.0) == pytest.approx(0.5, abs=1e-12)
-    assert th.sup_slope == pytest.approx(0.5, abs=1e-12)
+    # declared TANGENT_MARGIN looser, so the curvy lines run that much below
+    # the frame's exact slope bound g - 0.5
+    assert th.sup_slope == pytest.approx(0.5 + TANGENT_MARGIN, abs=1e-12)
     assert th.inf_slope == 0.0
+    frame = th.proposal_frame(sde.x0, gammas.reference_drift)
+    assert frame.inf_slope == gammas.reference_drift - th.sup_slope
     c, d = p.drift_coefficients()
     for x in (-0.5, 0.0, 1.0, 3.0):
         assert sde.alpha(x) == pytest.approx(c + d * math.exp(-x), abs=1e-12)
@@ -253,7 +277,7 @@ def test_one_stage_interval_matches_stage_problem(monkeypatch):
         assert prob.curvy.horizon == 2.0 + PROPOSAL_SLACK
     assert built[0].gammas.reference_drift == single.gammas.reference_drift
     assert built[0].gammas.kappa == single.gammas.kappa
-    assert built[0].curvy.r == single.curvy.r
+    assert built[0]._kernel.curvy[0].inf_slope == single._kernel.curvy[0].inf_slope
     assert built[0].sde.x0 == single.sde.x0
 
 
@@ -475,21 +499,21 @@ def test_trusted_stages_pass_the_public_checks(monkeypatch, current, tau_m):
 
 
 def test_each_stage_builds_one_proposal_frame(monkeypatch):
-    # Threshold.proposal_frame builds every stage's frame, once per stage on
-    # its own threshold, and no frame is built while a stage samples
+    # the kernel builder frames every stage, once per stage on its own
+    # threshold, and no frame is built while a stage samples
     framed = []
     stages = []
-    original = Threshold.proposal_frame
+    original = exact_module._frame
 
-    def counting(self, *args, **kwargs):
-        framed.append(self)
-        return original(self, *args, **kwargs)
+    def counting(th, *args):
+        framed.append(th)
+        return original(th, *args)
 
     def recording(problem, rng, *, streams=None):
         stages.append(problem)
         return sample_exact_below(problem, rng, streams=streams)
 
-    monkeypatch.setattr(Threshold, "proposal_frame", counting)
+    monkeypatch.setattr(exact_module, "_frame", counting)
     monkeypatch.setattr(neuron, "sample_exact_below", recording)
     simulate_trials(NeuronParams(I=20.0), 1.0, 2, 77)
     assert len(stages) > 3

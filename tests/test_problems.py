@@ -74,7 +74,8 @@ def test_example2_problem_wiring():
     cp = prob.curvy
     assert cp is not None
     assert cp.epsilon == 2.0**-4
-    assert cp.r == -1.0 - g  # steepest frame slope beta' - g, attained at t = 0
+    # the curvy lines take the frame's inf_slope, beta' - g at t = 0
+    assert prob._kernel.curvy[0].inf_slope == -1.0 - g
     assert cp.horizon == 50.0
     assert prob.gammas.kappa == pytest.approx(example2_kappa(), rel=1e-15)
     # exp(A(a) - A(x0) - g*(a - x0)) with A(x) = K*x - cos(x)
