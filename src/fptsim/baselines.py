@@ -27,12 +27,11 @@ is too slow.
 
 The per-path walk takes its normals, and a bridge walk its crossing
 uniforms, from :func:`fptsim.rng.block_stream`, which draws each block by one
-numpy call and converts it to floats a slice at a time.  A bridge walk
-interleaves both streams on one generator, so both keep blocks of 512.  A
-plain walk's normals, the generator's only consumer, come in blocks growing
-from 16 to 512: the same values, but the walk leaves its generator after the
-last block it used, so a generator shared by several plain walks ends in
-another state than under fixed blocks (batch paths have their own substreams).
+numpy call and converts it to floats a slice at a time.  Each stream's blocks
+grow from 16 to 512 values, so a short path draws short blocks.  A bridge
+walk draws both streams' blocks from one generator, interleaved in the order
+the path uses them up, which is a function of the generator's seed; the walk
+leaves the generator after the last block it used.
 """
 
 from __future__ import annotations
@@ -123,10 +122,8 @@ def _walk(
     beta = th.beta
     delta = g.delta
     sqrt_dt = math.sqrt(delta)
-    # only a walk without uniforms may grow its normal blocks (module docstring)
-    first = None if bridge else _FIRST_BLOCK
-    normal = block_stream(rng.standard_normal, _BLOCK, _first=first)
-    uniform = block_stream(rng.random, _BLOCK) if bridge else None
+    normal = block_stream(rng.standard_normal, _BLOCK, _first=_FIRST_BLOCK)
+    uniform = block_stream(rng.random, _BLOCK, _first=_FIRST_BLOCK) if bridge else None
 
     x = sde.x0
     improved = math.inf

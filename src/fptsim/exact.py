@@ -66,15 +66,18 @@ re-checking anything per draw.  :class:`ExactProblem` stores it, neuron
 stages included, and :func:`sample_exact_split` builds each stage's kernel
 through it from the stage's own line and start.
 
-Each call draws its randomness in blocks from its own generator: the clock
-gaps (``1/kappa`` times standard exponentials, as numpy's ``exponential``
-computes them), the bridge normals and the event marks come from per-call
-streams of 16 values (:func:`draw_streams`), and so do the Wald draws of
-linear proposals.  Curved proposals take their line draws from the same
-normal and uniform streams and their start gap from the kernel, so a line
-draw makes no numpy call.  Nothing is carried from one call to the next,
-except across the stages of a spike train, which share the train's streams
-(the ``streams`` keyword of :func:`sample_exact`).
+Each call takes all of its randomness from two per-call block streams of 16
+values on its own generator (:func:`draw_streams`), one of standard normals
+and one of uniforms on [0, 1): the bridge normals and the event marks, the
+clock gaps (``1/kappa`` times ``-log(1 - u)``, standard exponentials by
+inversion) and every proposal.  A line proposal is one draw of
+:func:`fptsim.bm_fpt._linear_time` (a Wald time by the Michael-Schucany-Haas
+transform, a flat line's ``(b/z)^2``, a rising line's hit uniform), and a
+curved one takes its line draws from the same core and its start gap from the
+kernel, so no proposal makes a numpy call of its own.  Nothing is carried from one call
+to the next, except across the stages of a spike train, which share the
+train's streams (the ``streams`` keyword of :func:`sample_exact`), and of a
+split draw, which share the draw's.
 
 For distant linear thresholds, :func:`sample_exact_split` chains ``k``
 intermediate sub-problems (strong Markov property), turning a cost that is
@@ -180,11 +183,9 @@ class _Kernel(NamedTuple):
     frame ``phi``.  ``time = (A, g, x0, A_g(beta(0)), floor)`` is set, and ``gamma1``
     ``None``, when ``kappa`` bounds ``gamma2`` alone (``space_kappa``).  Exactly
     one of ``line`` and ``curvy`` is set.
-    ``line = (intercept, wald, hit)`` draws the passage of standard Brownian
-    motion to the frame line: ``wald`` is the ``(mean, shape)`` of a sloped
-    line's inverse Gaussian time (None for a flat line) and ``hit`` the hit
-    probability of a rising line (None when every path hits).
-    ``curvy = (phi, params)`` runs :func:`sample_fpt_curvy`.
+    ``line = (slope, intercept)`` is the frame line, whose passage of standard
+    Brownian motion :func:`_linear_time` draws; ``curvy = (phi, params)`` runs
+    :func:`sample_fpt_curvy`.
     """
 
     beta: Callable[[float], float]
@@ -204,10 +205,7 @@ def _line_part(slope: float, intercept: float) -> tuple:
     """``_Kernel.line`` of the frame line ``slope * t + intercept``, ``intercept > 0``."""
     if not intercept > 0.0:
         raise ConfigurationError(f"translated proposal intercept {intercept} must be positive")
-    if slope == 0.0:
-        return intercept, None, None
-    wald = (abs(intercept / slope), intercept * intercept)
-    return intercept, wald, (None if slope < 0.0 else math.exp(-2.0 * slope * intercept))
+    return slope, intercept
 
 
 def _kernel_of(x0: float, sde: UnitDiffusionSDE, threshold: Threshold, gammas: GammaPair,
@@ -280,9 +278,15 @@ def expected_proposals(problem: ExactProblem) -> float:
 
 
 def draw_streams(rng: np.random.Generator, size: int = _EVENT_BLOCK) -> tuple:
-    """The ``(normal, uniform, standard exponential)`` block streams of exact draws."""
-    return (block_stream(rng.standard_normal, size), block_stream(rng.random, size),
-            block_stream(rng.standard_exponential, size))
+    """The ``(normal, uniform, standard exponential)`` streams of exact draws.
+
+    Two block streams of ``size`` values on ``rng``; the exponential stream is
+    ``-log(1 - u)`` of the next uniform, so it shares the uniforms' blocks.  As
+    ``u`` lies in [0, 1), ``1 - u`` lies in (0, 1] and the log is finite.
+    """
+    normal, uniform = block_stream(rng.standard_normal, size), block_stream(rng.random, size)
+    log = math.log
+    return normal, uniform, lambda: -log(1.0 - uniform())
 
 
 def _time_stop(time: tuple, sign: float, bounds: list) -> Callable[[float, float], bool]:
@@ -305,21 +309,16 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
 
     Proposals are reference passage times to the frame (``inf`` for
     non-hitting or horizon-censored ones, which count as rejections).  A
-    line draws its flat passage from ``normal``, its rising-line hit test
-    from ``uniform`` and its Wald times from their own block stream on
-    ``rng``; a curve calls :func:`sample_fpt_curvy` on the ``normal`` and
-    ``uniform`` streams with the kernel's start gap and :func:`_time_stop`,
-    adding its line draws to ``line_draws``.  ``streams`` default to new ones on ``rng``.
+    line draws its passage by :func:`_linear_time` on the ``normal`` and
+    ``uniform`` streams; a curve calls :func:`sample_fpt_curvy` on them with
+    the kernel's start gap and :func:`_time_stop`, adding its line draws to
+    ``line_draws``.  ``streams`` default to new ones on ``rng``.
     """
     beta, sign, gamma1, gamma2, kappa, ceiling, delta, max_proposals, line, curvy, time = k
     normal, uniform, exponential = draw_streams(rng) if streams is None else streams
     scale = 1.0 / kappa
     if curvy is None:
-        intercept, wald_params, hit = line
-        if wald_params is not None:
-            # the generator's transform can round to a small negative double,
-            # so its times are clamped to 0
-            wald = block_stream(partial(rng.wald, *wald_params), _EVENT_BLOCK)
+        slope, intercept = line
     else:
         phi, params = curvy
         horizon = params.horizon
@@ -341,12 +340,8 @@ def _sample_oriented(k: _Kernel, rng: np.random.Generator, streams: tuple | None
                                  stop=stop)
             line_draws += d.clock_events
             tau = d.time if d.time < horizon else math.inf
-        elif wald_params is None:
-            tau = _linear_time(0.0, intercept, normal, uniform)
-        elif hit is None or uniform() < hit:
-            tau = max(0.0, wald())
         else:
-            continue
+            tau = _linear_time(slope, intercept, normal, uniform)
         if tau == math.inf:
             continue
         if tau <= 0.0:
@@ -411,6 +406,7 @@ def sample_exact_split(
     ``gamma2``, ``kappa`` and the budget are the problem's.  Every stage is a
     line, so it draws closed-form line proposals, on the problem's side of
     the threshold; a stage line rounded onto or past its start is refused.
+    The stages share one set of streams (:func:`draw_streams`) on ``rng``.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -420,6 +416,7 @@ def sample_exact_split(
     sde, gammas = problem.sde, problem.gammas
     x0, g, side = sde.x0, gammas.reference_drift, problem._kernel.sign
 
+    streams = draw_streams(rng)
     t_acc = 0.0
     x_cur = x0
     total_proposals = 0
@@ -430,7 +427,7 @@ def sample_exact_split(
         kernel = _kernel_of(x_cur, sde, line, stage_gammas, None, problem.max_proposals)
         if kernel.sign != side:
             raise ConfigurationError(f"split stage {i} starts past its line: x = {x_cur}")
-        d = _sample_oriented(kernel, rng)
+        d = _sample_oriented(kernel, rng, streams)
         x_cur = line.beta(d.time)
         t_acc += d.time
         total_proposals += d.proposals

@@ -21,7 +21,7 @@ from fptsim.bm_fpt import FptDraw, constant_level_cdf
 from fptsim.errors import DomainError, ParameterError
 from fptsim.model import Threshold, UnitDiffusionSDE, constant_threshold, linear_threshold
 from fptsim.problems import example1_problem
-from fptsim.rng import block_stream, substream
+from fptsim.rng import substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 
 
@@ -244,16 +244,27 @@ def test_library_drifts_accept_arrays():
             assert np.allclose(out, [fn(float(v)) for v in xs])
 
 
-def _walk_on_fixed_blocks(sde, th, g, rng, *, plain, bridge):
+def _growing_blocks(draw_block):
+    """Values of ``draw_block`` in blocks of 16, 32, ..., 512 and then 512,
+    each block drawn when the one before it is used up."""
+    def values():
+        size = 16
+        while True:
+            yield from draw_block(size).tolist()
+            size = min(2 * size, 512)
+    return values().__next__
+
+
+def _walk_on_growing_blocks(sde, th, g, rng, *, plain, bridge):
     """(plain, improved) times of the Euler walk, replayed with every stream
-    in blocks of 512: the normals, plus the crossing uniforms of a bridge
-    walk.  Same detectors and stopping rule as the library walk."""
+    in blocks growing from 16 to 512: the normals, plus the crossing uniforms
+    of a bridge walk.  Same detectors and stopping rule as the library walk."""
     sign = 1.0 if th.beta(0.0) > sde.x0 else -1.0
     gap = sign * (th.beta(0.0) - sde.x0)
     if gap <= 0.0:
         return 0.0, 0.0
-    normal = block_stream(rng.standard_normal, 512)
-    uniform = block_stream(rng.random, 512)
+    normal = _growing_blocks(rng.standard_normal)
+    uniform = _growing_blocks(rng.random)
     x, improved = sde.x0, math.inf
     for i in range(1, math.ceil(g.horizon / g.delta - 1e-12) + 1):
         x = x + sde.alpha(x) * g.delta + math.sqrt(g.delta) * normal()
@@ -283,30 +294,32 @@ _EX1 = example1_problem()
     ],
     ids=["example1_coarse", "example1_fine", "far_line"],
 )
-def test_walks_serve_the_draws_of_fixed_512_blocks(sde, th, delta, horizon):
+def test_walks_serve_the_draws_of_growing_blocks(sde, th, delta, horizon):
     g = GridScheme(delta=delta, horizon=horizon)
     imp = replace(g, scheme="improved_euler")
     long_paths = 0
     for i in range(12):
-        ref_plain, _ = _walk_on_fixed_blocks(sde, th, g, substream(21, i), plain=True, bridge=False)
-        assert euler_fpt(sde, th, g, substream(21, i)).time == ref_plain
+        # every walk draws the replay's blocks and leaves the generator where
+        # the replay leaves it, a bridge walk's two streams interleaved
+        rng, ref_rng = substream(21, i), substream(21, i)
+        ref_plain, _ = _walk_on_growing_blocks(sde, th, g, ref_rng, plain=True, bridge=False)
+        assert euler_fpt(sde, th, g, rng).time == ref_plain
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         long_paths += not ref_plain < 512 * delta
-        # bridge walks draw the same blocks and leave the generator where
-        # the replay leaves it
         rng, ref_rng = substream(21, i), substream(21, i)
         pair = coupled_euler_pair(sde, th, imp, rng)
-        ref = _walk_on_fixed_blocks(sde, th, imp, ref_rng, plain=True, bridge=True)
+        ref = _walk_on_growing_blocks(sde, th, imp, ref_rng, plain=True, bridge=True)
         assert (pair[0].time, pair[1].time) == ref
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         rng, ref_rng = substream(21, i), substream(21, i)
-        ref = _walk_on_fixed_blocks(sde, th, imp, ref_rng, plain=False, bridge=True)
+        ref = _walk_on_growing_blocks(sde, th, imp, ref_rng, plain=False, bridge=True)
         assert improved_euler_fpt(sde, th, imp, rng).time == ref[1]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     if delta < 2.0**-8:
         assert long_paths > 0
     for scheme in (g, imp):
         ref = [
-            _walk_on_fixed_blocks(
+            _walk_on_growing_blocks(
                 sde, th, scheme, substream(22, 3, i), plain=False,
                 bridge=scheme.scheme == "improved_euler",
             )[1]

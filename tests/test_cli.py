@@ -278,13 +278,13 @@ def test_benchmark_comparison_is_pinned(tmp_path):
     run_experiment(resolve_config({**mapping, "timing": False, "out": str(tmp_path)}))
     assert (tmp_path / "comparison.csv").read_text().splitlines() == [
         "delta,method,ks_D,ks_p,bias1,bias2,wall_time",
-        "0.0625,euler,0.31,0.00013410964860558158,0.048517597337858126,-0.01645894612079624,0.0",
-        "0.0625,improved_euler,0.17000000000000004,0.11113334490733633,"
-        "0.027267597337858135,0.0009526700408199335,0.0",
-        "0.015625,euler,0.17000000000000004,0.11113334490733633,"
-        "0.008048847337858128,-0.02046494852767754,0.0",
-        "0.015625,improved_euler,0.09999999999999998,0.6993741991310158,"
-        "0.014611347337858127,0.0035366396194183927,0.0",
+        "0.0625,euler,0.26,0.002318458344197518,0.038491616134745416,-0.009060650958454843,0.0",
+        "0.0625,improved_euler,0.13,0.36672108555376126,"
+        "0.028179116134745413,0.03702787097967649,0.0",
+        "0.015625,euler,0.15000000000000002,0.21055163272601088,"
+        "-0.0019771338652545822,-0.013066653365336144,0.0",
+        "0.015625,improved_euler,0.07999999999999996,0.9062063895703109,"
+        "0.007475991134745424,0.012183695583132939,0.0",
     ]
 
 

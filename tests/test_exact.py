@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from fptsim.problems import (
 from fptsim.rng import block_stream, substream
 from fptsim.stats import ks_one_sample, ks_two_sample
 from test_acceptance import bridge_state_ks, clock_proposals_z, falling_line_problem
+from test_neuron import _CountingGenerator
 
 
 def _unit_sde(c: float, x0: float = 0.0) -> UnitDiffusionSDE:
@@ -263,6 +265,48 @@ def test_below_start_zero_drift_matches_reflected_line_law():
     assert p > 0.01
 
 
+# zero drift from 0 to each line shape at kappa = KAPPA_FLOOR: the rates are
+# 0, so every hitting proposal is kept, and the accepted law is the Brownian
+# passage law to the line, given a hit: (slope, intercept, cdf, proposals)
+_LINE_LAWS = {
+    "falling": (-1.0, 0.5, lambda t: inverse_gaussian_cdf(t, 0.5, 0.25), 1.0),
+    "rising": (0.5, 1.0, lambda t: inverse_gaussian_cdf(t, 2.0, 1.0), math.exp(1.0)),
+    "flat": (0.0, 1.0, lambda t: constant_level_cdf(t, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_LINE_LAWS))
+def test_line_proposals_follow_the_brownian_passage_law(shape):
+    # the rising line's proposals hit with probability exp(-2ab) = 1/e, so a
+    # draw takes e proposals on average
+    a, b, cdf, mean_proposals = _LINE_LAWS[shape]
+    draws = sample_batch(_problem(0.0, a, b, kappa=KAPPA_FLOOR), 10_000, 47)
+    _, p = ks_one_sample(np.array([d.time for d in draws]), cdf)
+    assert p > 0.01
+    counts = np.array([d.proposals for d in draws], dtype=float)
+    if mean_proposals == 1.0:
+        assert counts.max() == 1.0
+    else:
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - mean_proposals) < 3.0 * se
+
+
+@pytest.mark.parametrize("build", [
+    example1_problem,
+    lambda: _problem(0.0, 0.5, 1.0, kappa=1.0),
+    lambda: _problem(1.0, 0.0, 1.0, kappa=0.5),
+    example2_problem,
+], ids=["falling_line", "rising_line", "flat_level", "example2"])
+def test_exact_draws_take_only_normals_and_uniforms(build):
+    # proposals, clock gaps and marks all come from the two block streams:
+    # no Wald and no exponential draw reaches the generator
+    prob = build()
+    rng = _CountingGenerator(48)
+    draws = [sample_exact(prob, rng) for _ in range(200)]
+    assert sum(d.clock_events for d in draws) > 0
+    assert rng.names == {"standard_normal", "random"}
+
+
 def test_one_threshold_is_passed_from_either_side_of_its_start():
     # a threshold is a curve only and the start picks the side: one level-1
     # object serves a start below it and one above it, and with zero drift
@@ -425,14 +469,16 @@ def test_curved_draws_read_the_threshold_at_0_only_at_build():
     assert len(at_zero) == built
 
 
-def test_scaled_standard_exponentials_are_numpy_exponentials():
-    # clock gaps are 1/kappa times standard exponentials; batch draws keep
-    # the bytes of numpy's exponential(1/kappa) only while these agree
-    for seed in (0, 1, 60):
-        for scale in (1.0, 0.25, 1.0 / 3.0, 1.0 / 4.690885899694682, 7.5):
-            scaled = scale * np.random.default_rng(seed).standard_exponential(64)
-            direct = np.random.default_rng(seed).exponential(scale, 64)
-            assert scaled.tolist() == direct.tolist()
+def test_clock_gaps_invert_the_uniform_stream():
+    # the exponential stream is -log(1 - u) of the next uniform, so event
+    # marks and clock gaps share the uniforms' blocks, and u = 0 gives a gap
+    # of 0, not inf
+    us = np.random.default_rng(60).random(32).tolist()
+    _, uniform, exponential = draw_streams(np.random.default_rng(60))
+    got = [uniform() if i % 3 else exponential() for i in range(32)]
+    assert got == [u if i % 3 else -math.log(1.0 - u) for i, u in enumerate(us)]
+    _, _, exponential = draw_streams(SimpleNamespace(standard_normal=np.zeros, random=np.zeros))
+    assert exponential() == 0.0
 
 
 # --- space splitting ---------------------------------------------------------
@@ -467,7 +513,7 @@ def test_split_refuses_k_below_1_and_a_stage_on_the_other_side(monkeypatch):
     # second stage's hit point, on the other side from the problem's start
     times = iter([0.7, 0.4])
     monkeypatch.setattr(exact_module, "_sample_oriented",
-                        lambda kernel, rng: FptDraw(next(times), True))
+                        lambda kernel, rng, streams: FptDraw(next(times), True))
     with pytest.raises(ConfigurationError, match=_exactly(
             "split stage 3 starts past its line: x = -1.0999999999999996")):
         sample_exact_split(_problem(0.0, -1.0, 3e-16, kappa=1.0), 3, np.random.default_rng(49))
@@ -580,7 +626,7 @@ def test_a_curve_whose_frame_has_no_inf_slope_is_refused_at_build(sign):
 def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
     # every stage is checked and framed by the one kernel builder: one frame
     # of the stage's own line before its draw, none while it samples
-    events = []
+    events, shared = [], []
     original_frame = exact_module._frame
     original_sample = exact_module._sample_oriented
 
@@ -590,6 +636,7 @@ def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
 
     def recording(kernel, rng, streams=None):
         events.append(("draw", kernel))
+        shared.append(streams)
         d = original_sample(kernel, rng, streams)
         events.append(("drawn", d))
         return d
@@ -602,8 +649,11 @@ def test_each_split_stage_builds_one_proposal_frame(monkeypatch):
     k = 3
     for i in range(4):
         events.clear()
+        shared.clear()
         sample_exact_split(prob, k, substream(56, i))
         assert [kind for kind, _ in events] == ["frame", "draw", "drawn"] * k
+        # the stages draw from one set of streams, opened once per draw
+        assert shared[0] is not None and all(s is shared[0] for s in shared)
         t_acc = 0.0
         for j in range(k):
             (_, line), (_, kernel), (_, d) = events[3 * j:3 * j + 3]

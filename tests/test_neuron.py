@@ -522,14 +522,16 @@ def test_each_stage_builds_one_proposal_frame(monkeypatch):
 
 
 class _CountingGenerator(np.random.Generator):
-    """A generator that counts its numpy block calls."""
+    """A generator that counts its numpy block calls and records their names."""
 
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
         self.calls = 0
+        self.names = set()
 
     def _count(self, draw, *args, **kwargs):
         self.calls += 1
+        self.names.add(draw.__name__)
         return draw(*args, **kwargs)
 
     def standard_normal(self, *args, **kwargs):
