@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AssumptionViolation, ConfigurationError, ParameterError
-from .model import Threshold, _fill, _frame
+from .model import Threshold, _frame
 from .rng import block_stream
 
 __all__ = [
@@ -74,11 +74,19 @@ __all__ = [
 _LINE_BLOCK = 16
 #: Relative round-off allowed below zero in the final gap of the curvy iteration.
 _OVERSHOOT_TOL = 1e-12
+_new = tuple.__new__  # builds an FptDraw without its checks
 
 
-@dataclass(frozen=True)
-class FptDraw:
-    """One first-passage draw.
+class _FptFields(NamedTuple):
+    time: float
+    finite: bool
+    proposals: int = 1
+    clock_events: int = 0
+    line_draws: int = 0
+
+
+class FptDraw(_FptFields):
+    """One first-passage draw, an immutable tuple record of five fields.
 
     ``finite`` is true exactly when ``time < inf``; censored draws from
     horizon-capped samplers are finite with ``time`` equal to the horizon.
@@ -87,30 +95,29 @@ class FptDraw:
     exact draw, or the line draws of one curvy iteration.  ``line_draws``
     counts, for an exact draw, the line draws its curved proposals made (the
     sum of their ``clock_events``); it stays 0 for linear proposals.
+    No ``__dict__``: use ``_replace`` (checked) and ``_asdict``, not ``dataclasses.replace``,
+    ``vars`` or ``asdict``.  A record equals the plain tuple of its fields.
     """
 
-    time: float
-    finite: bool
-    proposals: int = 1
-    clock_events: int = 0
-    line_draws: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.finite != (self.time < math.inf):
-            raise ParameterError(
-                f"finite={self.finite} inconsistent with time={self.time}"
-            )
-        if self.finite and not (self.time >= 0.0):
-            raise ParameterError(f"time must be >= 0, got {self.time}")
-        if self.proposals < 0 or self.clock_events < 0 or self.line_draws < 0:
+    def __new__(cls, time, finite, proposals=1, clock_events=0, line_draws=0) -> FptDraw:
+        if finite != (time < math.inf):
+            raise ParameterError(f"finite={finite} inconsistent with time={time}")
+        if not time >= 0.0:
+            raise ParameterError(f"time must be >= 0, got {time}")
+        if proposals < 0 or clock_events < 0 or line_draws < 0:
             raise ParameterError("counters must be non-negative")
+        return _new(cls, (time, finite, proposals, clock_events, line_draws))
+
+    @classmethod
+    def _make(cls, iterable) -> FptDraw:
+        return cls(*iterable)  # _replace builds through _make: run the checks
 
 
 def _draw(time: float, proposals: int = 1, clock_events: int = 0, line_draws: int = 0) -> FptDraw:
-    """An :class:`FptDraw` from a sampler's own values, not re-checked:
-    ``time`` is a float ``>= 0`` or ``inf`` and the counts are non-negative."""
-    return _fill(FptDraw, {"time": time, "finite": time < math.inf, "proposals": proposals,
-                           "clock_events": clock_events, "line_draws": line_draws})
+    """An unchecked :class:`FptDraw`: ``time`` is ``>= 0`` or ``inf``, the counts ``>= 0``."""
+    return _new(FptDraw, (time, time < math.inf, proposals, clock_events, line_draws))
 
 
 #: Default stop gap of the curvy iteration.
@@ -196,9 +203,7 @@ def sample_fpt_constant(level: float, rng: np.random.Generator) -> FptDraw:
     """Passage time of Brownian motion from 0 to a constant ``level >= 0``."""
     if not (level >= 0.0 and math.isfinite(level)):
         raise ParameterError(f"level must be >= 0 and finite, got {level}")
-    if level == 0.0:
-        return FptDraw(time=0.0, finite=True)
-    return FptDraw(time=_linear_time(0.0, level, rng.standard_normal, rng.random), finite=True)
+    return _draw(_linear_time(0.0, level, rng.standard_normal, rng.random) if level else 0.0)
 
 
 def _wald(
@@ -248,10 +253,7 @@ def sample_fpt_linear(a: float, b: float, rng: np.random.Generator) -> FptDraw:
         raise ParameterError(f"intercept b must be positive and finite, got {b}")
     if not math.isfinite(a):
         raise ParameterError(f"slope a must be finite, got {a}")
-    t = _linear_time(a, b, rng.standard_normal, rng.random)
-    if t == math.inf:
-        return FptDraw(time=math.inf, finite=False)
-    return FptDraw(time=t, finite=True)
+    return _draw(_linear_time(a, b, rng.standard_normal, rng.random))
 
 
 def _require_line_slope(frame: Threshold) -> None:

@@ -313,10 +313,8 @@ def _write_samples_csv(path: Path, draws: Sequence[FptDraw]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "time", "finite", "proposals", "clock_events"])
-        for i, d in enumerate(draws):
-            writer.writerow(
-                [i, repr(d.time), "true" if d.finite else "false", d.proposals, d.clock_events]
-            )
+        writer.writerows([i, repr(t), "true" if finite else "false", p, c]
+                         for i, (t, finite, p, c, _) in enumerate(draws))
 
 
 def _write_comparison_csv(path: Path, rows: list[dict]) -> None:

@@ -155,7 +155,7 @@ def test_grid_draws_equal_constructor_built_draws():
     for d in draws:
         checked = FptDraw(time=d.time, finite=d.time < math.inf)
         assert type(d) is FptDraw
-        assert d == checked and hash(d) == hash(checked) and vars(d) == vars(checked)
+        assert d == checked and hash(d) == hash(checked) and d._asdict() == checked._asdict()
 
 
 def test_grid_batch_worker_invariance():

@@ -50,6 +50,34 @@ def test_fpt_draw_validates_flag_consistency():
         FptDraw(time=-0.5, finite=True)
 
 
+def test_fpt_draw_refuses_a_nan_time_on_a_censored_record():
+    # time >= 0 holds for every record: inf passes, NaN fails (it compares
+    # false with inf, so the flag check alone let it through as finite=False)
+    assert not FptDraw(time=math.inf, finite=False).finite
+    with pytest.raises(ParameterError, match="time must be >= 0"):
+        FptDraw(time=math.nan, finite=False)
+
+
+def test_fpt_draw_replace_runs_the_constructor_checks():
+    d = FptDraw(0.5, True)
+    assert d._replace(proposals=3) == FptDraw(0.5, True, 3)
+    with pytest.raises(ParameterError, match="time must be >= 0"):
+        d._replace(time=-0.5)
+    with pytest.raises(ParameterError):
+        d._replace(finite=False)
+    with pytest.raises(ParameterError):
+        FptDraw._make((0.5, True, -1, 0, 0))
+
+
+def test_fpt_draw_is_a_tuple_record_with_the_dataclass_repr():
+    d = FptDraw(0.5, True, 3, 2, 1)
+    assert d == (0.5, True, 3, 2, 1) and hash(d) == hash((0.5, True, 3, 2, 1))
+    assert repr(d) == "FptDraw(time=0.5, finite=True, proposals=3, clock_events=2, line_draws=1)"
+    assert d._asdict() == {"time": 0.5, "finite": True, "proposals": 3, "clock_events": 2,
+                           "line_draws": 1}
+    assert FptDraw._field_defaults == {"proposals": 1, "clock_events": 0, "line_draws": 0}
+
+
 def test_inverse_gaussian_cdf_matches_scipy():
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import fptsim.exact as exact_module
-from fptsim.bm_fpt import CurvyParams, FptDraw, constant_level_cdf, inverse_gaussian_cdf
+from fptsim.baselines import GridScheme, grid_batch
+from fptsim.bm_fpt import (
+    CurvyParams,
+    FptDraw,
+    constant_level_cdf,
+    inverse_gaussian_cdf,
+    sample_fpt_curvy,
+)
 from fptsim.errors import (
     AssumptionViolation,
     ConfigurationError,
@@ -40,6 +47,7 @@ from fptsim.model import (
     linear_threshold,
     make_gamma_pair,
 )
+from fptsim.neuron import NeuronParams, _draw_interval
 from fptsim.problems import (
     build_custom_problem,
     example1_problem,
@@ -1016,3 +1024,22 @@ def test_the_time_stop_keeps_example2s_proposal_count():
                    for p, seed in ((prob, 66), (combined, 67)))
     z = (split.mean() - full.mean()) / math.sqrt((split.var(ddof=1) + full.var(ddof=1)) / n)
     assert abs(z) < 3.0
+
+
+def test_records_of_every_sampler_carry_no_instance_dict():
+    # FptDraw is a tuple record: exact, split, curvy-iteration, grid and
+    # neuron stage draws all come back as FptDraw without a __dict__
+    ex1, ex2 = example1_problem(), example2_problem()
+    kernel = ex2._kernel
+    phi, params = kernel.curvy
+    rng = np.random.default_rng(70)
+    normal, uniform, _ = draw_streams(rng)
+    draws = [sample_exact(ex1, rng), sample_exact(ex2, rng),
+             sample_fpt_curvy(phi, params, rng, normal=normal, uniform=uniform, gap=kernel.delta)]
+    draws += sample_batch(ex1, 5, 71, split=3)
+    for scheme in ("euler", "improved_euler"):
+        draws += grid_batch(ex1.sde, ex1.threshold, GridScheme(0.125, 8.0, scheme), 5, 72)
+    stages = _draw_interval(NeuronParams(I=20.0), 5.0, 1.0, 100.0, rng, 10**6)[1]
+    assert len(stages) == 2
+    for d in draws + stages:
+        assert type(d) is FptDraw and not hasattr(d, "__dict__")
