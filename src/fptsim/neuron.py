@@ -362,6 +362,9 @@ class _StageBounds:
         # the time-rate bound of a stage reads the pieces from j0 on
         self.bp_box = bp_box
         self.ab_min = ab_min
+        # the bound for stages that start in the first piece
+        self.rate_first = np.maximum.reduce(self.g_lo[:, :1, None] * bp_box - ab_min,
+                                            axis=(1, 2)).tolist()
         self.ends = ends.tolist()
         self.theta = theta.tolist()
         self.scales = scales[:, 0].tolist()
@@ -396,7 +399,7 @@ class _StageBounds:
         offset = self.offsets[i]
         scale = self.scales[i]
         j0 = min(bisect_right(self.ends, s), _RATE_PIECES) - 1
-        worst = float(self.worst[i, j0])
+        worst = self.worst.item(i, j0)
         if worst < 0.0:
             j = j0 + int(np.argmax(self.margin[i, j0:] < 0.0))
             raise AssumptionViolation(
@@ -404,8 +407,8 @@ class _StageBounds:
                 f"over the stage window [{s}, {s + horizon}] (worst margin {worst}, "
                 f"first negative on the piece [{self.ends[j]}, {self.ends[j + 1]}])"
             )
-        g = float(self.g_lo[i, j0])
-        g_hi = float(self.g_hi[i, j0])
+        g = self.g_lo.item(i, j0)
+        g_hi = self.g_hi.item(i, j0)
         if g > g_hi:
             raise AssumptionViolation(
                 "no constant reference drift keeps the combined rate non-negative "
@@ -446,8 +449,8 @@ class _StageBounds:
         # space rate is an exact endpoint value of a convex quadratic, the
         # time rate (g - alpha)*beta' is bounded piece by piece
         sup2 = max(0.0, 0.5 * (max(c * c, _q(c, d, sigma, u_cap)) - gg))
-        sup1 = max(0.0, float(np.maximum.reduce(g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:],
-                                                axis=None)))
+        sup1 = max(0.0, self.rate_first[i] if j0 == 0 else float(np.maximum.reduce(
+            g * self.bp_box[:, j0:] - self.ab_min[i, :, j0:], axis=None)))
         # The part fills skip only the part constructors' checks: kappa is
         # at least KAPPA_FLOOR, epsilon is a constant and the horizon is
         # positive and finite (simulate_spike_train checks its horizon once).

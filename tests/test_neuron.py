@@ -245,6 +245,17 @@ def test_interval_stages_off_the_grid_are_admissible_between_pieces(current, tau
 
 
 @pytest.mark.parametrize("current, tau_m", [(0.0, -1.0), (20.0, -1.0), (20.0, 1.0)])
+def test_first_piece_time_rate_bounds_equal_the_stage_reduction(current, tau_m):
+    # the interval's pass takes the time-rate bound of the stages that start in
+    # the first piece; it is the reduction a stage starting there would make
+    bounds = _interval_bounds(current, tau_m)
+    for i in range(len(bounds.offsets)):
+        g = float(bounds.g_lo[i, 0])
+        rate = g * bounds.bp_box - bounds.ab_min[i]
+        assert bounds.rate_first[i] == float(np.maximum.reduce(rate, axis=None))
+
+
+@pytest.mark.parametrize("current, tau_m", [(0.0, -1.0), (20.0, -1.0), (20.0, 1.0)])
 def test_stage_rates_match_make_gamma_pair(current, tau_m):
     bounds = _interval_bounds(current, tau_m)
     prob = bounds.problem(2, 1.3, x_start=0.0, horizon=_T_END - 1.3, max_proposals=10**6)

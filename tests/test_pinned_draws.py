@@ -125,3 +125,14 @@ def test_spike_train_is_pinned():
         1.850712590903772, 1.9375338914126743,
     )
     assert (train.stages, train.proposals, train.clock_events) == (86, 478, 519)
+
+
+def test_leaky_spike_train_is_pinned():
+    # tau_m = 1 gives d = 1 > 0: the leaky membrane's stages
+    train = simulate_spike_train(NeuronParams(tau_m=1.0, I=10.0), 2.0, substream(_SEED, 0))
+    assert train.times == (
+        0.05953673683957981, 0.19034098626400844, 0.41591196721276, 0.5537601923202649,
+        0.6769549984101138, 0.8524626093708032, 1.1016042042341196, 1.2593177370444668,
+        1.3863211102564152, 1.5867645403766795, 1.8347048800659889, 1.9737914864531365,
+    )
+    assert (train.stages, train.proposals, train.clock_events) == (30, 71, 123)
